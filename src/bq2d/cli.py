@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels, solver
 from .lp import BesovIndex, besov_norm, dyadic_blocks
-from .spectral import FlowParams, GridSpec, PhysicalField, lp_norm, to_physical, to_spectral
+from .spectral import FlowParams, GridSpec, PhysicalField, lp_norm, to_physical
 from .monitors import (
     CONVEX_GAMMAS,
     check_besov_index,
@@ -184,22 +184,41 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def build_config(config_path: str | None, overrides: dict) -> RunConfig:
-    cfg = RunConfig()
+def build_config(config_path: str | None, overrides: dict, header: dict | None = None) -> RunConfig:
+    """Defaults, then the config file, then a checkpoint ``header`` (when
+    resuming), then the non-None ``overrides``; BQ2D_OUT_DIR last.
+
+    A header value that the file contradicts is an error unless a flag
+    overrides it; n is never overridden.  With a header, ``critical``
+    follows alpha + beta == 1.
+    """
+    file_vals = {}
     if config_path is not None:
         try:
             with open(config_path) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        for key, val in parse_config_text(text).items():
-            setattr(cfg, key, val)
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
+        file_vals = parse_config_text(text)
+    layers = dict(file_vals)
+    for key, ckpt_val in (header or {}).items():
+        if overrides.get(key) is not None:
+            continue
+        if key in file_vals and file_vals[key] != ckpt_val:
+            raise ConfigError(
+                f"header mismatch on {key!r}: checkpoint has {ckpt_val!r}, "
+                f"config has {file_vals[key]!r} (pass --{key.replace('_', '-')} to override)"
+            )
+        layers[key] = ckpt_val
+    layers.update((key, val) for key, val in overrides.items() if val is not None)
+    cfg = RunConfig(**layers)
     env_out = os.environ.get("BQ2D_OUT_DIR")
     if env_out:
         cfg.out_dir = env_out
+    if header is not None:
+        if cfg.n != header["n"]:
+            raise ConfigError(f"checkpoint has n={header['n']!r}; a resume cannot change n to {cfg.n!r}")
+        cfg.critical = cfg.alpha + cfg.beta == 1.0
     cfg.resolve()
     cfg.validate()
     return cfg
@@ -222,36 +241,40 @@ def _run_loop(cfg: RunConfig, state: solver.SimState, params: FlowParams, out_di
     u0_l2 = rec0.u_l2
     diss_u = diss_G = 0.0
     rate_u, rate_G = dissipation_rates(state, params)
-
     delta_target = solver.delta_star(max(theta0_linf, 1e-300), params.beta, cfg.oss_delta_c)
+    gamma, gamma_p = CONVEX_GAMMAS["square"]
+    worst = {"maxprinciple_l2": 0.0, "maxprinciple_linf": 0.0, "energy_linear": 0.0}
 
-    def fill_margins(rec):
+    def record(fh, rec=None):
+        """Margins for the snapshot ``rec`` of ``cur`` (taken now if None), one
+        CSV row to ``fh``, and the running worst margins; returns the record."""
+        if rec is None:
+            rec = snapshot_record(cur, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
         m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
-        lin, _ = energy_margin(rec, u0_l2, theta0_l2)
-        gamma, gamma_p = CONVEX_GAMMAS["square"]
         rec.margins["maxprinciple_l2"] = m2
         rec.margins["maxprinciple_linf"] = minf
-        rec.margins["energy_linear"] = lin
+        rec.margins["energy_linear"] = energy_margin(rec, u0_l2, theta0_l2)[0]
         rec.margins["cordoba_min"] = cordoba_margin(cur.theta, params.beta, gamma, gamma_p)
         rec.margins["oss_delta_measured"] = solver.oss_check(
             cur.theta, delta_target, cfg.oss_L
         ).delta_measured
+        for key in worst:
+            worst[key] = min(worst[key], rec.margins[key])
+        fh.write(rec.csv_row() + "\n")
+        fh.flush()
         return rec
 
-    csv_path = os.path.join(out_dir, "diagnostics.csv")
-    worst = {"maxprinciple_l2": 0.0, "maxprinciple_linf": 0.0, "energy_linear": 0.0}
     step_count = 0
     cur = state
+    prev_t = state.t
     try:
-        with open(csv_path, "w") as csv:
+        with open(os.path.join(out_dir, "diagnostics.csv"), "w") as csv:
             csv.write(csv_header() + "\n")
-            rec = fill_margins(rec0)
-            csv.write(rec.csv_row() + "\n")
-            csv.flush()
+            rec = record(csv, rec0)
             for cur in solver.run(state, params, stepper, n_steps=cfg.n_steps):
                 step_count += 1
                 new_u, new_G = dissipation_rates(cur, params)
-                dt = cur.t - (state.t if step_count == 1 else prev_t)
+                dt = cur.t - prev_t
                 diss_u += 0.5 * dt * (rate_u + new_u)
                 diss_G += 0.5 * dt * (rate_G + new_G)
                 rate_u, rate_G = new_u, new_G
@@ -261,31 +284,15 @@ def _run_loop(cfg: RunConfig, state: solver.SimState, params: FlowParams, out_di
                         os.path.join(out_dir, f"ckpt_{step_count:08d}.chk"), cur, params
                     )
                 if step_count % cfg.diag_every == 0:
-                    rec = fill_margins(
-                        snapshot_record(cur, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-                    )
-                    for key in worst:
-                        worst[key] = min(worst[key], rec.margins[key])
-                    csv.write(rec.csv_row() + "\n")
-                    csv.flush()
+                    rec = record(csv)
             if step_count % cfg.diag_every != 0:
-                rec = fill_margins(
-                    snapshot_record(cur, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-                )
-                for key in worst:
-                    worst[key] = min(worst[key], rec.margins[key])
-                csv.write(rec.csv_row() + "\n")
-                csv.flush()
+                rec = record(csv)
     except solver.BlowUpError as exc:
         post = os.path.join(out_dir, "post_mortem.csv")
         with open(post, "w") as fh:
             fh.write(f"# blow-up at t={exc.t!r} max_omega={exc.omega_max!r}\n")
             fh.write(csv_header() + "\n")
-            # last finite state, for the post-mortem
-            rec = fill_margins(
-                snapshot_record(cur, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-            )
-            fh.write(rec.csv_row() + "\n")
+            record(fh)  # the last finite state
         print(f"blow-up abort: {exc} (post-mortem: {post})", file=sys.stderr)
         return EXIT_BLOWUP
     solver.write_checkpoint(os.path.join(out_dir, "final.chk"), cur, params)
@@ -326,41 +333,17 @@ def cmd_resume(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: cannot resume: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    overrides = _collect_overrides(args)
+    header = {
+        "n": state.grid.n,
+        "side_length": state.grid.side_length,
+        "nu": params.nu,
+        "kappa": params.kappa,
+        "alpha": params.alpha,
+        "beta": params.beta,
+    }
     try:
-        cfg = RunConfig()
-        file_vals = {}
-        if args.config is not None:
-            with open(args.config) as fh:
-                file_vals = parse_config_text(fh.read())
-            for key, val in file_vals.items():
-                setattr(cfg, key, val)
-        header_vals = {
-            "n": state.grid.n,
-            "side_length": state.grid.side_length,
-            "nu": params.nu,
-            "kappa": params.kappa,
-            "alpha": params.alpha,
-            "beta": params.beta,
-        }
-        for key, ckpt_val in header_vals.items():
-            if key in overrides:
-                continue  # explicit flag overrides the header
-            if key in file_vals and file_vals[key] != ckpt_val:
-                raise ConfigError(
-                    f"header mismatch on {key!r}: checkpoint has {ckpt_val!r}, "
-                    f"config has {file_vals[key]!r} (pass --{key.replace('_', '-')} to override)"
-                )
-            setattr(cfg, key, ckpt_val)
-        for key, val in overrides.items():
-            setattr(cfg, key, val)
-        env_out = os.environ.get("BQ2D_OUT_DIR")
-        if env_out:
-            cfg.out_dir = env_out
-        cfg.critical = cfg.alpha + cfg.beta == 1.0
-        cfg.resolve()
-        cfg.validate()
-    except (ConfigError, OSError) as exc:
+        cfg = build_config(args.config, _collect_overrides(args), header)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     grid = cfg.grid()
@@ -385,6 +368,12 @@ def _emit(rows, out_path: str | None):
 
 def cmd_kernel_verify(args) -> int:
     beta, n = args.beta, args.n
+    try:
+        kcfg = kernels.KernelConfig(beta=beta)
+        grid = GridSpec(n=n)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     rows = [["check", "value", "threshold", "pass"]]
     ok = True
 
@@ -409,9 +398,8 @@ def cmd_kernel_verify(args) -> int:
     c_drift = abs(res2["C_star"] / res["C_star"] - 1.0)
     add("C_star_drift", c_drift, 0.01, c_drift <= 0.01)
 
-    grid = GridSpec(n=n)
     theta = kernels.gaussian_bump(grid)
-    full = kernels.symgrad_v_quadrature(theta, kernels.KernelConfig(beta=beta), 1.0)
+    full = kernels.symgrad_v_quadrature(theta, kcfg, 1.0)
     near, mid, far = kernels.split_symgrad_bound(theta, rho=0.05, L_split=1.0, beta=beta)
     scale = max(np.abs(f.values).max() for f in full) + 1e-300
     worst = max(
@@ -498,6 +486,7 @@ def cmd_inequality_suite(args) -> int:
 
 def cmd_besov(args) -> int:
     try:
+        index = BesovIndex(args.s, args.p, args.r)
         state, params = solver.read_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -507,7 +496,7 @@ def cmd_besov(args) -> int:
     elif args.field == "omega":
         fh = state.omega_hat
     elif args.field == "G":
-        fh = to_spectral(solver.compute_G(state, params.alpha))
+        fh = solver.G_hat(state, params.alpha)
     else:
         print(f"config error: unknown field {args.field!r}", file=sys.stderr)
         return EXIT_CONFIG
@@ -515,7 +504,7 @@ def cmd_besov(args) -> int:
     for band in dyadic_blocks(fh):
         norm = 2.0 ** (band.j * args.s) * lp_norm(to_physical(band.band), args.p)
         rows.append([band.j, repr(float(norm))])
-    total = besov_norm(fh, BesovIndex(args.s, args.p, args.r))
+    total = besov_norm(fh, index)
     rows.append(["total", repr(float(total))])
     _emit(rows, args.out)
     return EXIT_OK

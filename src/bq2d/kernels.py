@@ -20,9 +20,9 @@ points of the fundamental cell (an exact linear convolution, evaluated on
 a zero-padded grid) instead of wrapping to the nearest periodic image:
 for data effectively supported in the central ball of radius L/4 this is
 the plain Riemann sum of the plane integral, with cell weight (L/n)^2 and
-the singular cell handled per ``self_cell_rule``.  Wrapping or truncating
-at |z| <= L/2 corrupts the slowly decaying far field by an O(1) relative
-amount and is not offered.
+the singular cell excluded.  Wrapping or truncating at |z| <= L/2 corrupts
+the slowly decaying far field by an O(1) relative amount and is not
+offered.
 
 The comparison target, the spectral operator, lives on the torus; it
 differs from the plane integral through the periodic images of the data.
@@ -62,24 +62,18 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """beta order, singular-cell rule ('exclude' or 'polar'), and an optional
-    cap on the included displacement |x-y| (None = the data's full reach)."""
+    """Fractional order beta of the kernels."""
 
     beta: float
-    self_cell_rule: str = "exclude"
-    truncation_radius: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError("kernel quadrature requires beta strictly inside (0, 1)")
-        if self.self_cell_rule not in ("exclude", "polar"):
-            raise ValueError("self_cell_rule must be 'exclude' or 'polar'")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
 
-    def radius(self, grid: GridSpec) -> float:
-        reach = math.sqrt(2.0) * grid.side_length
-        return min(self.truncation_radius, reach) if self.truncation_radius else reach
+
+def _reach(grid: GridSpec) -> float:
+    """Largest displacement |x - y| between two points of the cell."""
+    return math.sqrt(2.0) * grid.side_length
 
 
 def sigma(z) -> np.ndarray:
@@ -122,7 +116,10 @@ def _pad_displacements(n: int, side_length: float):
     m = np.fft.fftfreq(2 * n, d=1.0 / (2 * n))
     z1 = h * m[:, None] * np.ones((1, 2 * n))
     z2 = h * m[None, :] * np.ones((2 * n, 1))
-    return z1, z2, np.hypot(z1, z2)
+    zn = np.hypot(z1, z2)
+    for a in (z1, z2, zn):
+        a.flags.writeable = False
+    return z1, z2, zn
 
 
 def _apply_kernel(kernel: np.ndarray, f: np.ndarray, grid: GridSpec, method: str) -> np.ndarray:
@@ -144,12 +141,6 @@ def _apply_kernel(kernel: np.ndarray, f: np.ndarray, grid: GridSpec, method: str
             out += kernel[i, j] * np.roll(big, (i, j), axis=(0, 1))
         return out[:n, :n] * grid.cell_weight
     raise ValueError(f"unknown method {method!r}")
-
-
-def _polar_cell_mass(grid: GridSpec, power: float) -> float:
-    """Integral of |z|^{-power} over a disc with the area of one grid cell."""
-    r_eq = grid.spacing / math.sqrt(math.pi)
-    return 2.0 * math.pi * r_eq ** (2.0 - power) / (2.0 - power)
 
 
 SUPPORT_TAIL_TOLERANCE = 1e-3  # fraction of |theta| mass allowed outside |x-c| < L/4
@@ -181,12 +172,11 @@ def v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, method:
     grid = theta.grid
     _support_check(theta)
     z1, z2, zn = _pad_displacements(grid.n, grid.side_length)
-    R = cfg.radius(grid)
-    mask = (zn > 0) & (zn <= R)
+    mask = (zn > 0) & (zn <= _reach(grid))
     radial = np.zeros_like(zn)
     radial[mask] = zn[mask] ** (-1.0 - cfg.beta)
-    # z^perp = (-z2, z1); the kernel is odd, so the self cell vanishes by
-    # parity under either rule.
+    # z^perp = (-z2, z1); the kernel is odd, so the self cell would vanish
+    # by parity even if it were included.
     f = _d1_theta(theta)
     v1 = C_beta * _apply_kernel(-z2 * radial, f, grid, method)
     v2 = C_beta * _apply_kernel(z1 * radial, f, grid, method)
@@ -199,16 +189,11 @@ def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, me
     grid = theta.grid
     _support_check(theta)
     z1, z2, zn = _pad_displacements(grid.n, grid.side_length)
-    R = cfg.radius(grid)
-    mask = (zn > 0) & (zn <= R)
+    mask = (zn > 0) & (zn <= _reach(grid))
     scalar = np.zeros_like(zn)
     scalar[mask] = zn[mask] ** (-1.0 - cfg.beta)
     tensor = np.zeros_like(zn)
     tensor[mask] = zn[mask] ** (-3.0 - cfg.beta)
-    if cfg.self_cell_rule == "polar":
-        # angular mean of the scalar kernel is 1, so its self cell gets the
-        # equivalent-disc polar mass; tensor entries are handled below.
-        scalar[0, 0] = _polar_cell_mass(grid, 1.0 + cfg.beta) / grid.cell_weight
     f = _d1_theta(theta)
     s_int = _apply_kernel(scalar, f, grid, method)
     zp = (-z2, z1)
@@ -217,15 +202,7 @@ def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, me
     J = ((0.0, -1.0), (1.0, 0.0))
     for i in range(2):
         for j in range(2):
-            kern = zp[i] * zz[j] * tensor
-            if cfg.self_cell_rule == "polar" and i != j:
-                # angular mean of zp_i z_j / |z|^2 is -1/2 (i=0) or +1/2 (i=1)
-                kern[0, 0] = (
-                    (0.5 if i == 1 else -0.5)
-                    * _polar_cell_mass(grid, 1.0 + cfg.beta)
-                    / grid.cell_weight
-                )
-            t_int = _apply_kernel(kern, f, grid, method)
+            t_int = _apply_kernel(zp[i] * zz[j] * tensor, f, grid, method)
             vals = C_beta * (J[i][j] * s_int - (1.0 + cfg.beta) * t_int)
             g[i][j] = PhysicalField(grid, vals)
     return (g[0][0], g[0][1]), (g[1][0], g[1][1])
@@ -257,10 +234,9 @@ def _symgrad_from_region(theta, beta, C_beta, rmin, rmax, method):
 
 def symgrad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, method: str = "fft"):
     """Symmetric gradient via the difference-form sigma kernel; returns
-    (s11, s12, s22).  Exactly symmetric and trace-free by construction;
-    the sigma kernel has zero angular mean, so the polar rule adds nothing."""
+    (s11, s12, s22).  Exactly symmetric and trace-free by construction."""
     _support_check(theta)
-    return _symgrad_from_region(theta, cfg.beta, C_beta, 0.0, cfg.radius(theta.grid), method)
+    return _symgrad_from_region(theta, cfg.beta, C_beta, 0.0, _reach(theta.grid), method)
 
 
 def split_symgrad_bound(
@@ -274,8 +250,7 @@ def split_symgrad_bound(
     """Three-region split |z| <= rho < |z| <= L_split < |z| of the symmetric
     gradient integral.  Returns (near, mid, far), each an (s11, s12, s22)
     triple; the parts sum to symgrad_v_quadrature on the same nodes."""
-    grid = theta.grid
-    reach = math.sqrt(2.0) * grid.side_length
+    reach = _reach(theta.grid)
     if not 0.0 < rho < L_split <= reach:
         raise ValueError("need 0 < rho < L_split <= the quadrature reach")
     near = _symgrad_from_region(theta, beta, C_beta, 0.0, rho, method)

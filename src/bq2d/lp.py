@@ -35,9 +35,12 @@ from .spectral import (
     dealias,
     fractional_laplacian,
     grad,
+    grad_sup,
     lp_norm,
+    mean_free,
     perp_grad,
     riesz_alpha,
+    shift_norms,
     sobolev_norm,
     spectral_product,
     to_physical,
@@ -59,6 +62,12 @@ class BesovIndex:
     r: float
     homogeneous: bool = False
 
+    def __post_init__(self):
+        if not self.p >= 1.0:
+            raise ValueError(f"Besov index p must be >= 1, got p={self.p}")
+        if not self.r > 0.0:
+            raise ValueError(f"Besov index r must be > 0, got r={self.r}")
+
 
 def max_band_index(grid: GridSpec) -> int:
     _, _, kmag = wavevectors(grid)
@@ -67,11 +76,9 @@ def max_band_index(grid: GridSpec) -> int:
 
 
 @lru_cache(maxsize=64)
-def _band_indices(n: int, side_length: float, inhomogeneous: bool) -> np.ndarray:
+def _band_indices(grid: GridSpec, inhomogeneous: bool) -> np.ndarray:
     """Integer band index per mode; mean mode coded as -999 when homogeneous."""
-    from .spectral import _kgrid  # reuse the cached arrays
-
-    _, _, kmag = _kgrid(n, side_length)
+    _, _, kmag = wavevectors(grid)
     idx = np.full(kmag.shape, -1, dtype=int)
     nz = kmag > 0
     idx[nz] = np.floor(np.log2(kmag[nz])).astype(int)
@@ -80,6 +87,7 @@ def _band_indices(n: int, side_length: float, inhomogeneous: bool) -> np.ndarray
         idx[~nz] = -1
     else:
         idx[~nz] = -999
+    idx.flags.writeable = False
     return idx
 
 
@@ -111,7 +119,7 @@ def dyadic_blocks(fh: SpectralField, smooth: bool = False) -> list[LPBand]:
             w = _smooth_step(kmag / 2.0**j) - _smooth_step(kmag / 2.0 ** (j - 1))
             bands.append(LPBand(j, SpectralField(grid, fh.coeffs * w)))
         return bands
-    idx = _band_indices(grid.n, grid.side_length, inhomogeneous=True)
+    idx = _band_indices(grid, inhomogeneous=True)
     for j in range(-1, jmax + 1):
         mask = idx == j
         bands.append(LPBand(j, SpectralField(grid, np.where(mask, fh.coeffs, 0.0))))
@@ -120,7 +128,7 @@ def dyadic_blocks(fh: SpectralField, smooth: bool = False) -> list[LPBand]:
 
 def block(fh: SpectralField, j: int, homogeneous: bool = False) -> SpectralField:
     """Single sharp block Delta_j f."""
-    idx = _band_indices(fh.grid.n, fh.grid.side_length, inhomogeneous=not homogeneous)
+    idx = _band_indices(fh.grid, inhomogeneous=not homogeneous)
     return SpectralField(fh.grid, np.where(idx == j, fh.coeffs, 0.0))
 
 
@@ -140,9 +148,7 @@ def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
     """Block Besov norm ||2^{js} ||Delta_j f||_p||_{l^r}."""
     fh = _as_spectral(f)
     if idx.homogeneous:
-        coeffs = fh.coeffs.copy()
-        coeffs[0, 0] = 0.0
-        fh = SpectralField(fh.grid, coeffs)
+        fh = mean_free(fh)
     terms = []
     for band in dyadic_blocks(fh, smooth=smooth):
         if idx.homogeneous and band.j == -1:
@@ -151,16 +157,6 @@ def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
             continue
         terms.append(2.0 ** (band.j * idx.s) * lp_norm(to_physical(band.band), idx.p))
     return _lr_combine(terms, idx.r)
-
-
-@lru_cache(maxsize=64)
-def _shift_norms(n: int, side_length: float):
-    """Nearest-image |t| per grid shift (fft-order signed indexing)."""
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    h = side_length / n
-    t1 = h * m[:, None]
-    t2 = h * m[None, :]
-    return np.hypot(t1, t2)
 
 
 def besov_norm_fd(f, s: float, p: float, r: float, homogeneous: bool = False) -> float:
@@ -174,7 +170,7 @@ def besov_norm_fd(f, s: float, p: float, r: float, homogeneous: bool = False) ->
         raise ValueError("besov_norm_fd requires s in (0, 1)")
     ph = f if isinstance(f, PhysicalField) else to_physical(f)
     grid = ph.grid
-    tnorm = _shift_norms(grid.n, grid.side_length)
+    tnorm = shift_norms(grid)
     include = (tnorm > 0) & (tnorm <= grid.side_length / 2.0)
     shifts = np.argwhere(include)
     vals = ph.values
@@ -209,7 +205,7 @@ def bernstein_check(fh: SpectralField, j: int, alpha: float, p: float, q: float)
     peak = np.abs(fh.coeffs).max()
     if peak == 0.0:
         return None
-    idx = _band_indices(fh.grid.n, fh.grid.side_length, inhomogeneous=True)
+    idx = _band_indices(fh.grid, inhomogeneous=True)
     outside = (idx != j) & (np.abs(fh.coeffs) > 1e-13 * peak)
     if np.any(outside):
         raise ValueError(f"input is not band-limited to band j={j}")
@@ -248,9 +244,7 @@ def commutator_advection(u, theta: PhysicalField, alpha: float) -> PhysicalField
     adv_theta = div_product(to_physical(th_hat))
     first = riesz_alpha(SpectralField(theta.grid, adv_theta), alpha).coeffs
     second = div_product(rth)
-    out = first - second
-    out[0, 0] = 0.0
-    return to_physical(SpectralField(theta.grid, out))
+    return to_physical(mean_free(SpectralField(theta.grid, first - second)))
 
 
 def commutator_multiplier(f: PhysicalField, g: PhysicalField, alpha: float) -> PhysicalField:
@@ -260,9 +254,7 @@ def commutator_multiplier(f: PhysicalField, g: PhysicalField, alpha: float) -> P
     g_hat = dealias(to_spectral(g))
     first = riesz_alpha(spectral_product(f, to_physical(g_hat)), alpha)
     second = spectral_product(f, to_physical(riesz_alpha(g_hat, alpha)))
-    out = first.coeffs - second.coeffs
-    out[0, 0] = 0.0
-    return to_physical(SpectralField(f.grid, out))
+    return to_physical(mean_free(SpectralField(f.grid, first.coeffs - second.coeffs)))
 
 
 def _component_norm(components: list[float]) -> float:
@@ -340,8 +332,7 @@ def convolution_commutator_ratio(
         grid, torus_convolution(phi, fg).values - f.values * torus_convolution(phi, g).values
     )
     lhs = lp_norm(lhs_field, q)
-    tnorm = _shift_norms(grid.n, grid.side_length)
-    weight = tnorm ** (delta + 2.0 / r1)
+    weight = shift_norms(grid) ** (delta + 2.0 / r1)
     phi_norm = lp_norm(PhysicalField(grid, weight * phi.values), r2)
     f_norm = besov_norm_fd(f, delta, q1, r1, homogeneous=True) if delta < 1.0 else lp_norm(
         to_physical(grad(to_spectral(f))[0]), q1
@@ -365,9 +356,7 @@ def interp_inequality_ratio(theta: PhysicalField, beta: float) -> float:
     for comp in (w1, w2):
         g1, g2 = grad(comp)
         sup = max(sup, np.abs(to_physical(g1).values).max(), np.abs(to_physical(g2).values).max())
-    g1, g2 = grad(th_hat)
-    grad_mag = np.hypot(to_physical(g1).values, to_physical(g2).values)
-    denom = lp_norm(theta, 2) + float(grad_mag.max())
+    denom = lp_norm(theta, 2) + grad_sup(th_hat)
     if denom == 0.0:
         return 0.0
     return sup / denom

@@ -17,18 +17,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import BesovIndex, besov_norm, _shift_norms
-from .solver import SimState, _velocity, compute_G
+from .lp import BesovIndex, besov_norm
+from .solver import G_hat, SimState, _velocity, compute_G
 from .spectral import (
     FlowParams,
     GridSpec,
     PhysicalField,
-    SpectralField,
     biot_savart,
     fractional_laplacian,
     grad,
+    grad_sup,
+    kpow,
     lp_norm,
-    riesz_alpha,
+    shift_norms,
     to_physical,
     to_spectral,
 )
@@ -177,8 +178,6 @@ def snapshot_record(
     u_l2 = math.sqrt(
         (np.sum(u1.values**2) + np.sum(u2.values**2)) * state.grid.cell_weight
     )
-    g1, g2 = grad(state.theta_hat)
-    grad_mag = np.hypot(to_physical(g1).values, to_physical(g2).values)
     G = compute_G(state, params.alpha)
     return DiagnosticsRecord(
         t=state.t,
@@ -186,7 +185,7 @@ def snapshot_record(
         theta_linf=lp_norm(state.theta, math.inf),
         u_l2=float(u_l2),
         omega_linf=lp_norm(state.omega, math.inf),
-        grad_theta_linf=float(grad_mag.max()),
+        grad_theta_linf=grad_sup(state.theta_hat),
         G_l2=lp_norm(G, 2),
         G_lq=lp_norm(G, q),
         q=q,
@@ -198,18 +197,16 @@ def snapshot_record(
 
 
 def dissipation_rates(state: SimState, params: FlowParams) -> tuple[float, float]:
-    """(||Lambda^{a/2} u||_2^2, ||Lambda^{a/2} G||_2^2) for the accumulators."""
-    u1h, u2h = biot_savart(state.omega_hat)
-    total = 0.0
-    for comp in (u1h, u2h):
-        lam = fractional_laplacian(comp, params.alpha / 2.0)
-        total += np.sum(np.abs(lam.coeffs) ** 2)
-    u_rate = state.grid.side_length**2 * float(total)
-    g_hat = SpectralField(
-        state.grid, state.omega_hat.coeffs - riesz_alpha(state.theta_hat, params.alpha).coeffs
-    )
-    lam_g = fractional_laplacian(g_hat, params.alpha / 2.0)
-    g_rate = state.grid.side_length**2 * float(np.sum(np.abs(lam_g.coeffs) ** 2))
+    """(||Lambda^{a/2} u||_2^2, ||Lambda^{a/2} G||_2^2) for the accumulators.
+
+    Biot-Savart gives |u^|^2 = |omega^|^2 / |k|^2, so the velocity rate is
+    L^2 sum |k|^{a-2} |omega^|^2.
+    """
+    grid = state.grid
+    w2 = np.abs(state.omega_hat.coeffs) ** 2
+    u_rate = grid.side_length**2 * float(np.sum(kpow(grid, params.alpha - 2.0) * w2))
+    lam_g = fractional_laplacian(G_hat(state, params.alpha), params.alpha / 2.0)
+    g_rate = grid.side_length**2 * float(np.sum(np.abs(lam_g.coeffs) ** 2))
     return u_rate, g_rate
 
 
@@ -260,17 +257,11 @@ def grad_theta_monitor(states, params: FlowParams):
     u_tilde = perp_grad Delta^{-1} G, the regular velocity part."""
     out = []
     for st in states:
-        g1, g2 = grad(st.theta_hat)
-        grad_mag = np.hypot(to_physical(g1).values, to_physical(g2).values)
-        g_hat = SpectralField(
-            st.grid, st.omega_hat.coeffs - riesz_alpha(st.theta_hat, params.alpha).coeffs
-        )
-        ut1, ut2 = biot_savart(g_hat)
         m = 0.0
-        for comp in (ut1, ut2):
+        for comp in biot_savart(G_hat(st, params.alpha)):
             for d in grad(comp):
                 m = max(m, float(np.abs(to_physical(d).values).max()))
-        out.append((float(grad_mag.max()), m))
+        out.append((grad_sup(st.theta_hat), m))
     return out
 
 
@@ -298,26 +289,27 @@ CONVEX_GAMMAS = {
 }
 
 
+def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime):
+    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid."""
+    if not 0.0 < beta < 2.0:
+        raise ValueError("cordoba_margin requires beta in (0, 2)")
+    lam_f = to_physical(fractional_laplacian(to_spectral(f), beta)).values
+    gam = PhysicalField(f.grid, np.asarray(gamma(f.values), dtype=float))
+    lam_gam = to_physical(fractional_laplacian(to_spectral(gam), beta)).values
+    return gamma_prime(f.values) * lam_f, lam_gam
+
+
 def cordoba_margin(f: PhysicalField, beta: float, gamma, gamma_prime) -> float:
     """min over the grid of Gamma'(f) Lambda^b f - Lambda^b Gamma(f) (>= 0
     in the continuum for convex Gamma)."""
-    if not 0.0 < beta < 2.0:
-        raise ValueError("cordoba_margin requires beta in (0, 2)")
-    fh = to_spectral(f)
-    lam_f = to_physical(fractional_laplacian(fh, beta)).values
-    gam = PhysicalField(f.grid, np.asarray(gamma(f.values), dtype=float))
-    lam_gam = to_physical(fractional_laplacian(to_spectral(gam), beta)).values
-    margin = gamma_prime(f.values) * lam_f - lam_gam
-    return float(margin.min())
+    first, second = _cordoba_terms(f, beta, gamma, gamma_prime)
+    return float((first - second).min())
 
 
 def cordoba_scale(f: PhysicalField, beta: float, gamma, gamma_prime) -> float:
     """Magnitude reference for the margin tolerance band."""
-    fh = to_spectral(f)
-    lam_f = to_physical(fractional_laplacian(fh, beta)).values
-    gam = PhysicalField(f.grid, np.asarray(gamma(f.values), dtype=float))
-    lam_gam = to_physical(fractional_laplacian(to_spectral(gam), beta)).values
-    return float(np.abs(gamma_prime(f.values) * lam_f).max() + np.abs(lam_gam).max() + 1.0)
+    first, second = _cordoba_terms(f, beta, gamma, gamma_prime)
+    return float(np.abs(first).max() + np.abs(second).max() + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +328,22 @@ def frac_kernel_constant(beta: float) -> float:
 
 
 @lru_cache(maxsize=32)
-def _dirichlet_kernel_fft(n: int, side_length: float, beta: float):
+def _dirichlet_kernel_fft(grid: GridSpec, beta: float):
     """FFT of the truncated Dirichlet-form weights w(z) = |z|^{-2-beta} h^2
     (0 < |z| <= L/2), plus their total mass."""
-    tnorm = _shift_norms(n, side_length)
-    h2 = (side_length / n) ** 2
+    tnorm = shift_norms(grid)
     w = np.zeros_like(tnorm)
-    mask = (tnorm > 0) & (tnorm <= side_length / 2.0)
-    w[mask] = tnorm[mask] ** (-2.0 - beta) * h2
-    return np.fft.fft2(w), float(w.sum())
+    mask = (tnorm > 0) & (tnorm <= grid.side_length / 2.0)
+    w[mask] = tnorm[mask] ** (-2.0 - beta) * grid.cell_weight
+    w_hat = np.fft.fft2(w)
+    w_hat.flags.writeable = False
+    return w_hat, float(w.sum())
 
 
 def dirichlet_form(g: np.ndarray, grid: GridSpec, beta: float, constant: float) -> np.ndarray:
     """Truncated quadrature of c * int (g(x)-g(y))^2 / |x-y|^{2+beta} dy,
     singular cell excluded, evaluated for every x via circular convolution."""
-    w_hat, w_total = _dirichlet_kernel_fft(grid.n, grid.side_length, beta)
+    w_hat, w_total = _dirichlet_kernel_fft(grid, beta)
     g2 = g * g
     conv_g = np.fft.ifft2(w_hat * np.fft.fft2(g)).real
     conv_g2 = np.fft.ifft2(w_hat * np.fft.fft2(g2)).real

@@ -29,16 +29,19 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
-    _dealias_keep,
     biot_savart,
     coordinates,
     dealias,
+    dealias_mask,
     field_from_function,
     fractional_laplacian,
-    grad,
+    grad_sup,
+    kpow,
     lp_norm,
+    mean_free,
     random_band_field,
     riesz_alpha,
+    shift_norms,
     to_physical,
     to_spectral,
     wavevectors,
@@ -85,15 +88,12 @@ class StepperConfig:
     dt_init: float
     cfl_number: float = 0.4
     t_end: float = 1.0
-    scheme: str = "if-rk2"
 
     def __post_init__(self):
         if self.dt_init <= 0 or self.t_end <= 0:
             raise ValueError("dt_init and t_end must be positive")
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError("cfl_number must lie in (0, 1]")
-        if self.scheme != "if-rk2":
-            raise ValueError("only the integrating-factor RK2 scheme is supported")
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _advection(u, f: PhysicalField, grid: GridSpec) -> np.ndarray:
     surfaces as a blow-up diagnostic in the caller, not a type error.
     """
     k1, k2, _ = wavevectors(grid)
-    keep = _dealias_keep(grid.n, grid.dealias_fraction)
+    keep = dealias_mask(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         p1 = np.where(keep, np.fft.fft2(u[0].values * f.values), 0.0) / grid.n**2
         p2 = np.where(keep, np.fft.fft2(u[1].values * f.values), 0.0) / grid.n**2
@@ -152,16 +152,15 @@ def nonstiff_rhs(state: SimState, params: FlowParams):
 def rhs(state: SimState, params: FlowParams):
     """Full tendencies (d theta^/dt, d omega^/dt) including dissipation."""
     n_theta, n_omega, _ = nonstiff_rhs(state, params)
-    _, _, kmag = wavevectors(state.grid)
-    d_theta = n_theta.coeffs - params.kappa * kmag**params.beta * state.theta_hat.coeffs
-    d_omega = n_omega.coeffs - params.nu * kmag**params.alpha * state.omega_hat.coeffs
-    return SpectralField(state.grid, d_theta), SpectralField(state.grid, d_omega)
+    grid = state.grid
+    d_theta = n_theta.coeffs - params.kappa * kpow(grid, params.beta) * state.theta_hat.coeffs
+    d_omega = n_omega.coeffs - params.nu * kpow(grid, params.alpha) * state.omega_hat.coeffs
+    return SpectralField(grid, d_theta), SpectralField(grid, d_omega)
 
 
 def _integrating_factors(grid: GridSpec, params: FlowParams, dt: float):
-    _, _, kmag = wavevectors(grid)
-    e_theta = np.exp(-params.kappa * dt * kmag**params.beta)
-    e_omega = np.exp(-params.nu * dt * kmag**params.alpha)
+    e_theta = np.exp(-params.kappa * dt * kpow(grid, params.beta))
+    e_omega = np.exp(-params.nu * dt * kpow(grid, params.alpha))
     return e_theta, e_omega
 
 
@@ -208,7 +207,7 @@ def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | No
 
     th_new = e_theta * th0 + 0.5 * dt * (e_theta * n1_theta.coeffs + n2_theta.coeffs)
     w_new = e_omega * w0 + 0.5 * dt * (e_omega * n1_omega.coeffs + n2_omega.coeffs)
-    keep = _dealias_keep(grid.n, grid.dealias_fraction)
+    keep = dealias_mask(grid)
     theta_p = _physical_checked(grid, np.where(keep, th_new, 0.0), state.t + dt)
     omega_p = _physical_checked(grid, np.where(keep, w_new, 0.0), state.t + dt)
 
@@ -236,10 +235,16 @@ def run(state: SimState, params: FlowParams, cfg: StepperConfig, n_steps: int | 
 # the combined quantity G and its evolution residual
 
 
+def G_hat(state: SimState, alpha: float) -> SpectralField:
+    """Coefficients of G = omega - R_alpha theta."""
+    return SpectralField(
+        state.grid, state.omega_hat.coeffs - riesz_alpha(state.theta_hat, alpha).coeffs
+    )
+
+
 def compute_G(state: SimState, alpha: float) -> PhysicalField:
     """G = omega - R_alpha theta in physical space."""
-    diff = state.omega_hat.coeffs - riesz_alpha(state.theta_hat, alpha).coeffs
-    return to_physical(SpectralField(state.grid, diff))
+    return to_physical(G_hat(state, alpha))
 
 
 def g_equation_residual(states, params: FlowParams) -> float:
@@ -262,14 +267,11 @@ def g_equation_residual(states, params: FlowParams) -> float:
     k1, _, _ = wavevectors(grid)
     alpha, beta = params.alpha, params.beta
 
-    g0 = compute_G(s0, alpha)
-    g1 = compute_G(s1, alpha)
-    g2 = compute_G(s2, alpha)
-    dt_g = (g2.values - g0.values) / (dt1 + dt2)
+    g1_hat = G_hat(s1, alpha)
+    dt_g = (compute_G(s2, alpha).values - compute_G(s0, alpha).values) / (dt1 + dt2)
 
     u = _velocity(s1.omega_hat)
-    adv = _advection(u, g1, grid)
-    g1_hat = SpectralField(grid, s1.omega_hat.coeffs - riesz_alpha(s1.theta_hat, alpha).coeffs)
+    adv = _advection(u, to_physical(g1_hat), grid)
     diss = params.nu * fractional_laplacian(g1_hat, alpha).coeffs
 
     th = s1.theta_hat
@@ -320,22 +322,17 @@ def initial_data(kind: str, seed: int, grid: GridSpec, amplitude: float = 1.0) -
     else:
         raise ValueError(f"unknown initial data kind {kind!r}")
     theta = to_physical(dealias(to_spectral(theta)))
-    omega_hat = dealias(to_spectral(omega))
-    coeffs = omega_hat.coeffs.copy()
-    coeffs[0, 0] = 0.0  # vorticity is mean-free
-    omega = to_physical(SpectralField(grid, coeffs))
+    omega = to_physical(mean_free(dealias(to_spectral(omega))))  # vorticity is mean-free
     return SimState(theta=theta, omega=omega, t=0.0)
 
 
 def initial_report(state: SimState) -> dict:
     u1, u2 = _velocity(state.omega_hat)
     umag = np.hypot(u1.values, u2.values)
-    g1, g2 = grad(state.theta_hat)
-    grad_mag = np.hypot(to_physical(g1).values, to_physical(g2).values)
     return {
         "theta_l2": lp_norm(state.theta, 2),
         "theta_linf": lp_norm(state.theta, math.inf),
-        "grad_theta_linf": float(grad_mag.max()),
+        "grad_theta_linf": grad_sup(state.theta_hat),
         "u_l2": float(math.sqrt(np.sum(umag**2) * state.grid.cell_weight)),
     }
 
@@ -344,20 +341,17 @@ def initial_report(state: SimState) -> dict:
 # only-small-shocks machinery
 
 
-def oss_check(theta: PhysicalField, delta: float, L: float, stride: int = 1) -> OssReport:
+def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
     """Exhaustive oscillation scan: max over grid shifts |h| < L of
-    sup_x |theta(x+h) - theta(x)|.  ``stride`` > 1 subsamples the shifts
-    (the exhaustive stride-1 mode is the oracle)."""
+    sup_x |theta(x+h) - theta(x)|."""
     grid = theta.grid
     if L > grid.side_length / 2.0:
         raise ValueError("L must not exceed half the domain size")
-    from .lp import _shift_norms
-
-    tnorm = _shift_norms(grid.n, grid.side_length)
+    tnorm = shift_norms(grid)
     shifts = np.argwhere((tnorm > 0) & (tnorm < L))
     measured = 0.0
     vals = theta.values
-    for i, j in shifts[:: max(1, stride)]:
+    for i, j in shifts:
         diff = np.abs(np.roll(vals, (-i, -j), axis=(0, 1)) - vals).max()
         measured = max(measured, float(diff))
     return OssReport(delta_measured=measured, delta_target=delta, L=L, holds=measured <= delta)
@@ -374,9 +368,7 @@ def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
     """Diagnostic profile of sup_x (delta_h theta)^2 * exp(-c |h|^{1-beta})
     over the grid of shifts; returns (|h| array, sup array) sorted by |h|."""
     grid = theta.grid
-    from .lp import _shift_norms
-
-    tnorm = _shift_norms(grid.n, grid.side_length)
+    tnorm = shift_norms(grid)
     shifts = np.argwhere(tnorm >= 0)
     vals = theta.values
     radii, sups = [], []

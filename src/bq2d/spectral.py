@@ -15,6 +15,9 @@ Conventions used by every module in this package:
   mean-free content only.
 * Dealiasing zeroes every mode with any |m_i| > dealias_fraction * n/2
   and is applied after each nonlinear product.
+* This module owns every per-grid table: wavevectors, |k|^g symbols, the
+  Biot-Savart symbols, the dealias mask and the grid-shift lengths.  Each
+  is built once per grid and handed out read-only.
 
 All operations are pure: fields in, fresh fields out.
 """
@@ -113,36 +116,63 @@ class FlowParams:
 
 
 # ---------------------------------------------------------------------------
-# cached grid arrays
+# per-grid tables: built once per grid, shared read-only by every caller
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=64)
 def _modes(n: int) -> np.ndarray:
     # integer wavevector components in fft order: 0, 1, ..., n/2-1, -n/2, ..., -1
-    return np.fft.fftfreq(n, d=1.0 / n)
+    return _read_only(np.fft.fftfreq(n, d=1.0 / n))
 
 
 @lru_cache(maxsize=64)
-def _kgrid(n: int, side_length: float):
-    m = _modes(n)
-    scale = TWO_PI / side_length
+def wavevectors(grid: GridSpec):
+    """(k1, k2, |k|) arrays in fft layout (read-only)."""
+    m = _modes(grid.n)
+    scale = TWO_PI / grid.side_length
     k1 = scale * m[:, None]
     k2 = scale * m[None, :]
-    kmag = np.hypot(k1, k2)
-    return k1, k2, kmag
+    return _read_only(k1), _read_only(k2), _read_only(np.hypot(k1, k2))
 
 
 @lru_cache(maxsize=64)
-def _dealias_keep(n: int, fraction: float) -> np.ndarray:
-    m = np.abs(_modes(n))
-    cutoff = fraction * n / 2.0
-    keep1 = m <= cutoff
-    return keep1[:, None] & keep1[None, :]
+def kpow(grid: GridSpec, g: float) -> np.ndarray:
+    """Read-only symbol |k|^g with the mean mode set to 0 (for every g)."""
+    _, _, kmag = wavevectors(grid)
+    with np.errstate(divide="ignore"):
+        out = kmag ** float(g)
+    out[0, 0] = 0.0
+    return _read_only(out)
 
 
-def wavevectors(grid: GridSpec):
-    """(k1, k2, |k|) arrays in fft layout; do not mutate the returned arrays."""
-    return _kgrid(grid.n, grid.side_length)
+@lru_cache(maxsize=64)
+def _biot_savart_symbols(grid: GridSpec):
+    # k1/|k|^2 and k2/|k|^2 as k * (1/|k|^2), the rounding of the complex
+    # division i k / |k|^2; the mean mode is 0 because k vanishes there
+    k1, k2, kmag = wavevectors(grid)
+    kk = kmag**2
+    kk[0, 0] = 1.0
+    inv = 1.0 / kk
+    return _read_only(k1 * inv), _read_only(k2 * inv)
+
+
+@lru_cache(maxsize=64)
+def dealias_mask(grid: GridSpec) -> np.ndarray:
+    """Read-only boolean mask of the modes kept by dealiasing."""
+    keep1 = np.abs(_modes(grid.n)) <= grid.dealias_fraction * grid.n / 2.0
+    return _read_only(keep1[:, None] & keep1[None, :])
+
+
+@lru_cache(maxsize=64)
+def shift_norms(grid: GridSpec) -> np.ndarray:
+    """Read-only nearest-image length |t| of every grid shift (fft-order signed indexing)."""
+    t = grid.spacing * _modes(grid.n)
+    return _read_only(np.hypot(t[:, None], t[None, :]))
 
 
 def coordinates(grid: GridSpec):
@@ -182,36 +212,21 @@ def fractional_laplacian(fh: SpectralField, gamma: float) -> SpectralField:
     """Lambda^gamma: multiply by |k|^gamma; mean mode -> 0 for gamma != 0."""
     if gamma == 0.0:
         return fh
-    _, _, kmag = wavevectors(fh.grid)
-    with np.errstate(divide="ignore"):
-        mult = kmag**gamma
-    mult[0, 0] = 0.0
-    return SpectralField(fh.grid, fh.coeffs * mult)
+    return SpectralField(fh.grid, fh.coeffs * kpow(fh.grid, gamma))
 
 
 def riesz_alpha(fh: SpectralField, alpha: float) -> SpectralField:
     """Lambda^{-alpha} d_1: multiplier i*k1*|k|^{-alpha}, mean mode zero."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("riesz_alpha requires alpha in (0, 1]")
-    k1, _, kmag = wavevectors(fh.grid)
-    safe = kmag.copy()
-    safe[0, 0] = 1.0
-    mult = 1j * k1 * safe ** (-alpha)
-    mult[0, 0] = 0.0
-    return SpectralField(fh.grid, fh.coeffs * mult)
+    k1, _, _ = wavevectors(fh.grid)
+    return SpectralField(fh.grid, fh.coeffs * (1j * k1 * kpow(fh.grid, -alpha)))
 
 
 def biot_savart(wh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Velocity from vorticity: u1 = i k2 w/|k|^2, u2 = -i k1 w/|k|^2."""
-    k1, k2, kmag = wavevectors(wh.grid)
-    kk = kmag**2
-    safe = kk.copy()
-    safe[0, 0] = 1.0
-    u1 = 1j * k2 / safe * wh.coeffs
-    u2 = -1j * k1 / safe * wh.coeffs
-    u1[0, 0] = 0.0
-    u2[0, 0] = 0.0
-    return SpectralField(wh.grid, u1), SpectralField(wh.grid, u2)
+    b1, b2 = _biot_savart_symbols(wh.grid)
+    return SpectralField(wh.grid, 1j * b2 * wh.coeffs), SpectralField(wh.grid, -1j * b1 * wh.coeffs)
 
 
 def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, SpectralField]:
@@ -221,15 +236,12 @@ def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, Spectra
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("v_from_theta requires beta in (0, 1)")
-    k1, k2, kmag = wavevectors(th.grid)
-    safe = kmag.copy()
-    safe[0, 0] = 1.0
-    radial = safe ** (beta - 3.0)
-    v1 = -k1 * k2 * radial * th.coeffs
-    v2 = k1 * k1 * radial * th.coeffs
-    v1[0, 0] = 0.0
-    v2[0, 0] = 0.0
-    return SpectralField(th.grid, v1), SpectralField(th.grid, v2)
+    k1, k2, _ = wavevectors(th.grid)
+    radial = kpow(th.grid, beta - 3.0)
+    return (
+        SpectralField(th.grid, -k1 * k2 * radial * th.coeffs),
+        SpectralField(th.grid, k1 * k1 * radial * th.coeffs),
+    )
 
 
 def grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -249,9 +261,21 @@ def perp_grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
     )
 
 
+def grad_sup(fh: SpectralField) -> float:
+    """sup over the grid of |grad f|."""
+    g1, g2 = grad(fh)
+    return float(np.hypot(to_physical(g1).values, to_physical(g2).values).max())
+
+
 def dealias(fh: SpectralField) -> SpectralField:
-    keep = _dealias_keep(fh.grid.n, fh.grid.dealias_fraction)
-    return SpectralField(fh.grid, np.where(keep, fh.coeffs, 0.0))
+    return SpectralField(fh.grid, np.where(dealias_mask(fh.grid), fh.coeffs, 0.0))
+
+
+def mean_free(fh: SpectralField) -> SpectralField:
+    """Copy of fh with the mean mode set to zero."""
+    coeffs = fh.coeffs.copy()
+    coeffs[0, 0] = 0.0
+    return SpectralField(fh.grid, coeffs)
 
 
 def spectral_product(a: PhysicalField, b: PhysicalField) -> SpectralField:
@@ -282,13 +306,11 @@ def l2_norm_spectral(fh: SpectralField) -> float:
 
 def sobolev_norm(fh: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Multiplier Sobolev norm (L^2 sum of (|k|^2)^s [or (1+|k|^2)^s] |c|^2)^(1/2)."""
-    _, _, kmag = wavevectors(fh.grid)
     mag2 = np.abs(fh.coeffs) ** 2
     if homogeneous:
-        weight = np.zeros_like(kmag)
-        nz = kmag > 0
-        weight[nz] = kmag[nz] ** (2.0 * s)
+        weight = kpow(fh.grid, 2.0 * s)
     else:
+        _, _, kmag = wavevectors(fh.grid)
         weight = (1.0 + kmag**2) ** s
     return float(fh.grid.side_length * math.sqrt(np.sum(weight * mag2)))
 
@@ -315,10 +337,7 @@ def random_band_spectral(
     _, _, kmag = wavevectors(grid)
     mask = (kmag >= kmin) & (kmag <= kmax)
     fh = SpectralField(grid, np.where(mask, raw, 0.0))
-    fh = hermitian_symmetrize(fh)
-    out = dealias(fh).coeffs.copy()
-    out[0, 0] = 0.0
-    return SpectralField(grid, out)
+    return mean_free(dealias(hermitian_symmetrize(fh)))
 
 
 def random_band_field(

@@ -136,6 +136,16 @@ class TestRunCommand:
         assert post.startswith("# blow-up at t=")
         assert "theta_l2" in post
 
+    @pytest.mark.parametrize("n_steps, rows", [(5, 4), (4, 3)])
+    def test_final_row_written_once(self, tmp_path, n_steps, rows):
+        # rows at t = 0 and every second step, plus the final step when it is off the cadence
+        out = tmp_path / "cadence"
+        args = ["run", "--n", "32", "--n-steps", str(n_steps), "--dt-init", "0.01"]
+        assert run_main(args + ["--diag-every", "2", "--out-dir", str(out)]) == EXIT_OK
+        times = [float(ln.split(",")[0]) for ln in (out / "diagnostics.csv").read_text().splitlines()[1:]]
+        assert len(times) == rows
+        assert times == sorted(set(times))
+
     def test_config_file_run(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -214,6 +224,23 @@ class TestResume:
         )
         assert rc == EXIT_OK
 
+    def test_resume_at_t_end_is_a_no_op(self, tmp_path):
+        self._run(tmp_path / "done", 3)
+        src = tmp_path / "done" / "final.chk"
+        out = tmp_path / "again"
+        rc = run_main(["resume", str(src), "--t-end", "0.01", "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 2  # header + t row
+        assert (out / "final.chk").read_bytes() == src.read_bytes()
+
+    def test_grid_size_change_rejected(self, tmp_path, capsys):
+        self._run(tmp_path / "n32", 2)
+        out = tmp_path / "n64"
+        rc = run_main(["resume", str(tmp_path / "n32" / "final.chk"), "--n", "64", "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "cannot change n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         bad = tmp_path / "bad.chk"
         bad.write_bytes(b"garbage\n")
@@ -279,6 +306,27 @@ class TestVerificationCommands:
         assert lines[0] == "j,weighted_block_norm"
         body = [ln.split(",") for ln in lines[1:]]
         assert all(float(parts[1]) == 0.0 for parts in body)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel-verify", "--beta", "1.5"],
+            ["besov", "{chk}", "--s", "0.5", "--p", "0.5"],
+            ["besov", "{chk}", "--s", "0.5", "--r", "0"],
+        ],
+    )
+    def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
+        from bq2d.solver import SimState, write_checkpoint
+        from bq2d.spectral import FlowParams, GridSpec, constant_field
+
+        chk = tmp_path / "zero.chk"
+        g = GridSpec(32)
+        write_checkpoint(chk, SimState(constant_field(g, 0.0), constant_field(g, 0.0)), FlowParams(1.0, 1.0, 0.9, 0.1))
+        out = tmp_path / "never.csv"
+        rc = run_main([a.format(chk=chk) for a in argv] + ["--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_inequality_suite_passes(self, tmp_path):
         out = tmp_path / "iq.csv"

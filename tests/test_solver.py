@@ -321,12 +321,6 @@ class TestOss:
                     )
         assert abs(rep.delta_measured - best) <= 1e-14
 
-    def test_stride_subsampling_bounded_by_exhaustive(self):
-        theta = field_from_function(G64, lambda x1, x2: np.sin(x1) + 0.3 * np.sin(3 * x2))
-        exhaustive = oss_check(theta, 10.0, 1.0).delta_measured
-        coarse = oss_check(theta, 10.0, 1.0, stride=4).delta_measured
-        assert coarse <= exhaustive
-
     def test_monotone_in_L(self):
         theta = field_from_function(G64, lambda x1, x2: np.sin(x1) + 0.3 * np.sin(3 * x2))
         vals = [oss_check(theta, 10.0, L).delta_measured for L in (0.3, 0.6, 1.2)]

@@ -21,8 +21,12 @@ from bq2d.spectral import (
     lp_norm,
     perp_grad,
     random_band_field,
+    dealias_mask,
+    kpow,
     random_band_spectral,
     riesz_alpha,
+    shift_norms,
+    sobolev_norm,
     to_physical,
     to_spectral,
     v_from_theta,
@@ -261,3 +265,78 @@ class TestTranslationCovariance:
             a = np.roll(op(th), shift, axis=(0, 1))
             b = op(shifted)
             assert np.abs(a - b).max() <= 1e-12 * max(np.abs(a).max(), 1e-300)
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equality up to the sign of zero (x + 0.0 maps -0.0 to +0.0)."""
+    a, b = np.asarray(a) + 0.0, np.asarray(b) + 0.0
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSymbolTables:
+    """The cached per-grid tables against the per-call formulas they replaced,
+    which are written out here as the oracle."""
+
+    @pytest.mark.parametrize("n, L", [(16, 2 * math.pi), (32, 1.0), (64, 3.7)])
+    def test_operators_match_per_call_formulas(self, n, L):
+        grid = GridSpec(n, side_length=L)
+        c = np.fft.fft2(np.random.default_rng(n).standard_normal((n, n))) / n**2
+        fh = SpectralField(grid, c)
+        k1, k2, kmag = wavevectors(grid)
+        for g in (-2.5, -0.9, 0.45, 1.0, 2.0):
+            with np.errstate(divide="ignore"):
+                mult = kmag**g
+            mult[0, 0] = 0.0
+            assert _same_bits(kpow(grid, g), mult)
+            assert _same_bits(fractional_laplacian(fh, g).coeffs, c * mult)
+            nz = kmag > 0
+            weight = np.zeros_like(kmag)
+            weight[nz] = kmag[nz] ** (2.0 * g)
+            assert sobolev_norm(fh, g) == float(L * math.sqrt(np.sum(weight * np.abs(c) ** 2)))
+        safe = kmag.copy()
+        safe[0, 0] = 1.0
+        for alpha in (0.3, 0.9, 1.0):
+            mult = 1j * k1 * safe ** (-alpha)
+            mult[0, 0] = 0.0
+            assert _same_bits(riesz_alpha(fh, alpha).coeffs, c * mult)
+        kk = kmag**2
+        kk[0, 0] = 1.0
+        u1, u2 = 1j * k2 / kk * c, -1j * k1 / kk * c
+        u1[0, 0] = u2[0, 0] = 0.0
+        b1, b2 = biot_savart(fh)
+        assert _same_bits(b1.coeffs, u1) and _same_bits(b2.coeffs, u2)
+        for beta in (0.1, 0.5, 0.9):
+            radial = safe ** (beta - 3.0)
+            v1, v2 = -k1 * k2 * radial * c, k1 * k1 * radial * c
+            v1[0, 0] = v2[0, 0] = 0.0
+            w1, w2 = v_from_theta(fh, beta)
+            assert _same_bits(w1.coeffs, v1) and _same_bits(w2.coeffs, v2)
+
+    def test_shift_norms_and_mask_match_per_call_formulas(self):
+        grid = GridSpec(24, side_length=5.0)
+        m = np.fft.fftfreq(24, d=1.0 / 24)
+        h = 5.0 / 24
+        assert _same_bits(shift_norms(grid), np.hypot(h * m[:, None], h * m[None, :]))
+        keep1 = np.abs(m) <= grid.dealias_fraction * 24 / 2.0
+        assert np.array_equal(dealias_mask(grid), keep1[:, None] & keep1[None, :])
+
+    def test_cached_tables_are_read_only(self):
+        from bq2d.kernels import _pad_displacements
+        from bq2d.lp import _band_indices
+        from bq2d.monitors import _dirichlet_kernel_fft
+        from bq2d.spectral import _biot_savart_symbols
+
+        grid = GridSpec(16)
+        tables = [
+            *wavevectors(grid),
+            kpow(grid, 0.5),
+            dealias_mask(grid),
+            shift_norms(grid),
+            *_biot_savart_symbols(grid),
+            _band_indices(grid, True),
+            *_pad_displacements(grid.n, grid.side_length),
+            _dirichlet_kernel_fft(grid, 0.5)[0],
+        ]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
