@@ -97,6 +97,10 @@ class RunConfig:
         return self
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         try:
             self.grid()
             self.flow_params()

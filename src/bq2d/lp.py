@@ -63,6 +63,8 @@ class BesovIndex:
     homogeneous: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"Besov index s must be finite, got s={self.s}")
         if not self.p >= 1.0:
             raise ValueError(f"Besov index p must be >= 1, got p={self.p}")
         if not self.r > 0.0:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lp import BesovIndex, besov_norm
-from .solver import G_hat, SimState, _velocity, compute_G
+from .solver import G_hat, G_half, SimState, _velocity, compute_G
 from .spectral import (
     FlowParams,
     GridSpec,
@@ -27,6 +27,8 @@ from .spectral import (
     fractional_laplacian,
     grad,
     grad_sup,
+    half_plane,
+    half_plane_sum,
     kpow,
     lp_norm,
     shift_norms,
@@ -200,13 +202,15 @@ def dissipation_rates(state: SimState, params: FlowParams) -> tuple[float, float
     """(||Lambda^{a/2} u||_2^2, ||Lambda^{a/2} G||_2^2) for the accumulators.
 
     Biot-Savart gives |u^|^2 = |omega^|^2 / |k|^2, so the velocity rate is
-    L^2 sum |k|^{a-2} |omega^|^2.
+    L^2 sum |k|^{a-2} |omega^|^2.  Both sums run over the half-plane
+    coefficients the next step reuses.
     """
     grid = state.grid
-    w2 = np.abs(state.omega_hat.coeffs) ** 2
-    u_rate = grid.side_length**2 * float(np.sum(kpow(grid, params.alpha - 2.0) * w2))
-    lam_g = fractional_laplacian(G_hat(state, params.alpha), params.alpha / 2.0)
-    g_rate = grid.side_length**2 * float(np.sum(np.abs(lam_g.coeffs) ** 2))
+    a = params.alpha
+    w2 = np.abs(state.half_hats[1]) ** 2
+    u_rate = grid.side_length**2 * half_plane_sum(half_plane(grid, kpow(grid, a - 2.0)) * w2)
+    g2 = np.abs(G_half(state, a)) ** 2
+    g_rate = grid.side_length**2 * half_plane_sum(half_plane(grid, kpow(grid, a)) * g2)
     return u_rate, g_rate
 
 

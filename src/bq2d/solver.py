@@ -9,10 +9,18 @@ is applied exactly through exp(-c |k|^g dt), the transport and buoyancy
 terms explicitly.  Advection uses the divergence form div(u f) with
 dealiased products, which conserves the theta mean to rounding.
 
+Stepping runs on real transforms: the half-plane (rfft2) coefficients of
+the real fields, with the symbols of ``spectral.half_plane`` and
+``spectral.half_plane_odd_symbols``.  A step costs 18 real n x n
+transforms: the forward pair of the state (shared with the dissipation
+rates on it), then per stage 2 inverse for the velocity and 4 forward
+for the products, and 2 inverse each for the predictor and the new state.
+
 The canonical prognostic state between steps is the pair of physical
-collocation arrays; spectral views are derived on demand.  Checkpoints
+collocation arrays; spectral views are derived from them on demand (the
+predictor hands its coefficients on without a round trip).  Checkpoints
 store exactly those arrays, which is what makes a split run bitwise equal
-to an unsplit one.
+to an unsplit one; the BQCHK1 format does not depend on the transforms.
 """
 
 from __future__ import annotations
@@ -34,17 +42,20 @@ from .spectral import (
     dealias,
     dealias_mask,
     field_from_function,
-    fractional_laplacian,
+    full_plane,
     grad_sup,
+    half_plane,
+    half_plane_odd_symbols,
+    irfft2,
     kpow,
     lp_norm,
     mean_free,
     random_band_field,
+    rfft2,
     riesz_alpha,
     shift_norms,
     to_physical,
     to_spectral,
-    wavevectors,
 )
 
 OMEGA_BLOWUP_LIMIT = 1e8
@@ -62,8 +73,11 @@ class BlowUpError(RuntimeError):
 class SimState:
     """Prognostic state: physical theta/omega arrays plus simulation time.
 
-    ``theta_hat`` / ``omega_hat`` are the dealiased spectral views (cached;
-    treat states as immutable snapshots).
+    ``half_hats`` are the dealiased half-plane coefficients of (theta,
+    omega), computed once and shared by the step from this state and the
+    dissipation rates on it; ``theta_hat`` / ``omega_hat`` are their
+    full-plane extensions for the diagnostics.  All are cached: treat
+    states as immutable snapshots.
     """
 
     theta: PhysicalField
@@ -71,12 +85,17 @@ class SimState:
     t: float = 0.0
 
     @cached_property
+    def half_hats(self) -> tuple[np.ndarray, np.ndarray]:
+        keep = half_plane(self.grid, dealias_mask(self.grid))
+        return tuple(np.where(keep, rfft2(f.values), 0.0) for f in (self.theta, self.omega))
+
+    @cached_property
     def theta_hat(self) -> SpectralField:
-        return dealias(to_spectral(self.theta))
+        return SpectralField(self.grid, full_plane(self.grid, self.half_hats[0]))
 
     @cached_property
     def omega_hat(self) -> SpectralField:
-        return dealias(to_spectral(self.omega))
+        return SpectralField(self.grid, full_plane(self.grid, self.half_hats[1]))
 
     @property
     def grid(self) -> GridSpec:
@@ -90,6 +109,8 @@ class StepperConfig:
     t_end: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.dt_init, self.cfl_number, self.t_end)):
+            raise ValueError("dt_init, cfl_number and t_end must be finite")
         if self.dt_init <= 0 or self.t_end <= 0:
             raise ValueError("dt_init and t_end must be positive")
         if not 0.0 < self.cfl_number <= 1.0:
@@ -105,62 +126,79 @@ class OssReport:
 
 
 # ---------------------------------------------------------------------------
-# right-hand side
+# right-hand side, on half-plane coefficient arrays
 
 
 def _velocity(omega_hat: SpectralField):
+    """Full-plane velocity for the diagnostics."""
     u1h, u2h = biot_savart(omega_hat)
     return to_physical(u1h), to_physical(u2h)
 
 
-def _advection(u, f: PhysicalField, grid: GridSpec) -> np.ndarray:
-    """Divergence-form transport coefficient array: i k . (u f)^ (dealiased).
+def _velocity_half(w: np.ndarray, grid: GridSpec):
+    """Raw physical (u1, u2) from half-plane vorticity coefficients."""
+    _, _, b1, b2 = half_plane_odd_symbols(grid)
+    return irfft2(1j * b2 * w), irfft2(-1j * b1 * w)
+
+
+def _riesz_half(grid: GridSpec, alpha: float) -> np.ndarray:
+    """Half-plane multiplier of R_alpha = Lambda^{-alpha} d_1."""
+    k1 = half_plane_odd_symbols(grid)[0]
+    return 1j * k1 * half_plane(grid, kpow(grid, -alpha))
+
+
+def _advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Divergence-form transport, half-plane coefficients of i k . (u f)^
+    (dealiased).
 
     Works on raw arrays (no field validation) so an overflowing state
     surfaces as a blow-up diagnostic in the caller, not a type error.
     """
-    k1, k2, _ = wavevectors(grid)
-    keep = dealias_mask(grid)
+    k1, k2, _, _ = half_plane_odd_symbols(grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        p1 = np.where(keep, np.fft.fft2(u[0].values * f.values), 0.0) / grid.n**2
-        p2 = np.where(keep, np.fft.fft2(u[1].values * f.values), 0.0) / grid.n**2
-        return 1j * k1 * p1 + 1j * k2 * p2
+        p1 = rfft2(u[0] * f)
+        p2 = rfft2(u[1] * f)
+        return np.where(half_plane(grid, dealias_mask(grid)), 1j * k1 * p1 + 1j * k2 * p2, 0.0)
 
 
-def nonstiff_rhs(state: SimState, params: FlowParams):
+def nonstiff_rhs(state: SimState, params: FlowParams, hats=None):
     """Explicitly integrated tendencies (transport + buoyancy) and max |u|.
 
-    Returns (N_theta, N_omega, u_max); the diagonal dissipation is excluded
-    here and handled exactly by the integrating factor.
+    Returns (N_theta, N_omega, u_max) with the tendencies as half-plane
+    coefficient arrays; the diagonal dissipation is excluded here and
+    handled exactly by the integrating factor.  ``hats`` are the dealiased
+    half-plane coefficients of the state when the caller already holds
+    them (the predictor), ``state.half_hats`` otherwise.  The products use
+    the physical arrays as they are: at step boundaries they are the
+    inverse transforms of dealiased coefficients.
     """
     grid = state.grid
-    th_hat, w_hat = state.theta_hat, state.omega_hat
-    u = _velocity(w_hat)
-    u_max = max(np.abs(u[0].values).max(), np.abs(u[1].values).max())
+    th_hat, w_hat = state.half_hats if hats is None else hats
+    u = _velocity_half(w_hat, grid)
+    u_max = max(np.abs(u[0]).max(), np.abs(u[1]).max())
     if not math.isfinite(u_max):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
-    theta_p = to_physical(th_hat)
-    omega_p = to_physical(w_hat)
-    k1, _, _ = wavevectors(grid)
-    n_theta = -_advection(u, theta_p, grid)
-    n_omega = -_advection(u, omega_p, grid) + 1j * k1 * th_hat.coeffs
+    k1 = half_plane_odd_symbols(grid)[0]
+    n_theta = -_advection(u, state.theta.values, grid)
+    n_omega = 1j * k1 * th_hat - _advection(u, state.omega.values, grid)
     if not (np.isfinite(n_theta).all() and np.isfinite(n_omega).all()):
-        raise BlowUpError(state.t, float(np.abs(omega_p.values).max()))
-    return SpectralField(grid, n_theta), SpectralField(grid, n_omega), float(u_max)
+        raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
+    return n_theta, n_omega, float(u_max)
 
 
 def rhs(state: SimState, params: FlowParams):
     """Full tendencies (d theta^/dt, d omega^/dt) including dissipation."""
     n_theta, n_omega, _ = nonstiff_rhs(state, params)
     grid = state.grid
-    d_theta = n_theta.coeffs - params.kappa * kpow(grid, params.beta) * state.theta_hat.coeffs
-    d_omega = n_omega.coeffs - params.nu * kpow(grid, params.alpha) * state.omega_hat.coeffs
-    return SpectralField(grid, d_theta), SpectralField(grid, d_omega)
+    th_hat, w_hat = state.half_hats
+    d_theta = n_theta - params.kappa * half_plane(grid, kpow(grid, params.beta)) * th_hat
+    d_omega = n_omega - params.nu * half_plane(grid, kpow(grid, params.alpha)) * w_hat
+    return SpectralField(grid, full_plane(grid, d_theta)), SpectralField(grid, full_plane(grid, d_omega))
 
 
 def _integrating_factors(grid: GridSpec, params: FlowParams, dt: float):
-    e_theta = np.exp(-params.kappa * dt * kpow(grid, params.beta))
-    e_omega = np.exp(-params.nu * dt * kpow(grid, params.alpha))
+    e_theta = np.exp(-params.kappa * dt * half_plane(grid, kpow(grid, params.beta)))
+    e_omega = np.exp(-params.nu * dt * half_plane(grid, kpow(grid, params.alpha)))
     return e_theta, e_omega
 
 
@@ -177,7 +215,7 @@ def choose_dt(state: SimState, params: FlowParams, cfg: StepperConfig, u_max: fl
 
 def _physical_checked(grid: GridSpec, coeffs: np.ndarray, t: float) -> PhysicalField:
     """Inverse transform that reports non-finite intermediates as blow-up."""
-    vals = np.fft.ifft2(coeffs).real * grid.n**2
+    vals = irfft2(coeffs)
     if not np.isfinite(vals).all():
         finite = vals[np.isfinite(vals)]
         peak = float(np.abs(finite).max()) if finite.size else math.inf
@@ -194,27 +232,24 @@ def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | No
     if dt < DT_UNDERFLOW:
         raise RuntimeError(f"time step underflow: dt={dt:.3e}")
     e_theta, e_omega = _integrating_factors(grid, params, dt)
+    t = state.t + dt
 
-    th0, w0 = state.theta_hat.coeffs, state.omega_hat.coeffs
-    th_pred = e_theta * (th0 + dt * n1_theta.coeffs)
-    w_pred = e_omega * (w0 + dt * n1_omega.coeffs)
-    pred = SimState(
-        _physical_checked(grid, th_pred, state.t + dt),
-        _physical_checked(grid, w_pred, state.t + dt),
-        state.t + dt,
-    )
-    n2_theta, n2_omega, _ = nonstiff_rhs(pred, params)
+    th0, w0 = state.half_hats
+    th_pred = e_theta * (th0 + dt * n1_theta)
+    w_pred = e_omega * (w0 + dt * n1_omega)
+    pred = SimState(_physical_checked(grid, th_pred, t), _physical_checked(grid, w_pred, t), t)
+    n2_theta, n2_omega, _ = nonstiff_rhs(pred, params, (th_pred, w_pred))
 
-    th_new = e_theta * th0 + 0.5 * dt * (e_theta * n1_theta.coeffs + n2_theta.coeffs)
-    w_new = e_omega * w0 + 0.5 * dt * (e_omega * n1_omega.coeffs + n2_omega.coeffs)
-    keep = dealias_mask(grid)
-    theta_p = _physical_checked(grid, np.where(keep, th_new, 0.0), state.t + dt)
-    omega_p = _physical_checked(grid, np.where(keep, w_new, 0.0), state.t + dt)
+    # every term is dealiased already: th0, w0 by construction, N1 and N2 by _advection
+    th_new = e_theta * th0 + 0.5 * dt * (e_theta * n1_theta + n2_theta)
+    w_new = e_omega * w0 + 0.5 * dt * (e_omega * n1_omega + n2_omega)
+    theta_p = _physical_checked(grid, th_new, t)
+    omega_p = _physical_checked(grid, w_new, t)
 
     omega_max = float(np.abs(omega_p.values).max())
     if omega_max > OMEGA_BLOWUP_LIMIT:
-        raise BlowUpError(state.t + dt, omega_max)
-    return SimState(theta_p, omega_p, state.t + dt)
+        raise BlowUpError(t, omega_max)
+    return SimState(theta_p, omega_p, t)
 
 
 def run(state: SimState, params: FlowParams, cfg: StepperConfig, n_steps: int | None = None):
@@ -247,6 +282,12 @@ def compute_G(state: SimState, alpha: float) -> PhysicalField:
     return to_physical(G_hat(state, alpha))
 
 
+def G_half(state: SimState, alpha: float) -> np.ndarray:
+    """Half-plane coefficients of G = omega - R_alpha theta."""
+    th_hat, w_hat = state.half_hats
+    return w_hat - _riesz_half(state.grid, alpha) * th_hat
+
+
 def g_equation_residual(states, params: FlowParams) -> float:
     """L2 residual of the combined-quantity evolution equation on a
     three-state window at uniform dt (central difference in time).
@@ -264,26 +305,24 @@ def g_equation_residual(states, params: FlowParams) -> float:
     if abs(dt1 - dt2) > 1e-9 * max(dt1, dt2):
         raise ValueError("nonuniform time spacing in residual window")
     grid = s1.grid
-    k1, _, _ = wavevectors(grid)
     alpha, beta = params.alpha, params.beta
+    riesz = _riesz_half(grid, alpha)
 
-    g1_hat = G_hat(s1, alpha)
-    dt_g = (compute_G(s2, alpha).values - compute_G(s0, alpha).values) / (dt1 + dt2)
+    g1 = G_half(s1, alpha)
+    dt_g = (irfft2(G_half(s2, alpha)) - irfft2(G_half(s0, alpha))) / (dt1 + dt2)
 
-    u = _velocity(s1.omega_hat)
-    adv = _advection(u, to_physical(g1_hat), grid)
-    diss = params.nu * fractional_laplacian(g1_hat, alpha).coeffs
+    th_hat, w_hat = s1.half_hats
+    u = _velocity_half(w_hat, grid)
+    adv = _advection(u, irfft2(g1), grid)
+    diss = params.nu * half_plane(grid, kpow(grid, alpha)) * g1
 
-    th = s1.theta_hat
-    comm = riesz_alpha(SpectralField(grid, _advection(u, to_physical(th), grid)), alpha).coeffs
-    comm -= _advection(u, to_physical(riesz_alpha(th, alpha)), grid)
-    d1_theta = SpectralField(grid, 1j * k1 * th.coeffs)
-    forcing = (1.0 - params.nu) * d1_theta.coeffs + params.kappa * fractional_laplacian(
-        d1_theta, beta - alpha
-    ).coeffs
+    comm = riesz * _advection(u, s1.theta.values, grid)
+    comm -= _advection(u, irfft2(riesz * th_hat), grid)
+    d1_theta = 1j * half_plane_odd_symbols(grid)[0] * th_hat
+    forcing = (1.0 - params.nu + params.kappa * half_plane(grid, kpow(grid, beta - alpha))) * d1_theta
 
-    spatial = to_physical(SpectralField(grid, adv + diss - comm - forcing))
-    return lp_norm(PhysicalField(grid, dt_g + spatial.values), 2)
+    spatial = irfft2(adv + diss - comm - forcing)
+    return lp_norm(PhysicalField(grid, dt_g + spatial), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +382,20 @@ def initial_report(state: SimState) -> dict:
 
 def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
     """Exhaustive oscillation scan: max over grid shifts |h| < L of
-    sup_x |theta(x+h) - theta(x)|."""
+    sup_x |theta(x+h) - theta(x)|.
+
+    The values at -h are those at h with the sign flipped, so one shift of
+    each pair is scanned: signed index m1 > 0, or m1 = 0 and m2 > 0 (a
+    Nyquist index is never shorter than L).
+    """
     grid = theta.grid
     if L > grid.side_length / 2.0:
         raise ValueError("L must not exceed half the domain size")
     tnorm = shift_norms(grid)
-    shifts = np.argwhere((tnorm > 0) & (tnorm < L))
+    idx = np.arange(grid.n)
+    positive = (idx > 0) & (idx < grid.n / 2)
+    one_of_pair = positive[:, None] | ((idx == 0)[:, None] & positive[None, :])
+    shifts = np.argwhere(one_of_pair & (tnorm > 0) & (tnorm < L))
     measured = 0.0
     vals = theta.values
     for i, j in shifts:

@@ -18,6 +18,16 @@ Conventions used by every module in this package:
 * This module owns every per-grid table: wavevectors, |k|^g symbols, the
   Biot-Savart symbols, the dealias mask and the grid-shift lengths.  Each
   is built once per grid and handed out read-only.
+* The time stepper works on the half plane of a real field, the rfft2
+  layout: the leading n/2+1 columns (m2 = 0, ..., n/2) of the fft2
+  layout, with ``norm="forward"`` so the coefficients are the same c(m).
+  Its symbols are column slices of the tables above (``half_plane``), with
+  one exception (``half_plane_odd_symbols``): a symbol odd in k1 (k2) is
+  zero on the Nyquist row m1 = -n/2 (column m2 = n/2), where the grid
+  cannot represent it as odd.  There the full-plane product is
+  anti-Hermitian, so ``to_physical`` drops it with ``.real``; the zero
+  keeps the half plane equal to that real part (on the Nyquist row a
+  half-plane inverse would otherwise count the term twice).
 
 All operations are pure: fields in, fresh fields out.
 """
@@ -175,6 +185,30 @@ def shift_norms(grid: GridSpec) -> np.ndarray:
     return _read_only(np.hypot(t[:, None], t[None, :]))
 
 
+def half_plane(grid: GridSpec, table: np.ndarray) -> np.ndarray:
+    """rfft2-layout view of a full-plane table: its leading n/2+1 columns."""
+    return table[:, : grid.n // 2 + 1]
+
+
+@lru_cache(maxsize=64)
+def half_plane_odd_symbols(grid: GridSpec):
+    """Read-only half-plane (k1, k2, k1/|k|^2, k2/|k|^2), each zero on the
+    Nyquist line where it fails to be odd (row m1 = -n/2 for the k1 symbols,
+    column m2 = n/2 for the k2 symbols)."""
+    k1, k2, _ = wavevectors(grid)
+    b1, b2 = _biot_savart_symbols(grid)
+    nyquist = grid.n // 2
+    out = []
+    for table, along_k1 in ((k1, True), (k2, False), (b1, True), (b2, False)):
+        sym = half_plane(grid, table).copy()
+        if along_k1:
+            sym[nyquist, :] = 0.0
+        else:
+            sym[:, -1] = 0.0
+        out.append(_read_only(sym))
+    return tuple(out)
+
+
 def coordinates(grid: GridSpec):
     """(x1, x2) meshgrid of collocation points, axis 0 = x1."""
     x = np.arange(grid.n) * grid.spacing
@@ -194,6 +228,35 @@ def to_physical(fh: SpectralField) -> PhysicalField:
     # is at rounding level and is dropped.
     vals = np.fft.ifft2(fh.coeffs).real * fh.grid.n**2
     return PhysicalField(fh.grid, vals)
+
+
+def rfft2(values: np.ndarray) -> np.ndarray:
+    """Half-plane coefficients of a real n x n array (``to_spectral``'s scaling)."""
+    return np.fft.rfft2(values, norm="forward")
+
+
+def irfft2(coeffs: np.ndarray) -> np.ndarray:
+    """Real n x n array from half-plane coefficients (inverse of ``rfft2``)."""
+    n = coeffs.shape[0]
+    return np.fft.irfft2(coeffs, s=(n, n), norm="forward")
+
+
+def full_plane(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """fft2-layout coefficients of a real field from its half plane,
+    through c(-m) = conj(c(m))."""
+    n, h = grid.n, grid.n // 2 + 1
+    rev = (-np.arange(n)) % n
+    out = np.empty((n, n), dtype=complex)
+    out[:, :h] = half
+    out[:, h:] = np.conj(half[rev, h - 2 : 0 : -1])
+    return out
+
+
+def half_plane_sum(values: np.ndarray) -> float:
+    """Full-plane sum of a quantity even in m, given on the half plane: every
+    column but m2 = 0 and m2 = n/2 stands for itself and its mirror."""
+    cols = values.sum(axis=0)
+    return float(2.0 * cols.sum() - cols[0] - cols[-1])
 
 
 def hermitian_symmetrize(fh: SpectralField) -> SpectralField:

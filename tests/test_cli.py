@@ -313,6 +313,12 @@ class TestVerificationCommands:
             ["kernel-verify", "--beta", "1.5"],
             ["besov", "{chk}", "--s", "0.5", "--p", "0.5"],
             ["besov", "{chk}", "--s", "0.5", "--r", "0"],
+            ["besov", "{chk}", "--s", "nan"],
+            ["besov", "{chk}", "--s", "inf"],
+            ["run", "--n", "32", "--t-end", "nan"],
+            ["run", "--n", "32", "--dt-init", "nan"],
+            ["run", "--n", "32", "--oss-L", "nan"],
+            ["run", "--n", "32", "--amplitude", "inf"],
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):

@@ -303,23 +303,35 @@ class TestOss:
         assert rep.holds
         assert rep.delta_measured <= delta / 4.0 + 1e-12
 
-    def test_exhaustive_scan_matches_manual(self):
-        g = GridSpec(16)
-        theta = field_from_function(g, lambda x1, x2: np.sin(x1))
-        L = 1.0
-        rep = oss_check(theta, delta=10.0, L=L)
+    @staticmethod
+    def _manual_scan(theta, L):
+        """Every shift 0 < |h| < L, both signs."""
+        g = theta.grid
+        n, h = g.n, g.spacing
         best = 0.0
-        h = g.spacing
-        for i in range(16):
-            for j in range(16):
-                si = i if i <= 8 else i - 16
-                sj = j if j <= 8 else j - 16
+        for i in range(n):
+            for j in range(n):
+                si = i if i <= n // 2 else i - n
+                sj = j if j <= n // 2 else j - n
                 if 0 < math.hypot(si * h, sj * h) < L:
                     best = max(
                         best,
-                        np.abs(np.roll(theta.values, (-i, -j), axis=(0, 1)) - theta.values).max(),
+                        float(np.abs(np.roll(theta.values, (-i, -j), axis=(0, 1)) - theta.values).max()),
                     )
-        assert abs(rep.delta_measured - best) <= 1e-14
+        return best
+
+    def test_exhaustive_scan_matches_manual(self):
+        g = GridSpec(16)
+        theta = field_from_function(g, lambda x1, x2: np.sin(x1))
+        rep = oss_check(theta, delta=10.0, L=1.0)
+        assert abs(rep.delta_measured - self._manual_scan(theta, 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n, L", [(32, 2 * math.pi), (64, 2 * math.pi), (32, 3.7), (64, 20.0)])
+    def test_half_scan_is_bitwise_the_full_scan(self, n, L):
+        grid = GridSpec(n, side_length=L)
+        theta = initial_data("random-band", n, grid).theta
+        for radius in (1.5 * grid.spacing, 0.1 * L, 0.37 * L, 0.5 * L):
+            assert oss_check(theta, 1.0, radius).delta_measured == self._manual_scan(theta, radius)
 
     def test_monotone_in_L(self):
         theta = field_from_function(G64, lambda x1, x2: np.sin(x1) + 0.3 * np.sin(3 * x2))

@@ -16,7 +16,12 @@ from bq2d.spectral import (
     dealias,
     field_from_function,
     fractional_laplacian,
+    full_plane,
     grad,
+    half_plane,
+    half_plane_odd_symbols,
+    half_plane_sum,
+    irfft2,
     l2_norm_spectral,
     lp_norm,
     perp_grad,
@@ -24,6 +29,7 @@ from bq2d.spectral import (
     dealias_mask,
     kpow,
     random_band_spectral,
+    rfft2,
     riesz_alpha,
     shift_norms,
     sobolev_norm,
@@ -333,6 +339,7 @@ class TestSymbolTables:
             dealias_mask(grid),
             shift_norms(grid),
             *_biot_savart_symbols(grid),
+            *half_plane_odd_symbols(grid),
             _band_indices(grid, True),
             *_pad_displacements(grid.n, grid.side_length),
             _dirichlet_kernel_fft(grid, 0.5)[0],
@@ -340,3 +347,37 @@ class TestSymbolTables:
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1
+
+
+class TestHalfPlane:
+    """The rfft2 layout against the full plane, on unfiltered random fields
+    so that the Nyquist lines carry content."""
+
+    @pytest.mark.parametrize("n, L", [(8, 2 * math.pi), (16, 1.0), (32, 3.7)])
+    def test_layout_matches_full_plane(self, n, L):
+        grid = GridSpec(n, side_length=L, dealias_fraction=1.0)
+        x = np.random.default_rng(n).standard_normal((n, n))
+        full = to_spectral(PhysicalField(grid, x)).coeffs
+        half = rfft2(x)
+        assert half.shape == (n, n // 2 + 1)
+        assert np.abs(full_plane(grid, half) - full).max() <= 1e-16
+        assert np.abs(irfft2(half) - x).max() <= 1e-14
+        assert np.array_equal(half_plane(grid, kpow(grid, 0.7)), kpow(grid, 0.7)[:, : n // 2 + 1])
+        w = np.abs(full) ** 2
+        assert abs(half_plane_sum(np.abs(half) ** 2) - np.sum(w)) <= 1e-14 * np.sum(w)
+
+    @pytest.mark.parametrize("n, L", [(8, 2 * math.pi), (16, 1.0), (32, 3.7)])
+    def test_odd_symbols_match_the_real_part_of_the_full_plane(self, n, L):
+        grid = GridSpec(n, side_length=L, dealias_fraction=1.0)
+        x = np.random.default_rng(n + 1).standard_normal((n, n))
+        full = to_spectral(PhysicalField(grid, x))
+        half = rfft2(x)
+        k1, k2, b1, b2 = half_plane_odd_symbols(grid)
+        u1, u2 = biot_savart(full)
+        d1, d2 = grad(full)
+        for ref, sym in ((d1, 1j * k1), (d2, 1j * k2), (u1, 1j * b2), (u2, -1j * b1)):
+            expect = to_physical(ref).values
+            assert np.abs(irfft2(sym * half) - expect).max() <= 1e-14 * np.abs(expect).max()
+        # without the zeroed Nyquist lines the half plane counts their anti-Hermitian part twice
+        k1_raw = half_plane(grid, wavevectors(grid)[0])
+        assert np.abs(irfft2(1j * k1_raw * half) - to_physical(d1).values).max() > 1e-3
