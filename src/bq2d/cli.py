@@ -236,12 +236,22 @@ def _float_fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _run_loop(cfg: RunConfig, state: solver.SimState, params: FlowParams, out_dir: str) -> int:
+def _run_loop(
+    cfg: RunConfig, state: solver.SimState, params: FlowParams, out_dir: str, announce: bool = False
+) -> int:
+    """Step, monitor and checkpoint from ``state``; with ``announce``, first
+    print the ``initial:`` line from the starting snapshot record."""
+    rec0 = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
+    if announce:
+        print(
+            "initial: theta_l2={!r} theta_linf={!r} grad_theta_linf={!r} u_l2={!r}".format(
+                rec0.theta_l2, rec0.theta_linf, rec0.grad_theta_linf, rec0.u_l2
+            )
+        )
     os.makedirs(out_dir, exist_ok=True)
     stepper = cfg.stepper()
     theta0_l2 = lp_norm(state.theta, 2)
     theta0_linf = lp_norm(state.theta, math.inf)
-    rec0 = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
     u0_l2 = rec0.u_l2
     diss_u = diss_G = 0.0
     rate_u, rate_G = dissipation_rates(state, params)
@@ -323,12 +333,7 @@ def cmd_run(args) -> int:
     grid = cfg.grid()
     params = cfg.flow_params()
     state = solver.initial_data(cfg.init_kind, cfg.seed, grid, cfg.amplitude)
-    report = solver.initial_report(state)
-    print(
-        "initial: theta_l2={theta_l2!r} theta_linf={theta_linf!r} "
-        "grad_theta_linf={grad_theta_linf!r} u_l2={u_l2!r}".format(**report)
-    )
-    return _run_loop(cfg, state, params, cfg.out_dir)
+    return _run_loop(cfg, state, params, cfg.out_dir, announce=True)
 
 
 def cmd_resume(args) -> int:

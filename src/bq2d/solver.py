@@ -25,7 +25,9 @@ to an unsplit one; the BQCHK1 format does not depend on the transforms.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -380,22 +382,29 @@ def initial_report(state: SimState) -> dict:
 # only-small-shocks machinery
 
 
+def _one_of_each_pair(grid: GridSpec) -> np.ndarray:
+    """Mask of one grid shift of each pair +-h: signed index m1 > 0, or
+    m1 = 0 and m2 > 0, plus the shifts that are their own mirror
+    (m1, m2 in {0, -n/2})."""
+    idx = np.arange(grid.n)
+    positive = (idx > 0) & (idx < grid.n / 2)
+    own = (idx == 0) | (2 * idx == grid.n)
+    return positive[:, None] | ((idx == 0)[:, None] & positive[None, :]) | (own[:, None] & own[None, :])
+
+
 def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
     """Exhaustive oscillation scan: max over grid shifts |h| < L of
     sup_x |theta(x+h) - theta(x)|.
 
     The values at -h are those at h with the sign flipped, so one shift of
-    each pair is scanned: signed index m1 > 0, or m1 = 0 and m2 > 0 (a
-    Nyquist index is never shorter than L).
+    each pair is scanned (``_one_of_each_pair``; a shift that is its own
+    mirror is never shorter than L).
     """
     grid = theta.grid
     if L > grid.side_length / 2.0:
         raise ValueError("L must not exceed half the domain size")
     tnorm = shift_norms(grid)
-    idx = np.arange(grid.n)
-    positive = (idx > 0) & (idx < grid.n / 2)
-    one_of_pair = positive[:, None] | ((idx == 0)[:, None] & positive[None, :])
-    shifts = np.argwhere(one_of_pair & (tnorm > 0) & (tnorm < L))
+    shifts = np.argwhere(_one_of_each_pair(grid) & (tnorm > 0) & (tnorm < L))
     measured = 0.0
     vals = theta.values
     for i, j in shifts:
@@ -413,22 +422,28 @@ def delta_star(theta0_sup: float, beta: float, C_user: float) -> float:
 
 def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
     """Diagnostic profile of sup_x (delta_h theta)^2 * exp(-c |h|^{1-beta})
-    over the grid of shifts; returns (|h| array, sup array) sorted by |h|."""
+    over the grid shifts with |h| <= L/2; returns (|h| array, sup array)
+    sorted by |h|.
+
+    sup_x (delta_h theta)^2 is bitwise the same at h and -h (the difference
+    at -h is the one at h, negated and moved), so one shift of each pair is
+    scanned (``_one_of_each_pair``, as in ``oss_check``) and mirrored to the
+    other.
+    """
     grid = theta.grid
     tnorm = shift_norms(grid)
-    shifts = np.argwhere(tnorm >= 0)
+    include = tnorm <= grid.side_length / 2.0
+    scanned = _one_of_each_pair(grid)
     vals = theta.values
-    radii, sups = [], []
-    for i, j in shifts:
-        h = tnorm[i, j]
-        if h > grid.side_length / 2.0:
-            continue
-        diff2 = (np.roll(vals, (-i, -j), axis=(0, 1)) - vals) ** 2
-        weight = math.exp(-psi_coeff * h ** (1.0 - beta))
-        radii.append(h)
-        sups.append(float(diff2.max()) * weight)
+    sup2 = np.zeros((grid.n, grid.n))
+    for i, j in np.argwhere(include & scanned):
+        sup2[i, j] = ((np.roll(vals, (-i, -j), axis=(0, 1)) - vals) ** 2).max()
+    mirror = -np.arange(grid.n) % grid.n
+    sup2 = np.where(scanned, sup2, sup2[np.ix_(mirror, mirror)])
+    radii = tnorm[include]
+    weights = np.array([math.exp(-psi_coeff * h ** (1.0 - beta)) for h in radii])
     order = np.argsort(radii)
-    return np.asarray(radii)[order], np.asarray(sups)[order]
+    return radii[order], (sup2[include] * weights)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +461,21 @@ def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
         alpha=repr(params.alpha),
         beta=repr(params.beta),
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for arr in (state.theta.values, state.omega.values):
-            flat = np.ascontiguousarray(arr, dtype="<f8").reshape(-1)
-            fh.write(struct.pack("<Q", flat.size))
-            fh.write(flat.tobytes())
+    # written beside the target and renamed over it, so a killed run never
+    # leaves a torn checkpoint behind
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            for arr in (state.theta.values, state.omega.values):
+                flat = np.ascontiguousarray(arr, dtype="<f8").reshape(-1)
+                fh.write(struct.pack("<Q", flat.size))
+                fh.write(flat.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path, dealias_fraction: float = 2.0 / 3.0):
@@ -463,13 +487,18 @@ def read_checkpoint(path, dealias_fraction: float = 2.0 / 3.0):
         L, t, nu, kappa, alpha, beta = (float(x) for x in header[2:])
         arrays = []
         for _ in range(2):
-            (count,) = struct.unpack("<Q", fh.read(8))
+            prefix = fh.read(8)
+            if len(prefix) != 8:
+                raise ValueError("truncated checkpoint payload")
+            (count,) = struct.unpack("<Q", prefix)
             if count != n * n:
                 raise ValueError("checkpoint array length does not match grid")
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:
                 raise ValueError("truncated checkpoint payload")
             arrays.append(np.frombuffer(raw, dtype="<f8").reshape(n, n).astype(float))
+        if fh.read(1):
+            raise ValueError("trailing bytes after checkpoint payload")
     grid = GridSpec(n=n, side_length=L, dealias_fraction=dealias_fraction)
     state = SimState(PhysicalField(grid, arrays[0]), PhysicalField(grid, arrays[1]), t=t)
     params = FlowParams(nu=nu, kappa=kappa, alpha=alpha, beta=beta)

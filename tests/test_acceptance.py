@@ -375,7 +375,7 @@ def test_criterion_11_oss():
 
 
 @criterion(12, "bitwise determinism of runs, resume and diagnostics", 60.0)
-def test_criterion_12_determinism(tmp_path):
+def test_criterion_12_determinism(tmp_path, cli_env):
     base = [
         sys.executable,
         "-m",
@@ -383,7 +383,7 @@ def test_criterion_12_determinism(tmp_path):
     ]
 
     def run(args):
-        r = subprocess.run(base + args, capture_output=True, text=True)
+        r = subprocess.run(base + args, capture_output=True, text=True, env=cli_env)
         assert r.returncode == 0, r.stderr
         return r
 

@@ -85,6 +85,16 @@ class TestRunCommand:
         assert len(lines) >= 3  # header + at least two rows
         assert (out / "final.chk").exists()
 
+    def test_initial_line_is_first_row(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_main(["run", "--n", "32", "--n-steps", "2", "--dt-init", "0.01", "--out-dir", str(out)]) == EXIT_OK
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("initial: ")
+        printed = dict(item.split("=") for item in first[len("initial: ") :].split())
+        header, row = ((out / "diagnostics.csv").read_text().splitlines()[i].split(",") for i in (0, 1))
+        assert printed == {k: v for k, v in zip(header, row) if k in printed}
+        assert set(printed) == {"theta_l2", "theta_linf", "grad_theta_linf", "u_l2"}
+
     def test_critical_pair_accepted(self, tmp_path):
         # alpha = 0.5, beta = 0.5 satisfies the critical relation; outside
         # (4/5, 1) the G monitors degrade to plain norms but the run proceeds
@@ -247,9 +257,21 @@ class TestResume:
         rc = run_main(["resume", str(bad), "--out-dir", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["resume", "besov"])
+    def test_trailing_byte_rejected(self, tmp_path, capsys, command):
+        self._run(tmp_path / "a", 2)
+        chk = tmp_path / "a" / "final.chk"
+        chk.write_bytes(chk.read_bytes() + b"\n")
+        out = tmp_path / "x"
+        extra = ["--out-dir", str(out)] if command == "resume" else ["--s", "0.5", "--out", str(out)]
+        capsys.readouterr()
+        assert run_main([command, str(chk), *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestDeterminism:
-    def test_repeated_runs_bitwise_identical_csv(self, tmp_path):
+    def test_repeated_runs_bitwise_identical_csv(self, tmp_path, cli_env):
         # separate interpreter processes: no in-process state can leak
         cmd = [
             sys.executable,
@@ -267,7 +289,7 @@ class TestDeterminism:
         ]
         for name in ("a", "b"):
             r = subprocess.run(
-                cmd + ["--out-dir", str(tmp_path / name)], capture_output=True, text=True
+                cmd + ["--out-dir", str(tmp_path / name)], capture_output=True, text=True, env=cli_env
             )
             assert r.returncode == 0, r.stderr
         assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == (

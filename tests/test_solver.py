@@ -409,3 +409,40 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(ValueError):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [8 * 64 * 64 + 4, 8 * 64 * 64 + 8])  # into, and all of, omega's prefix
+    def test_truncated_length_prefix_rejected(self, tmp_path, cut):
+        st = initial_data("random-band", 9, G64)
+        path = tmp_path / "trunc.chk"
+        write_checkpoint(path, st, PARAMS)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - cut])
+        with pytest.raises(ValueError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.chk"
+        write_checkpoint(path, initial_data("random-band", 9, G64), PARAMS)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            read_checkpoint(path)
+
+    def test_no_temporary_file_left(self, tmp_path):
+        st = initial_data("random-band", 9, G64)
+        write_checkpoint(tmp_path / "a.chk", st, PARAMS)
+        write_checkpoint(tmp_path / "a.chk", st, PARAMS)  # over an existing file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.chk"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.chk"
+        write_checkpoint(path, initial_data("random-band", 9, G64), PARAMS)
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("bq2d.solver.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_checkpoint(path, initial_data("random-band", 10, G64), PARAMS)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.chk"]
