@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels, solver
-from .lp import BesovIndex, besov_norm, dyadic_blocks
+from .lp import BesovIndex, _lr_combine, dyadic_blocks
 from .spectral import FlowParams, GridSpec, PhysicalField, lp_norm, to_physical
 from .monitors import (
     CONVEX_GAMMAS,
@@ -509,12 +509,11 @@ def cmd_besov(args) -> int:
     else:
         print(f"config error: unknown field {args.field!r}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = [["j", "weighted_block_norm"]]
-    for band in dyadic_blocks(fh):
-        norm = 2.0 ** (band.j * args.s) * lp_norm(to_physical(band.band), args.p)
-        rows.append([band.j, repr(float(norm))])
-    total = besov_norm(fh, index)
-    rows.append(["total", repr(float(total))])
+    bands = dyadic_blocks(fh)
+    norms = [2.0 ** (band.j * index.s) * lp_norm(to_physical(band.band), index.p) for band in bands]
+    rows = [["j", "weighted_block_norm"]] + [[b.j, repr(float(v))] for b, v in zip(bands, norms)]
+    # besov_norm's total: the l^r sum of the same norms (an empty band adds exactly 0.0)
+    rows.append(["total", repr(float(_lr_combine(norms, index.r)))])
     _emit(rows, args.out)
     return EXIT_OK
 

@@ -48,6 +48,7 @@ from .spectral import (
     grad,
     grad_sup,
     irfft2,
+    layout_table,
     lp_norm,
     mean_free,
     perp_grad,
@@ -121,12 +122,13 @@ def _smooth_step(r: np.ndarray) -> np.ndarray:
 
 
 def dyadic_blocks(fh: SpectralField, smooth: bool = False) -> list[LPBand]:
-    """All bands j = -1 .. max_band_index(grid) (inhomogeneous layout)."""
+    """All bands j = -1 .. max_band_index(grid) (inhomogeneous layout), in
+    the layout of ``fh``."""
     grid = fh.grid
     jmax = max_band_index(grid)
     bands = []
     if smooth:
-        _, _, kmag = wavevectors(grid)
+        kmag = layout_table(fh, wavevectors(grid)[2])
         low = _smooth_step(2.0 * kmag)  # complements the telescoped annuli exactly
         bands.append(LPBand(-1, SpectralField(grid, fh.coeffs * low)))
         # one band past jmax so the telescoped weights reach 1 on every mode
@@ -134,7 +136,7 @@ def dyadic_blocks(fh: SpectralField, smooth: bool = False) -> list[LPBand]:
             w = _smooth_step(kmag / 2.0**j) - _smooth_step(kmag / 2.0 ** (j - 1))
             bands.append(LPBand(j, SpectralField(grid, fh.coeffs * w)))
         return bands
-    idx = _band_indices(grid, inhomogeneous=True)
+    idx = layout_table(fh, _band_indices(grid, inhomogeneous=True))
     for j in range(-1, jmax + 1):
         mask = idx == j
         bands.append(LPBand(j, SpectralField(grid, np.where(mask, fh.coeffs, 0.0))))
@@ -143,7 +145,7 @@ def dyadic_blocks(fh: SpectralField, smooth: bool = False) -> list[LPBand]:
 
 def block(fh: SpectralField, j: int, homogeneous: bool = False) -> SpectralField:
     """Single sharp block Delta_j f."""
-    idx = _band_indices(fh.grid, inhomogeneous=not homogeneous)
+    idx = layout_table(fh, _band_indices(fh.grid, inhomogeneous=not homogeneous))
     return SpectralField(fh.grid, np.where(idx == j, fh.coeffs, 0.0))
 
 
@@ -160,7 +162,8 @@ def _lr_combine(values: list[float], r: float) -> float:
 
 
 def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
-    """Block Besov norm ||2^{js} ||Delta_j f||_p||_{l^r}."""
+    """Block Besov norm ||2^{js} ||Delta_j f||_p||_{l^r}; ``f`` is a physical
+    field or its coefficients in either layout."""
     fh = _as_spectral(f)
     if idx.homogeneous:
         fh = mean_free(fh)
@@ -272,7 +275,7 @@ def bernstein_check(fh: SpectralField, j: int, alpha: float, p: float, q: float)
     peak = np.abs(fh.coeffs).max()
     if peak == 0.0:
         return None
-    idx = _band_indices(fh.grid, inhomogeneous=True)
+    idx = layout_table(fh, _band_indices(fh.grid, inhomogeneous=True))
     outside = (idx != j) & (np.abs(fh.coeffs) > 1e-13 * peak)
     if np.any(outside):
         raise ValueError(f"input is not band-limited to band j={j}")

@@ -18,11 +18,12 @@ from functools import lru_cache
 import numpy as np
 
 from .lp import BesovIndex, besov_norm
-from .solver import G_hat, G_half, SimState, _velocity, compute_G
+from .solver import G_hat, SimState, _velocity_l2
 from .spectral import (
     FlowParams,
     GridSpec,
     PhysicalField,
+    SpectralField,
     biot_savart,
     fractional_laplacian,
     grad,
@@ -31,6 +32,7 @@ from .spectral import (
     half_plane_sum,
     kpow,
     lp_norm,
+    rfft2,
     shift_norms,
     to_physical,
     to_spectral,
@@ -175,23 +177,23 @@ def snapshot_record(
     diss_u_accum: float,
     diss_G_accum: float,
 ) -> DiagnosticsRecord:
-    """Pure function of a snapshot (plus the running dissipation integrals)."""
-    u1, u2 = _velocity(state.omega_hat)
-    u_l2 = math.sqrt(
-        (np.sum(u1.values**2) + np.sum(u2.values**2)) * state.grid.cell_weight
-    )
-    G = compute_G(state, params.alpha)
+    """Pure function of a snapshot (plus the running dissipation integrals).
+
+    Works on the half-plane coefficients the state caches: ||u||_2 by
+    Parseval, and the Besov blocks of G from its coefficients."""
+    g_hat = G_hat(state, params.alpha)
+    G = to_physical(g_hat)
     return DiagnosticsRecord(
         t=state.t,
         theta_l2=lp_norm(state.theta, 2),
         theta_linf=lp_norm(state.theta, math.inf),
-        u_l2=float(u_l2),
+        u_l2=_velocity_l2(state),
         omega_linf=lp_norm(state.omega, math.inf),
         grad_theta_linf=grad_sup(state.theta_hat),
         G_l2=lp_norm(G, 2),
         G_lq=lp_norm(G, q),
         q=q,
-        G_besov=besov_norm(G, BesovIndex(s, q, math.inf)),
+        G_besov=besov_norm(g_hat, BesovIndex(s, q, math.inf)),
         s=s,
         diss_u_accum=diss_u_accum,
         diss_G_accum=diss_G_accum,
@@ -209,7 +211,7 @@ def dissipation_rates(state: SimState, params: FlowParams) -> tuple[float, float
     a = params.alpha
     w2 = np.abs(state.half_hats[1]) ** 2
     u_rate = grid.side_length**2 * half_plane_sum(half_plane(grid, kpow(grid, a - 2.0)) * w2)
-    g2 = np.abs(G_half(state, a)) ** 2
+    g2 = np.abs(G_hat(state, a).coeffs) ** 2
     g_rate = grid.side_length**2 * half_plane_sum(half_plane(grid, kpow(grid, a)) * g2)
     return u_rate, g_rate
 
@@ -294,13 +296,15 @@ CONVEX_GAMMAS = {
 
 
 def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime):
-    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid."""
+    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid, through
+    half-plane coefficients."""
     if not 0.0 < beta < 2.0:
         raise ValueError("cordoba_margin requires beta in (0, 2)")
-    lam_f = to_physical(fractional_laplacian(to_spectral(f), beta)).values
-    gam = PhysicalField(f.grid, np.asarray(gamma(f.values), dtype=float))
-    lam_gam = to_physical(fractional_laplacian(to_spectral(gam), beta)).values
-    return gamma_prime(f.values) * lam_f, lam_gam
+
+    def lam(values):
+        return to_physical(fractional_laplacian(SpectralField(f.grid, rfft2(values)), beta)).values
+
+    return gamma_prime(f.values) * lam(f.values), lam(np.asarray(gamma(f.values), dtype=float))
 
 
 def cordoba_margin(f: PhysicalField, beta: float, gamma, gamma_prime) -> float:

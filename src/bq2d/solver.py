@@ -11,7 +11,9 @@ dealiased products, which conserves the theta mean to rounding.
 
 Stepping runs on real transforms: the half-plane (rfft2) coefficients of
 the real fields, with the symbols of ``spectral.half_plane`` and
-``spectral.half_plane_odd_symbols``.  A step costs 18 real n x n
+``spectral.half_plane_odd_symbols``; the diagnostics (``G_hat``,
+``initial_report``) take the same coefficients through the spectral
+operators, which read the layout from the shape.  A step costs 18 real n x n
 transforms: the forward pair of the state (shared with the dissipation
 rates on it), then per stage 2 inverse for the velocity and 4 forward
 for the products, and 2 inverse each for the predictor and the new state.
@@ -50,6 +52,7 @@ from .spectral import (
     half_plane_odd_symbols,
     irfft2,
     kpow,
+    l2_norm_spectral,
     lp_norm,
     mean_free,
     random_band_field,
@@ -76,10 +79,10 @@ class SimState:
     """Prognostic state: physical theta/omega arrays plus simulation time.
 
     ``half_hats`` are the dealiased half-plane coefficients of (theta,
-    omega), computed once and shared by the step from this state and the
-    dissipation rates on it; ``theta_hat`` / ``omega_hat`` are their
-    full-plane extensions for the diagnostics.  All are cached: treat
-    states as immutable snapshots.
+    omega), computed once and shared by the step from this state, the
+    dissipation rates and the diagnostics on it; ``theta_hat`` /
+    ``omega_hat`` wrap the same arrays as half-plane ``SpectralField``s.
+    All are cached: treat states as immutable snapshots.
     """
 
     theta: PhysicalField
@@ -93,11 +96,11 @@ class SimState:
 
     @cached_property
     def theta_hat(self) -> SpectralField:
-        return SpectralField(self.grid, full_plane(self.grid, self.half_hats[0]))
+        return SpectralField(self.grid, self.half_hats[0])
 
     @cached_property
     def omega_hat(self) -> SpectralField:
-        return SpectralField(self.grid, full_plane(self.grid, self.half_hats[1]))
+        return SpectralField(self.grid, self.half_hats[1])
 
     @property
     def grid(self) -> GridSpec:
@@ -131,22 +134,16 @@ class OssReport:
 # right-hand side, on half-plane coefficient arrays
 
 
-def _velocity(omega_hat: SpectralField):
-    """Full-plane velocity for the diagnostics."""
-    u1h, u2h = biot_savart(omega_hat)
-    return to_physical(u1h), to_physical(u2h)
-
-
 def _velocity_half(w: np.ndarray, grid: GridSpec):
-    """Raw physical (u1, u2) from half-plane vorticity coefficients."""
+    """Raw physical (u1, u2) from half-plane vorticity coefficients, for the
+    step (``biot_savart`` is the diagnostics' path)."""
     _, _, b1, b2 = half_plane_odd_symbols(grid)
     return irfft2(1j * b2 * w), irfft2(-1j * b1 * w)
 
 
-def _riesz_half(grid: GridSpec, alpha: float) -> np.ndarray:
-    """Half-plane multiplier of R_alpha = Lambda^{-alpha} d_1."""
-    k1 = half_plane_odd_symbols(grid)[0]
-    return 1j * k1 * half_plane(grid, kpow(grid, -alpha))
+def _velocity_l2(state: SimState) -> float:
+    """||u||_2 by Parseval from the Biot-Savart coefficients."""
+    return math.hypot(*(l2_norm_spectral(c) for c in biot_savart(state.omega_hat)))
 
 
 def _advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -273,7 +270,7 @@ def run(state: SimState, params: FlowParams, cfg: StepperConfig, n_steps: int | 
 
 
 def G_hat(state: SimState, alpha: float) -> SpectralField:
-    """Coefficients of G = omega - R_alpha theta."""
+    """Half-plane coefficients of G = omega - R_alpha theta."""
     return SpectralField(
         state.grid, state.omega_hat.coeffs - riesz_alpha(state.theta_hat, alpha).coeffs
     )
@@ -282,12 +279,6 @@ def G_hat(state: SimState, alpha: float) -> SpectralField:
 def compute_G(state: SimState, alpha: float) -> PhysicalField:
     """G = omega - R_alpha theta in physical space."""
     return to_physical(G_hat(state, alpha))
-
-
-def G_half(state: SimState, alpha: float) -> np.ndarray:
-    """Half-plane coefficients of G = omega - R_alpha theta."""
-    th_hat, w_hat = state.half_hats
-    return w_hat - _riesz_half(state.grid, alpha) * th_hat
 
 
 def g_equation_residual(states, params: FlowParams) -> float:
@@ -308,18 +299,17 @@ def g_equation_residual(states, params: FlowParams) -> float:
         raise ValueError("nonuniform time spacing in residual window")
     grid = s1.grid
     alpha, beta = params.alpha, params.beta
-    riesz = _riesz_half(grid, alpha)
 
-    g1 = G_half(s1, alpha)
-    dt_g = (irfft2(G_half(s2, alpha)) - irfft2(G_half(s0, alpha))) / (dt1 + dt2)
+    g1 = G_hat(s1, alpha).coeffs
+    dt_g = (compute_G(s2, alpha).values - compute_G(s0, alpha).values) / (dt1 + dt2)
 
     th_hat, w_hat = s1.half_hats
     u = _velocity_half(w_hat, grid)
     adv = _advection(u, irfft2(g1), grid)
     diss = params.nu * half_plane(grid, kpow(grid, alpha)) * g1
 
-    comm = riesz * _advection(u, s1.theta.values, grid)
-    comm -= _advection(u, irfft2(riesz * th_hat), grid)
+    comm = riesz_alpha(SpectralField(grid, _advection(u, s1.theta.values, grid)), alpha).coeffs
+    comm -= _advection(u, to_physical(riesz_alpha(s1.theta_hat, alpha)).values, grid)
     d1_theta = 1j * half_plane_odd_symbols(grid)[0] * th_hat
     forcing = (1.0 - params.nu + params.kappa * half_plane(grid, kpow(grid, beta - alpha))) * d1_theta
 
@@ -368,13 +358,11 @@ def initial_data(kind: str, seed: int, grid: GridSpec, amplitude: float = 1.0) -
 
 
 def initial_report(state: SimState) -> dict:
-    u1, u2 = _velocity(state.omega_hat)
-    umag = np.hypot(u1.values, u2.values)
     return {
         "theta_l2": lp_norm(state.theta, 2),
         "theta_linf": lp_norm(state.theta, math.inf),
         "grad_theta_linf": grad_sup(state.theta_hat),
-        "u_l2": float(math.sqrt(np.sum(umag**2) * state.grid.cell_weight)),
+        "u_l2": _velocity_l2(state),
     }
 
 

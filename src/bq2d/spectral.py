@@ -18,16 +18,23 @@ Conventions used by every module in this package:
 * This module owns every per-grid table: wavevectors, |k|^g symbols, the
   Biot-Savart symbols, the dealias mask and the grid-shift lengths.  Each
   is built once per grid and handed out read-only.
-* The time stepper works on the half plane of a real field, the rfft2
-  layout: the leading n/2+1 columns (m2 = 0, ..., n/2) of the fft2
-  layout, with ``norm="forward"`` so the coefficients are the same c(m).
-  Its symbols are column slices of the tables above (``half_plane``), with
-  one exception (``half_plane_odd_symbols``): a symbol odd in k1 (k2) is
-  zero on the Nyquist row m1 = -n/2 (column m2 = n/2), where the grid
-  cannot represent it as odd.  There the full-plane product is
-  anti-Hermitian, so ``to_physical`` drops it with ``.real``; the zero
-  keeps the half plane equal to that real part (on the Nyquist row a
-  half-plane inverse would otherwise count the term twice).
+* A ``SpectralField`` holds one of two layouts, told apart by the shape of
+  its coefficients: the full plane (n, n) in fft2 order, or the half plane
+  (n, n/2+1) of a real field, the rfft2 layout: the leading n/2+1 columns
+  (m2 = 0, ..., n/2) of the fft2 layout, with ``norm="forward"`` so the
+  coefficients are the same c(m).  ``to_physical``, the multiplier
+  operators and the norms pick their symbol from that shape; on the half
+  plane ``to_physical`` is irfft2 and the symbols are column slices of the
+  tables above (``half_plane``), with one exception
+  (``half_plane_odd_symbols``): a symbol odd in k1 (k2) is zero on the
+  Nyquist row m1 = -n/2 (column m2 = n/2), where the grid cannot represent
+  it as odd.  There the full-plane product is anti-Hermitian, so
+  ``to_physical`` drops it with ``.real``; the zero keeps the half plane
+  equal to that real part (on the Nyquist row a half-plane inverse would
+  otherwise count the term twice).  Each half-plane operator therefore
+  returns the coefficients of a real field, and a chain of them acts on
+  real fields step by step.  The time stepper and the diagnostics work on
+  the half plane; constructors and ``to_spectral`` give the full plane.
 
 All operations are pure: fields in, fresh fields out.
 """
@@ -89,17 +96,25 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex coefficients per integer wavevector, numpy fft2 layout."""
+    """Complex coefficients per integer wavevector: the full plane (n, n) in
+    numpy fft2 layout, or the half plane (n, n/2+1) of a real field in rfft2
+    layout."""
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = self.coeffs
-        if c.shape != (self.grid.n, self.grid.n):
-            raise ValueError(f"coeffs shape {c.shape} does not match grid n={self.grid.n}")
+        n = self.grid.n
+        if c.shape not in ((n, n), (n, n // 2 + 1)):
+            raise ValueError(f"coeffs shape {c.shape} does not match grid n={n}")
         if not np.isfinite(c).all():
             raise ValueError("non-finite coefficients in spectral field")
+
+    @property
+    def half(self) -> bool:
+        """True for the half-plane (rfft2) layout."""
+        return self.coeffs.shape[1] != self.grid.n
 
 
 @dataclass(frozen=True)
@@ -209,6 +224,16 @@ def half_plane_odd_symbols(grid: GridSpec):
     return tuple(out)
 
 
+def layout_table(fh: SpectralField, table: np.ndarray) -> np.ndarray:
+    """A full-plane table even in k, in the layout of ``fh``."""
+    return half_plane(fh.grid, table) if fh.half else table
+
+
+def _k_symbols(fh: SpectralField):
+    """(k1, k2) in the layout of ``fh``."""
+    return half_plane_odd_symbols(fh.grid)[:2] if fh.half else wavevectors(fh.grid)[:2]
+
+
 def coordinates(grid: GridSpec):
     """(x1, x2) meshgrid of collocation points, axis 0 = x1."""
     x = np.arange(grid.n) * grid.spacing
@@ -224,6 +249,8 @@ def to_spectral(f: PhysicalField) -> SpectralField:
 
 
 def to_physical(fh: SpectralField) -> PhysicalField:
+    if fh.half:
+        return PhysicalField(fh.grid, irfft2(fh.coeffs))
     # Hermitian input assumed; the imaginary residue of a symmetrized field
     # is at rounding level and is dropped.
     vals = np.fft.ifft2(fh.coeffs).real * fh.grid.n**2
@@ -260,7 +287,10 @@ def half_plane_sum(values: np.ndarray) -> float:
 
 
 def hermitian_symmetrize(fh: SpectralField) -> SpectralField:
-    """Project onto coefficients of a real field: c(-m) = conj(c(m))."""
+    """Project full-plane coefficients onto those of a real field:
+    c(-m) = conj(c(m))."""
+    if fh.half:
+        raise ValueError("hermitian_symmetrize takes full-plane coefficients")
     n = fh.grid.n
     rev = (-np.arange(n)) % n
     mirrored = np.conj(fh.coeffs[np.ix_(rev, rev)])
@@ -275,32 +305,32 @@ def fractional_laplacian(fh: SpectralField, gamma: float) -> SpectralField:
     """Lambda^gamma: multiply by |k|^gamma; mean mode -> 0 for gamma != 0."""
     if gamma == 0.0:
         return fh
-    return SpectralField(fh.grid, fh.coeffs * kpow(fh.grid, gamma))
+    return SpectralField(fh.grid, fh.coeffs * layout_table(fh, kpow(fh.grid, gamma)))
 
 
 def riesz_alpha(fh: SpectralField, alpha: float) -> SpectralField:
     """Lambda^{-alpha} d_1: multiplier i*k1*|k|^{-alpha}, mean mode zero."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("riesz_alpha requires alpha in (0, 1]")
-    k1, _, _ = wavevectors(fh.grid)
-    return SpectralField(fh.grid, fh.coeffs * (1j * k1 * kpow(fh.grid, -alpha)))
+    k1 = _k_symbols(fh)[0]
+    return SpectralField(fh.grid, fh.coeffs * (1j * k1 * layout_table(fh, kpow(fh.grid, -alpha))))
 
 
 def biot_savart(wh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Velocity from vorticity: u1 = i k2 w/|k|^2, u2 = -i k1 w/|k|^2."""
-    b1, b2 = _biot_savart_symbols(wh.grid)
+    b1, b2 = half_plane_odd_symbols(wh.grid)[2:] if wh.half else _biot_savart_symbols(wh.grid)
     return SpectralField(wh.grid, 1j * b2 * wh.coeffs), SpectralField(wh.grid, -1j * b1 * wh.coeffs)
 
 
 def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, SpectralField]:
     """Temperature-driven velocity: multipliers (-k1 k2, k1^2) * |k|^{beta-3}.
 
-    Identical to ``biot_savart(riesz_alpha(th, 1 - beta))``.
+    Identical to ``biot_savart(riesz_alpha(th, 1 - beta))`` in either layout.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("v_from_theta requires beta in (0, 1)")
-    k1, k2, _ = wavevectors(th.grid)
-    radial = kpow(th.grid, beta - 3.0)
+    k1, k2 = _k_symbols(th)
+    radial = layout_table(th, kpow(th.grid, beta - 3.0))
     return (
         SpectralField(th.grid, -k1 * k2 * radial * th.coeffs),
         SpectralField(th.grid, k1 * k1 * radial * th.coeffs),
@@ -308,7 +338,7 @@ def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, Spectra
 
 
 def grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
-    k1, k2, _ = wavevectors(fh.grid)
+    k1, k2 = _k_symbols(fh)
     return (
         SpectralField(fh.grid, 1j * k1 * fh.coeffs),
         SpectralField(fh.grid, 1j * k2 * fh.coeffs),
@@ -317,7 +347,7 @@ def grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 def perp_grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Perpendicular gradient (-d2 f, d1 f)."""
-    k1, k2, _ = wavevectors(fh.grid)
+    k1, k2 = _k_symbols(fh)
     return (
         SpectralField(fh.grid, -1j * k2 * fh.coeffs),
         SpectralField(fh.grid, 1j * k1 * fh.coeffs),
@@ -326,12 +356,12 @@ def perp_grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 def grad_sup(fh: SpectralField) -> float:
     """sup over the grid of |grad f|."""
-    g1, g2 = grad(fh)
-    return float(np.hypot(to_physical(g1).values, to_physical(g2).values).max())
+    g1, g2 = (to_physical(g).values for g in grad(fh))
+    return math.sqrt(float((g1 * g1 + g2 * g2).max()))
 
 
 def dealias(fh: SpectralField) -> SpectralField:
-    return SpectralField(fh.grid, np.where(dealias_mask(fh.grid), fh.coeffs, 0.0))
+    return SpectralField(fh.grid, np.where(layout_table(fh, dealias_mask(fh.grid)), fh.coeffs, 0.0))
 
 
 def mean_free(fh: SpectralField) -> SpectralField:
@@ -362,20 +392,25 @@ def lp_norm(f: PhysicalField, p: float) -> float:
     return float((np.sum(a**p) * f.grid.cell_weight) ** (1.0 / p))
 
 
+def _plane_sum(fh: SpectralField, values: np.ndarray) -> float:
+    """Full-plane sum of a quantity even in m, given in the layout of fh."""
+    return half_plane_sum(values) if fh.half else np.sum(values)
+
+
 def l2_norm_spectral(fh: SpectralField) -> float:
     """L^2 norm via Parseval: L * sqrt(sum |c|^2)."""
-    return float(fh.grid.side_length * math.sqrt(np.sum(np.abs(fh.coeffs) ** 2)))
+    return float(fh.grid.side_length * math.sqrt(_plane_sum(fh, np.abs(fh.coeffs) ** 2)))
 
 
 def sobolev_norm(fh: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Multiplier Sobolev norm (L^2 sum of (|k|^2)^s [or (1+|k|^2)^s] |c|^2)^(1/2)."""
     mag2 = np.abs(fh.coeffs) ** 2
     if homogeneous:
-        weight = kpow(fh.grid, 2.0 * s)
+        weight = layout_table(fh, kpow(fh.grid, 2.0 * s))
     else:
         _, _, kmag = wavevectors(fh.grid)
-        weight = (1.0 + kmag**2) ** s
-    return float(fh.grid.side_length * math.sqrt(np.sum(weight * mag2)))
+        weight = (1.0 + layout_table(fh, kmag) ** 2) ** s
+    return float(fh.grid.side_length * math.sqrt(_plane_sum(fh, weight * mag2)))
 
 
 # ---------------------------------------------------------------------------

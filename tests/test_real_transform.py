@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bq2d.monitors import dissipation_rates
+from bq2d.monitors import CONVEX_GAMMAS, cordoba_margin, dissipation_rates, snapshot_record
 from bq2d.solver import StepperConfig, SimState, initial_data, step
 from bq2d.spectral import (
     FlowParams,
@@ -112,16 +112,9 @@ def test_real_step_matches_complex_oracle(n, L, fraction, alpha):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_transform_budget(monkeypatch):
-    """One step plus the dissipation rates on its result: no complex
-    transform and at most 18 real n x n ones (a batched call counts once
-    per field).  The step's forward transforms are the ones the rates on
-    the previous state made."""
-    grid = GridSpec(32)
-    params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
-    state = initial_data("random-band", 0, grid)
-    dissipation_rates(state, params)
-
+def _count_transforms(monkeypatch, n):
+    """Counts of complex and real n x n transforms from here on (a batched
+    call counts once per field)."""
     counts = {"complex": 0, "real": 0}
     for name, kind in (("fft2", "complex"), ("ifft2", "complex"), ("rfft2", "real"), ("irfft2", "real")):
         orig = getattr(np.fft, name)
@@ -129,11 +122,44 @@ def test_transform_budget(monkeypatch):
         def counted(a, *args, _orig=orig, _kind=kind, **kwargs):
             out = _orig(a, *args, **kwargs)
             real_side = out if out.dtype.kind == "f" else a
-            counts[_kind] += max(1, np.size(real_side) // grid.n**2)
+            counts[_kind] += max(1, np.size(real_side) // n**2)
             return out
 
         monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def test_transform_budget(monkeypatch):
+    """One step plus the dissipation rates on its result: no complex
+    transform and at most 18 real n x n ones.  The step's forward
+    transforms are the ones the rates on the previous state made."""
+    grid = GridSpec(32)
+    params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
+    state = initial_data("random-band", 0, grid)
+    dissipation_rates(state, params)
+
+    counts = _count_transforms(monkeypatch, grid.n)
     new = step(state, params, StepperConfig(dt_init=0.01))
     dissipation_rates(new, params)
     assert counts["complex"] == 0
     assert 0 < counts["real"] <= 18
+
+
+def test_diagnostics_transform_budget(monkeypatch):
+    """snapshot_record plus cordoba_margin on a state whose half-plane
+    coefficients are cached (as the run loop leaves them): no complex
+    transform and at most 13 real n x n ones, as measured: 2 inverse for
+    sup|grad theta|, 1 for G, 6 for the non-empty Besov blocks of G
+    (j = -1 .. 4 at n = 64), and 2 forward plus 2 inverse for the Cordoba
+    terms."""
+    grid = GridSpec(64)
+    params = FlowParams(1.0, 1.0, 0.95, 0.05, critical=True)
+    state = step(initial_data("random-band", 0, grid), params, StepperConfig(dt_init=0.01))
+    dissipation_rates(state, params)
+    gamma, gamma_prime = CONVEX_GAMMAS["square"]
+
+    counts = _count_transforms(monkeypatch, grid.n)
+    snapshot_record(state, params, 2.5, 0.4, 0.0, 0.0)
+    cordoba_margin(state.theta, params.beta, gamma, gamma_prime)
+    assert counts["complex"] == 0
+    assert 0 < counts["real"] <= 13

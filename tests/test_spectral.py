@@ -21,6 +21,7 @@ from bq2d.spectral import (
     half_plane,
     half_plane_odd_symbols,
     half_plane_sum,
+    hermitian_symmetrize,
     irfft2,
     l2_norm_spectral,
     lp_norm,
@@ -381,3 +382,23 @@ class TestHalfPlane:
         # without the zeroed Nyquist lines the half plane counts their anti-Hermitian part twice
         k1_raw = half_plane(grid, wavevectors(grid)[0])
         assert np.abs(irfft2(1j * k1_raw * half) - to_physical(d1).values).max() > 1e-3
+
+    def test_layout_is_read_from_the_shape(self):
+        grid = GridSpec(16)
+        with pytest.raises(ValueError):
+            SpectralField(grid, np.zeros((16, 8), dtype=complex))
+        x = np.random.default_rng(3).standard_normal((16, 16))
+        full, half = to_spectral(PhysicalField(grid, x)), SpectralField(grid, rfft2(x))
+        assert half.half and not full.half
+        with pytest.raises(ValueError):
+            hermitian_symmetrize(half)
+
+    def test_bernstein_check_in_both_layouts(self):
+        from bq2d.lp import bernstein_check, block
+
+        grid = GridSpec(32)
+        fh = random_band_spectral(grid, 4.0, 7.99, np.random.default_rng(7))
+        half = SpectralField(grid, rfft2(to_physical(fh).values))
+        want = bernstein_check(fh, 2, 0.45, 2, math.inf)
+        for got, ref in zip(bernstein_check(block(half, 2), 2, 0.45, 2, math.inf), want):
+            assert abs(got - ref) <= 1e-12 * ref
