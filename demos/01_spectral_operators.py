@@ -16,13 +16,14 @@ from bq2d.spectral import (
     coordinates,
     field_from_function,
     fractional_laplacian,
+    grad,
+    half_plane_sum,
     lp_norm,
     random_band_spectral,
     riesz_alpha,
     to_physical,
     to_spectral,
     v_from_theta,
-    wavevectors,
 )
 
 grid = GridSpec(n=64)
@@ -46,8 +47,7 @@ print("   max error:", np.abs(rz.values - math.sqrt(2) * np.cos(2 * x1)).max())
 rng = np.random.default_rng(0)
 omega_hat = random_band_spectral(grid, 1, 12, rng)
 u1, u2 = biot_savart(omega_hat)
-k1, k2, _ = wavevectors(grid)
-div = np.abs(1j * k1 * u1.coeffs + 1j * k2 * u2.coeffs).max()
+div = np.abs(grad(u1)[0].coeffs + grad(u2)[1].coeffs).max()
 print("\nBiot-Savart of a random vorticity field:")
 print("   max |k . u_hat| =", div)
 
@@ -61,8 +61,10 @@ print(f"\nv_from_theta(beta={beta}) vs biot_savart(riesz_alpha(theta, {1-beta}))
 print("   max coefficient difference:", err)
 
 # --- Parseval with the (1/L^2) integral normalization -----------------------
+# the coefficients are the rfft2 half plane; half_plane_sum counts each
+# column with its mirror to sum over the whole plane
 f = to_physical(theta_hat)
 lhs = lp_norm(f, 2) ** 2
-rhs = grid.side_length**2 * np.sum(np.abs(theta_hat.coeffs) ** 2)
+rhs = grid.side_length**2 * half_plane_sum(np.abs(theta_hat.coeffs) ** 2)
 print("\nParseval check: ||f||_2^2 vs L^2 sum |c|^2:")
 print(f"   {lhs:.12f} vs {rhs:.12f}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels, solver
-from .lp import BesovIndex, _lr_combine, dyadic_blocks
-from .spectral import FlowParams, GridSpec, PhysicalField, lp_norm, to_physical
+from .lp import BesovIndex, dyadic_blocks, lr_combine, weighted_block_norm
+from .spectral import FlowParams, GridSpec, PhysicalField, lp_norm
 from .monitors import (
     CONVEX_GAMMAS,
     check_besov_index,
@@ -240,51 +240,55 @@ def _run_loop(
     cfg: RunConfig, state: solver.SimState, params: FlowParams, out_dir: str, announce: bool = False
 ) -> int:
     """Step, monitor and checkpoint from ``state``; with ``announce``, first
-    print the ``initial:`` line from the starting snapshot record."""
-    rec0 = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
-    if announce:
-        print(
-            "initial: theta_l2={!r} theta_linf={!r} grad_theta_linf={!r} u_l2={!r}".format(
-                rec0.theta_l2, rec0.theta_linf, rec0.grad_theta_linf, rec0.u_l2
-            )
-        )
-    os.makedirs(out_dir, exist_ok=True)
+    print the ``initial:`` line from the starting snapshot record.  That
+    record and its margins are taken before any output, so a state the
+    monitors overflow on is a config error."""
     stepper = cfg.stepper()
     theta0_l2 = lp_norm(state.theta, 2)
     theta0_linf = lp_norm(state.theta, math.inf)
-    u0_l2 = rec0.u_l2
+    u0_l2 = solver._velocity_l2(state)
     diss_u = diss_G = 0.0
-    rate_u, rate_G = dissipation_rates(state, params)
     delta_target = solver.delta_star(max(theta0_linf, 1e-300), params.beta, cfg.oss_delta_c)
     gamma, gamma_p = CONVEX_GAMMAS["square"]
     worst = {"maxprinciple_l2": 0.0, "maxprinciple_linf": 0.0, "energy_linear": 0.0}
 
-    def record(fh, rec=None):
-        """Margins for the snapshot ``rec`` of ``cur`` (taken now if None), one
-        CSV row to ``fh``, and the running worst margins; returns the record."""
-        if rec is None:
-            rec = snapshot_record(cur, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
+    def record(st, fh=None):
+        """The snapshot record of ``st`` with its margins, written as one CSV
+        row to ``fh`` when given; updates the running worst margins."""
+        rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
         m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
         rec.margins["maxprinciple_l2"] = m2
         rec.margins["maxprinciple_linf"] = minf
         rec.margins["energy_linear"] = energy_margin(rec, u0_l2, theta0_l2)[0]
-        rec.margins["cordoba_min"] = cordoba_margin(cur.theta, params.beta, gamma, gamma_p)
-        rec.margins["oss_delta_measured"] = solver.oss_check(
-            cur.theta, delta_target, cfg.oss_L
-        ).delta_measured
+        rec.margins["cordoba_min"] = cordoba_margin(st.theta, params.beta, gamma, gamma_p)
+        rec.margins["oss_delta_measured"] = solver.oss_check(st.theta, delta_target, cfg.oss_L).delta_measured
         for key in worst:
             worst[key] = min(worst[key], rec.margins[key])
-        fh.write(rec.csv_row() + "\n")
-        fh.flush()
+        if fh is not None:
+            fh.write(rec.csv_row() + "\n")
+            fh.flush()
         return rec
+
+    try:
+        rec = record(state)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"config error: the monitors overflow on the initial state: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if announce:
+        print(
+            "initial: theta_l2={!r} theta_linf={!r} grad_theta_linf={!r} u_l2={!r}".format(
+                rec.theta_l2, rec.theta_linf, rec.grad_theta_linf, rec.u_l2
+            )
+        )
+    os.makedirs(out_dir, exist_ok=True)
+    rate_u, rate_G = dissipation_rates(state, params)
 
     step_count = 0
     cur = state
     prev_t = state.t
     try:
         with open(os.path.join(out_dir, "diagnostics.csv"), "w") as csv:
-            csv.write(csv_header() + "\n")
-            rec = record(csv, rec0)
+            csv.write(csv_header() + "\n" + rec.csv_row() + "\n")
             for cur in solver.run(state, params, stepper, n_steps=cfg.n_steps):
                 step_count += 1
                 new_u, new_G = dissipation_rates(cur, params)
@@ -298,15 +302,15 @@ def _run_loop(
                         os.path.join(out_dir, f"ckpt_{step_count:08d}.chk"), cur, params
                     )
                 if step_count % cfg.diag_every == 0:
-                    rec = record(csv)
+                    rec = record(cur, csv)
             if step_count % cfg.diag_every != 0:
-                rec = record(csv)
+                rec = record(cur, csv)
     except solver.BlowUpError as exc:
         post = os.path.join(out_dir, "post_mortem.csv")
         with open(post, "w") as fh:
             fh.write(f"# blow-up at t={exc.t!r} max_omega={exc.omega_max!r}\n")
             fh.write(csv_header() + "\n")
-            record(fh)  # the last finite state
+            record(cur, fh)  # the last finite state
         print(f"blow-up abort: {exc} (post-mortem: {post})", file=sys.stderr)
         return EXIT_BLOWUP
     solver.write_checkpoint(os.path.join(out_dir, "final.chk"), cur, params)
@@ -432,7 +436,11 @@ def cmd_inequality_suite(args) -> int:
     state = solver.initial_data(cfg.init_kind, cfg.seed, grid, cfg.amplitude)
     theta0_l2 = lp_norm(state.theta, 2)
     theta0_linf = lp_norm(state.theta, math.inf)
-    rec0 = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
+    try:
+        rec0 = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"config error: the monitors overflow on the initial state: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     u0_l2 = rec0.u_l2
 
     snapshots = [state]
@@ -504,16 +512,17 @@ def cmd_besov(args) -> int:
         fh = state.theta_hat
     elif args.field == "omega":
         fh = state.omega_hat
-    elif args.field == "G":
+    else:  # argparse limits --field to theta, omega and G
         fh = solver.G_hat(state, params.alpha)
-    else:
-        print(f"config error: unknown field {args.field!r}", file=sys.stderr)
-        return EXIT_CONFIG
     bands = dyadic_blocks(fh)
-    norms = [2.0 ** (band.j * index.s) * lp_norm(to_physical(band.band), index.p) for band in bands]
+    try:
+        norms = [weighted_block_norm(band, index) for band in bands]
+        total = lr_combine(norms, index.r)  # besov_norm's total, from the same norms
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     rows = [["j", "weighted_block_norm"]] + [[b.j, repr(float(v))] for b, v in zip(bands, norms)]
-    # besov_norm's total: the l^r sum of the same norms (an empty band adds exactly 0.0)
-    rows.append(["total", repr(float(_lr_combine(norms, index.r)))])
+    rows.append(["total", repr(float(total))])
     _emit(rows, args.out)
     return EXIT_OK
 

@@ -50,6 +50,8 @@ from .spectral import (
     coordinates,
     field_from_function,
     grad,
+    irfft2,
+    rfft2,
     to_physical,
     to_spectral,
     v_from_theta,
@@ -122,25 +124,19 @@ def _pad_displacements(n: int, side_length: float):
     return z1, z2, zn
 
 
-def _apply_kernel(kernel: np.ndarray, f: np.ndarray, grid: GridSpec, method: str) -> np.ndarray:
+def _apply_kernel(kernel: np.ndarray, f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sum_y kernel(x - y) f(y) (L/n)^2 over the cell, true displacements.
 
-    ``kernel`` lives on the padded 2n grid; the padded circular convolution
-    equals the literal double sum (``method='direct'``) to rounding.
+    ``kernel`` lives on the padded 2n grid, where the circular convolution
+    equals the literal double sum to rounding.  The product of two
+    forward-normalized spectra carries 1/(2n)^2 once too often; the point
+    count (2n)^2 undoes it.
     """
     n = grid.n
     big = np.zeros((2 * n, 2 * n))
     big[:n, :n] = f
-    if method == "fft":
-        out = np.fft.ifft2(np.fft.fft2(kernel) * np.fft.fft2(big)).real
-        return out[:n, :n] * grid.cell_weight
-    if method == "direct":
-        out = np.zeros((2 * n, 2 * n))
-        nz = np.argwhere(kernel != 0.0)
-        for i, j in nz:
-            out += kernel[i, j] * np.roll(big, (i, j), axis=(0, 1))
-        return out[:n, :n] * grid.cell_weight
-    raise ValueError(f"unknown method {method!r}")
+    out = irfft2(rfft2(kernel) * rfft2(big))
+    return out[:n, :n] * ((2 * n) ** 2 * grid.cell_weight)
 
 
 SUPPORT_TAIL_TOLERANCE = 1e-3  # fraction of |theta| mass allowed outside |x-c| < L/4
@@ -167,7 +163,7 @@ def _d1_theta(theta: PhysicalField) -> np.ndarray:
     return to_physical(grad(to_spectral(theta))[0]).values
 
 
-def v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, method: str = "fft"):
+def v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     """Riemann-sum evaluation of the velocity integral; returns (v1, v2)."""
     grid = theta.grid
     _support_check(theta)
@@ -178,12 +174,12 @@ def v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, method:
     # z^perp = (-z2, z1); the kernel is odd, so the self cell would vanish
     # by parity even if it were included.
     f = _d1_theta(theta)
-    v1 = C_beta * _apply_kernel(-z2 * radial, f, grid, method)
-    v2 = C_beta * _apply_kernel(z1 * radial, f, grid, method)
+    v1 = C_beta * _apply_kernel(-z2 * radial, f, grid)
+    v2 = C_beta * _apply_kernel(z1 * radial, f, grid)
     return PhysicalField(grid, v1), PhysicalField(grid, v2)
 
 
-def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, method: str = "fft"):
+def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     """Gradient integral; returns the 2x2 matrix of fields ((g11,g12),(g21,g22))
     with g_ij = d_j v_i."""
     grid = theta.grid
@@ -195,14 +191,14 @@ def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, me
     tensor = np.zeros_like(zn)
     tensor[mask] = zn[mask] ** (-3.0 - cfg.beta)
     f = _d1_theta(theta)
-    s_int = _apply_kernel(scalar, f, grid, method)
+    s_int = _apply_kernel(scalar, f, grid)
     zp = (-z2, z1)
     zz = (z1, z2)
     g = [[None, None], [None, None]]
     J = ((0.0, -1.0), (1.0, 0.0))
     for i in range(2):
         for j in range(2):
-            t_int = _apply_kernel(zp[i] * zz[j] * tensor, f, grid, method)
+            t_int = _apply_kernel(zp[i] * zz[j] * tensor, f, grid)
             vals = C_beta * (J[i][j] * s_int - (1.0 + cfg.beta) * t_int)
             g[i][j] = PhysicalField(grid, vals)
     return (g[0][0], g[0][1]), (g[1][0], g[1][1])
@@ -217,7 +213,7 @@ def _sigma_kernels(grid: GridSpec, rmin: float, rmax: float):
     return (-2.0 * z1 * z2 * radial, (z1 * z1 - z2 * z2) * radial, 2.0 * z1 * z2 * radial), zn, mask
 
 
-def _symgrad_from_region(theta, beta, C_beta, rmin, rmax, method):
+def _symgrad_from_region(theta, beta, C_beta, rmin, rmax):
     grid = theta.grid
     f = _d1_theta(theta)
     C_sym = 0.5 * (1.0 + beta) * C_beta
@@ -227,16 +223,16 @@ def _symgrad_from_region(theta, beta, C_beta, rmin, rmax, method):
     out = []
     for kern in (k11 * power, k12 * power, k22 * power):
         total = kern.sum() * grid.cell_weight
-        conv = _apply_kernel(kern, f, grid, method)
+        conv = _apply_kernel(kern, f, grid)
         out.append(PhysicalField(grid, C_sym * (f * total - conv)))
     return tuple(out)
 
 
-def symgrad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float, method: str = "fft"):
+def symgrad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     """Symmetric gradient via the difference-form sigma kernel; returns
     (s11, s12, s22).  Exactly symmetric and trace-free by construction."""
     _support_check(theta)
-    return _symgrad_from_region(theta, cfg.beta, C_beta, 0.0, _reach(theta.grid), method)
+    return _symgrad_from_region(theta, cfg.beta, C_beta, 0.0, _reach(theta.grid))
 
 
 def split_symgrad_bound(
@@ -245,7 +241,6 @@ def split_symgrad_bound(
     L_split: float,
     beta: float,
     C_beta: float = 1.0,
-    method: str = "fft",
 ):
     """Three-region split |z| <= rho < |z| <= L_split < |z| of the symmetric
     gradient integral.  Returns (near, mid, far), each an (s11, s12, s22)
@@ -253,9 +248,9 @@ def split_symgrad_bound(
     reach = _reach(theta.grid)
     if not 0.0 < rho < L_split <= reach:
         raise ValueError("need 0 < rho < L_split <= the quadrature reach")
-    near = _symgrad_from_region(theta, beta, C_beta, 0.0, rho, method)
-    mid = _symgrad_from_region(theta, beta, C_beta, rho, L_split, method)
-    far = _symgrad_from_region(theta, beta, C_beta, L_split, reach, method)
+    near = _symgrad_from_region(theta, beta, C_beta, 0.0, rho)
+    mid = _symgrad_from_region(theta, beta, C_beta, rho, L_split)
+    far = _symgrad_from_region(theta, beta, C_beta, L_split, reach)
     return near, mid, far
 
 
@@ -324,7 +319,6 @@ def calibrate_C_beta(
     side_length: float = 2.0 * math.pi,
     width: float | None = None,
     residual_tol: float = 1e-3,
-    method: str = "fft",
     bump: str = "oracle",
 ) -> tuple[float, float]:
     """Least-squares fit of the kernel constant against the spectral operator.
@@ -338,7 +332,7 @@ def calibrate_C_beta(
     maker = oracle_bump if bump == "oracle" else gaussian_bump
     theta = maker(grid, width=width if width is not None else oracle_width(beta, side_length))
     cfg = KernelConfig(beta=beta)
-    q1, q2 = v_quadrature(theta, cfg, 1.0, method=method)
+    q1, q2 = v_quadrature(theta, cfg, 1.0)
     s1, s2 = v_from_theta(to_spectral(theta), beta)
     sp1, sp2 = to_physical(s1).values, to_physical(s2).values
     qq = np.sum(q1.values**2) + np.sum(q2.values**2)

@@ -11,8 +11,7 @@ Dyadic blocks come in two variants:
 
 The inhomogeneous low block j = -1 collects every mode with |k| < 1
 (on the default 2*pi torus that is the mean mode alone).  Homogeneous
-norms ignore the mean mode and index sub-unit modes by
-j = floor(log2 |k|).
+norms drop the mean mode and the block j = -1.
 
 Finite-difference Besov norms (``besov_norm_fd``) sum ||f(. + h) - f||_p
 over every grid shift h.  For even integer p the power sum
@@ -48,7 +47,6 @@ from .spectral import (
     grad,
     grad_sup,
     irfft2,
-    layout_table,
     lp_norm,
     mean_free,
     perp_grad,
@@ -92,17 +90,12 @@ def max_band_index(grid: GridSpec) -> int:
 
 
 @lru_cache(maxsize=64)
-def _band_indices(grid: GridSpec, inhomogeneous: bool) -> np.ndarray:
-    """Integer band index per mode; mean mode coded as -999 when homogeneous."""
+def _band_indices(grid: GridSpec) -> np.ndarray:
+    """Integer band index per mode: floor(log2 |k|), and -1 for |k| < 1."""
     _, _, kmag = wavevectors(grid)
     idx = np.full(kmag.shape, -1, dtype=int)
-    nz = kmag > 0
-    idx[nz] = np.floor(np.log2(kmag[nz])).astype(int)
-    if inhomogeneous:
-        idx[nz & (idx < -1)] = -1
-        idx[~nz] = -1
-    else:
-        idx[~nz] = -999
+    unit = kmag >= 1.0
+    idx[unit] = np.floor(np.log2(kmag[unit])).astype(int)
     idx.flags.writeable = False
     return idx
 
@@ -122,13 +115,12 @@ def _smooth_step(r: np.ndarray) -> np.ndarray:
 
 
 def dyadic_blocks(fh: SpectralField, smooth: bool = False) -> list[LPBand]:
-    """All bands j = -1 .. max_band_index(grid) (inhomogeneous layout), in
-    the layout of ``fh``."""
+    """All bands j = -1 .. max_band_index(grid), the low block j = -1 included."""
     grid = fh.grid
     jmax = max_band_index(grid)
     bands = []
     if smooth:
-        kmag = layout_table(fh, wavevectors(grid)[2])
+        kmag = wavevectors(grid)[2]
         low = _smooth_step(2.0 * kmag)  # complements the telescoped annuli exactly
         bands.append(LPBand(-1, SpectralField(grid, fh.coeffs * low)))
         # one band past jmax so the telescoped weights reach 1 on every mode
@@ -136,45 +128,47 @@ def dyadic_blocks(fh: SpectralField, smooth: bool = False) -> list[LPBand]:
             w = _smooth_step(kmag / 2.0**j) - _smooth_step(kmag / 2.0 ** (j - 1))
             bands.append(LPBand(j, SpectralField(grid, fh.coeffs * w)))
         return bands
-    idx = layout_table(fh, _band_indices(grid, inhomogeneous=True))
+    idx = _band_indices(grid)
     for j in range(-1, jmax + 1):
         mask = idx == j
         bands.append(LPBand(j, SpectralField(grid, np.where(mask, fh.coeffs, 0.0))))
     return bands
 
 
-def block(fh: SpectralField, j: int, homogeneous: bool = False) -> SpectralField:
-    """Single sharp block Delta_j f."""
-    idx = layout_table(fh, _band_indices(fh.grid, inhomogeneous=not homogeneous))
-    return SpectralField(fh.grid, np.where(idx == j, fh.coeffs, 0.0))
-
-
-def _as_spectral(f) -> SpectralField:
-    return f if isinstance(f, SpectralField) else to_spectral(f)
-
-
-def _lr_combine(values: list[float], r: float) -> float:
+def lr_combine(values: list[float], r: float) -> float:
+    """The l^r norm of nonnegative ``values``; ValueError past the float range."""
     if not values:
         return 0.0
     if math.isinf(r):
         return max(values)
-    return float(sum(v**r for v in values) ** (1.0 / r))
+    try:
+        return float(sum(v**r for v in values) ** (1.0 / r))
+    except OverflowError as exc:
+        raise ValueError(f"the l^{r!r} sum of the block norms overflows") from exc
+
+
+def weighted_block_norm(band: LPBand, idx: BesovIndex) -> float:
+    """2^{js} ||Delta_j f||_p for one block; exactly 0.0 for an empty block.
+    ValueError when the weighted norm overflows the float range."""
+    if not np.any(band.band.coeffs):
+        return 0.0
+    try:
+        value = 2.0 ** (band.j * idx.s) * lp_norm(to_physical(band.band), idx.p)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"2^(j s) ||Delta_j f||_p overflows at j={band.j}, s={idx.s!r}")
+    return value
 
 
 def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
     """Block Besov norm ||2^{js} ||Delta_j f||_p||_{l^r}; ``f`` is a physical
-    field or its coefficients in either layout."""
-    fh = _as_spectral(f)
+    field or its coefficients."""
+    fh = f if isinstance(f, SpectralField) else to_spectral(f)
     if idx.homogeneous:
         fh = mean_free(fh)
-    terms = []
-    for band in dyadic_blocks(fh, smooth=smooth):
-        if idx.homogeneous and band.j == -1:
-            continue
-        if not np.any(band.band.coeffs):
-            continue
-        terms.append(2.0 ** (band.j * idx.s) * lp_norm(to_physical(band.band), idx.p))
-    return _lr_combine(terms, idx.r)
+    bands = [b for b in dyadic_blocks(fh, smooth=smooth) if not (idx.homogeneous and b.j == -1)]
+    return lr_combine([weighted_block_norm(b, idx) for b in bands], idx.r)
 
 
 # An even-p power sum is kept only above this multiple of its rounding
@@ -275,7 +269,7 @@ def bernstein_check(fh: SpectralField, j: int, alpha: float, p: float, q: float)
     peak = np.abs(fh.coeffs).max()
     if peak == 0.0:
         return None
-    idx = layout_table(fh, _band_indices(fh.grid, inhomogeneous=True))
+    idx = _band_indices(fh.grid)
     outside = (idx != j) & (np.abs(fh.coeffs) > 1e-13 * peak)
     if np.any(outside):
         raise ValueError(f"input is not band-limited to band j={j}")
@@ -302,14 +296,11 @@ def commutator_advection(u, theta: PhysicalField, alpha: float) -> PhysicalField
     u1, u2 = u
     if u1.grid != theta.grid or u2.grid != theta.grid:
         raise ValueError("grid mismatch in commutator_advection")
-    k1, k2, _ = wavevectors(theta.grid)
     th_hat = dealias(to_spectral(theta))
     rth = to_physical(riesz_alpha(th_hat, alpha))
 
     def div_product(f: PhysicalField) -> np.ndarray:
-        p1 = spectral_product(u1, f).coeffs
-        p2 = spectral_product(u2, f).coeffs
-        return 1j * k1 * p1 + 1j * k2 * p2
+        return grad(spectral_product(u1, f))[0].coeffs + grad(spectral_product(u2, f))[1].coeffs
 
     adv_theta = div_product(to_physical(th_hat))
     first = riesz_alpha(SpectralField(theta.grid, adv_theta), alpha).coeffs
@@ -371,8 +362,8 @@ def torus_convolution(phi: PhysicalField, g: PhysicalField) -> PhysicalField:
     """(phi * g)(x) = sum_y phi(y) g(x - y) (L/n)^2, exact circular sum."""
     if phi.grid != g.grid:
         raise ValueError("grid mismatch in torus_convolution")
-    prod = np.fft.fft2(phi.values) * np.fft.fft2(g.values)
-    vals = np.fft.ifft2(prod).real * phi.grid.cell_weight
+    # the product of two forward-normalized spectra carries 1/n^2 once too often
+    vals = irfft2(rfft2(phi.values) * rfft2(g.values)) * (phi.grid.n**2 * phi.grid.cell_weight)
     return PhysicalField(phi.grid, vals)
 
 
@@ -419,8 +410,7 @@ def interp_inequality_ratio(theta: PhysicalField, beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError("interp_inequality_ratio requires beta in (0, 1)")
     th_hat = to_spectral(theta)
-    k1, _, _ = wavevectors(theta.grid)
-    m = fractional_laplacian(SpectralField(theta.grid, 1j * k1 * th_hat.coeffs), beta - 3.0)
+    m = fractional_laplacian(grad(th_hat)[0], beta - 3.0)
     w1, w2 = perp_grad(m)
     sup = 0.0
     for comp in (w1, w2):

@@ -28,8 +28,8 @@ from .spectral import (
     fractional_laplacian,
     grad,
     grad_sup,
-    half_plane,
     half_plane_sum,
+    irfft2,
     kpow,
     lp_norm,
     rfft2,
@@ -209,10 +209,10 @@ def dissipation_rates(state: SimState, params: FlowParams) -> tuple[float, float
     """
     grid = state.grid
     a = params.alpha
-    w2 = np.abs(state.half_hats[1]) ** 2
-    u_rate = grid.side_length**2 * half_plane_sum(half_plane(grid, kpow(grid, a - 2.0)) * w2)
+    w2 = np.abs(state.hats[1]) ** 2
+    u_rate = grid.side_length**2 * half_plane_sum(kpow(grid, a - 2.0) * w2)
     g2 = np.abs(G_hat(state, a).coeffs) ** 2
-    g_rate = grid.side_length**2 * half_plane_sum(half_plane(grid, kpow(grid, a)) * g2)
+    g_rate = grid.side_length**2 * half_plane_sum(kpow(grid, a) * g2)
     return u_rate, g_rate
 
 
@@ -337,13 +337,14 @@ def frac_kernel_constant(beta: float) -> float:
 
 @lru_cache(maxsize=32)
 def _dirichlet_kernel_fft(grid: GridSpec, beta: float):
-    """FFT of the truncated Dirichlet-form weights w(z) = |z|^{-2-beta} h^2
-    (0 < |z| <= L/2), plus their total mass."""
+    """Half-plane transform of the truncated Dirichlet-form weights
+    w(z) = |z|^{-2-beta} h^2 (0 < |z| <= L/2) times the point count n^2 (so
+    a product with an ``rfft2`` spectrum is a circular convolution), plus their total mass."""
     tnorm = shift_norms(grid)
     w = np.zeros_like(tnorm)
     mask = (tnorm > 0) & (tnorm <= grid.side_length / 2.0)
     w[mask] = tnorm[mask] ** (-2.0 - beta) * grid.cell_weight
-    w_hat = np.fft.fft2(w)
+    w_hat = rfft2(w) * grid.n**2
     w_hat.flags.writeable = False
     return w_hat, float(w.sum())
 
@@ -353,8 +354,8 @@ def dirichlet_form(g: np.ndarray, grid: GridSpec, beta: float, constant: float) 
     singular cell excluded, evaluated for every x via circular convolution."""
     w_hat, w_total = _dirichlet_kernel_fft(grid, beta)
     g2 = g * g
-    conv_g = np.fft.ifft2(w_hat * np.fft.fft2(g)).real
-    conv_g2 = np.fft.ifft2(w_hat * np.fft.fft2(g2)).real
+    conv_g = irfft2(w_hat * rfft2(g))
+    conv_g2 = irfft2(w_hat * rfft2(g2))
     return constant * (w_total * g2 - 2.0 * g * conv_g + conv_g2)
 
 

@@ -10,13 +10,12 @@ terms explicitly.  Advection uses the divergence form div(u f) with
 dealiased products, which conserves the theta mean to rounding.
 
 Stepping runs on real transforms: the half-plane (rfft2) coefficients of
-the real fields, with the symbols of ``spectral.half_plane`` and
-``spectral.half_plane_odd_symbols``; the diagnostics (``G_hat``,
-``initial_report``) take the same coefficients through the spectral
-operators, which read the layout from the shape.  A step costs 18 real n x n
-transforms: the forward pair of the state (shared with the dissipation
-rates on it), then per stage 2 inverse for the velocity and 4 forward
-for the products, and 2 inverse each for the predictor and the new state.
+the real fields with the symbol tables of ``spectral``; the diagnostics
+(``G_hat``, ``initial_report``) take the same coefficients through the
+spectral operators.  A step costs 18 real n x n transforms: the forward
+pair of the state (shared with the dissipation rates on it), then per stage
+2 inverse for the velocity and 4 forward for the products, and 2 inverse
+each for the predictor and the new state.
 
 The canonical prognostic state between steps is the pair of physical
 collocation arrays; spectral views are derived from them on demand (the
@@ -42,14 +41,12 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     biot_savart,
+    biot_savart_symbols,
     coordinates,
     dealias,
     dealias_mask,
     field_from_function,
-    full_plane,
     grad_sup,
-    half_plane,
-    half_plane_odd_symbols,
     irfft2,
     kpow,
     l2_norm_spectral,
@@ -61,6 +58,7 @@ from .spectral import (
     shift_norms,
     to_physical,
     to_spectral,
+    wavevectors,
 )
 
 OMEGA_BLOWUP_LIMIT = 1e8
@@ -78,10 +76,10 @@ class BlowUpError(RuntimeError):
 class SimState:
     """Prognostic state: physical theta/omega arrays plus simulation time.
 
-    ``half_hats`` are the dealiased half-plane coefficients of (theta,
-    omega), computed once and shared by the step from this state, the
-    dissipation rates and the diagnostics on it; ``theta_hat`` /
-    ``omega_hat`` wrap the same arrays as half-plane ``SpectralField``s.
+    ``hats`` are the dealiased half-plane coefficients of (theta, omega),
+    computed once and shared by the step from this state, the dissipation
+    rates and the diagnostics on it; ``theta_hat`` / ``omega_hat`` wrap the
+    same arrays as ``SpectralField``s.
     All are cached: treat states as immutable snapshots.
     """
 
@@ -90,17 +88,17 @@ class SimState:
     t: float = 0.0
 
     @cached_property
-    def half_hats(self) -> tuple[np.ndarray, np.ndarray]:
-        keep = half_plane(self.grid, dealias_mask(self.grid))
+    def hats(self) -> tuple[np.ndarray, np.ndarray]:
+        keep = dealias_mask(self.grid)
         return tuple(np.where(keep, rfft2(f.values), 0.0) for f in (self.theta, self.omega))
 
     @cached_property
     def theta_hat(self) -> SpectralField:
-        return SpectralField(self.grid, self.half_hats[0])
+        return SpectralField(self.grid, self.hats[0])
 
     @cached_property
     def omega_hat(self) -> SpectralField:
-        return SpectralField(self.grid, self.half_hats[1])
+        return SpectralField(self.grid, self.hats[1])
 
     @property
     def grid(self) -> GridSpec:
@@ -116,8 +114,8 @@ class StepperConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.dt_init, self.cfl_number, self.t_end)):
             raise ValueError("dt_init, cfl_number and t_end must be finite")
-        if self.dt_init <= 0 or self.t_end <= 0:
-            raise ValueError("dt_init and t_end must be positive")
+        if self.dt_init < DT_UNDERFLOW or self.t_end <= 0:
+            raise ValueError(f"dt_init must be >= {DT_UNDERFLOW:g} and t_end positive")
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError("cfl_number must lie in (0, 1]")
 
@@ -134,10 +132,10 @@ class OssReport:
 # right-hand side, on half-plane coefficient arrays
 
 
-def _velocity_half(w: np.ndarray, grid: GridSpec):
+def _velocity(w: np.ndarray, grid: GridSpec):
     """Raw physical (u1, u2) from half-plane vorticity coefficients, for the
     step (``biot_savart`` is the diagnostics' path)."""
-    _, _, b1, b2 = half_plane_odd_symbols(grid)
+    b1, b2 = biot_savart_symbols(grid)
     return irfft2(1j * b2 * w), irfft2(-1j * b1 * w)
 
 
@@ -153,11 +151,11 @@ def _advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
     Works on raw arrays (no field validation) so an overflowing state
     surfaces as a blow-up diagnostic in the caller, not a type error.
     """
-    k1, k2, _, _ = half_plane_odd_symbols(grid)
+    k1, k2, _ = wavevectors(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         p1 = rfft2(u[0] * f)
         p2 = rfft2(u[1] * f)
-        return np.where(half_plane(grid, dealias_mask(grid)), 1j * k1 * p1 + 1j * k2 * p2, 0.0)
+        return np.where(dealias_mask(grid), 1j * k1 * p1 + 1j * k2 * p2, 0.0)
 
 
 def nonstiff_rhs(state: SimState, params: FlowParams, hats=None):
@@ -167,17 +165,17 @@ def nonstiff_rhs(state: SimState, params: FlowParams, hats=None):
     coefficient arrays; the diagonal dissipation is excluded here and
     handled exactly by the integrating factor.  ``hats`` are the dealiased
     half-plane coefficients of the state when the caller already holds
-    them (the predictor), ``state.half_hats`` otherwise.  The products use
+    them (the predictor), ``state.hats`` otherwise.  The products use
     the physical arrays as they are: at step boundaries they are the
     inverse transforms of dealiased coefficients.
     """
     grid = state.grid
-    th_hat, w_hat = state.half_hats if hats is None else hats
-    u = _velocity_half(w_hat, grid)
+    th_hat, w_hat = state.hats if hats is None else hats
+    u = _velocity(w_hat, grid)
     u_max = max(np.abs(u[0]).max(), np.abs(u[1]).max())
     if not math.isfinite(u_max):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
-    k1 = half_plane_odd_symbols(grid)[0]
+    k1 = wavevectors(grid)[0]
     n_theta = -_advection(u, state.theta.values, grid)
     n_omega = 1j * k1 * th_hat - _advection(u, state.omega.values, grid)
     if not (np.isfinite(n_theta).all() and np.isfinite(n_omega).all()):
@@ -189,26 +187,28 @@ def rhs(state: SimState, params: FlowParams):
     """Full tendencies (d theta^/dt, d omega^/dt) including dissipation."""
     n_theta, n_omega, _ = nonstiff_rhs(state, params)
     grid = state.grid
-    th_hat, w_hat = state.half_hats
-    d_theta = n_theta - params.kappa * half_plane(grid, kpow(grid, params.beta)) * th_hat
-    d_omega = n_omega - params.nu * half_plane(grid, kpow(grid, params.alpha)) * w_hat
-    return SpectralField(grid, full_plane(grid, d_theta)), SpectralField(grid, full_plane(grid, d_omega))
+    th_hat, w_hat = state.hats
+    d_theta = n_theta - params.kappa * kpow(grid, params.beta) * th_hat
+    d_omega = n_omega - params.nu * kpow(grid, params.alpha) * w_hat
+    return SpectralField(grid, d_theta), SpectralField(grid, d_omega)
 
 
 def _integrating_factors(grid: GridSpec, params: FlowParams, dt: float):
-    e_theta = np.exp(-params.kappa * dt * half_plane(grid, kpow(grid, params.beta)))
-    e_omega = np.exp(-params.nu * dt * half_plane(grid, kpow(grid, params.alpha)))
+    e_theta = np.exp(-params.kappa * dt * kpow(grid, params.beta))
+    e_omega = np.exp(-params.nu * dt * kpow(grid, params.alpha))
     return e_theta, e_omega
 
 
 def choose_dt(state: SimState, params: FlowParams, cfg: StepperConfig, u_max: float) -> float:
+    """CFL step; a velocity that drives it below DT_UNDERFLOW is a blow-up."""
     dx = state.grid.spacing
-    dt = cfg.dt_init
-    if u_max > 0:
-        dt = min(dt, cfg.cfl_number * dx / u_max)
-    dt = min(dt, cfg.cfl_number * dx)  # buoyancy cap: zeroth-order coupling
+    dt = min(cfg.dt_init, cfg.cfl_number * dx)  # buoyancy cap: zeroth-order coupling
     if dt < DT_UNDERFLOW:
         raise RuntimeError(f"time step underflow: dt={dt:.3e}")
+    if u_max > 0:
+        dt = min(dt, cfg.cfl_number * dx / u_max)
+    if dt < DT_UNDERFLOW:
+        raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
     return dt
 
 
@@ -233,7 +233,7 @@ def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | No
     e_theta, e_omega = _integrating_factors(grid, params, dt)
     t = state.t + dt
 
-    th0, w0 = state.half_hats
+    th0, w0 = state.hats
     th_pred = e_theta * (th0 + dt * n1_theta)
     w_pred = e_omega * (w0 + dt * n1_omega)
     pred = SimState(_physical_checked(grid, th_pred, t), _physical_checked(grid, w_pred, t), t)
@@ -303,15 +303,15 @@ def g_equation_residual(states, params: FlowParams) -> float:
     g1 = G_hat(s1, alpha).coeffs
     dt_g = (compute_G(s2, alpha).values - compute_G(s0, alpha).values) / (dt1 + dt2)
 
-    th_hat, w_hat = s1.half_hats
-    u = _velocity_half(w_hat, grid)
+    th_hat, w_hat = s1.hats
+    u = _velocity(w_hat, grid)
     adv = _advection(u, irfft2(g1), grid)
-    diss = params.nu * half_plane(grid, kpow(grid, alpha)) * g1
+    diss = params.nu * kpow(grid, alpha) * g1
 
     comm = riesz_alpha(SpectralField(grid, _advection(u, s1.theta.values, grid)), alpha).coeffs
     comm -= _advection(u, to_physical(riesz_alpha(s1.theta_hat, alpha)).values, grid)
-    d1_theta = 1j * half_plane_odd_symbols(grid)[0] * th_hat
-    forcing = (1.0 - params.nu + params.kappa * half_plane(grid, kpow(grid, beta - alpha))) * d1_theta
+    d1_theta = 1j * wavevectors(grid)[0] * th_hat
+    forcing = (1.0 - params.nu + params.kappa * kpow(grid, beta - alpha)) * d1_theta
 
     spatial = irfft2(adv + diss - comm - forcing)
     return lp_norm(PhysicalField(grid, dt_g + spatial), 2)

@@ -6,35 +6,29 @@ Conventions used by every module in this package:
   axis 0 is the x1 direction.
 * Spectral coefficients approximate c(k) = (1/L^2) * integral of
   e^{-i k.x} f(x) over the torus, at k = (2*pi/L) * m with integer
-  wavevector m in {-n/2, ..., n/2-1}^2.  Concretely
-  ``to_spectral(f) = fft2(f.values) / n**2``, so a constant field c has
-  c at the mean mode and the round trip is exact up to rounding.
-* Parseval: ||f||_{L^2}^2 = L^2 * sum_m |c_m|^2.
+  wavevector m.  Every field is real, so c(-m) = conj(c(m)) and a
+  ``SpectralField`` holds the half plane only, the rfft2 layout: shape
+  (n, n/2+1), rows m1 = 0, ..., n/2-1, -n/2, ..., -1 and columns
+  m2 = 0, ..., n/2.  Concretely ``to_spectral(f) = rfft2(f.values,
+  norm="forward")``, so a constant field c has c at the mean mode and the
+  round trip through ``to_physical`` (irfft2) is exact up to rounding.
+* Parseval: ||f||_{L^2}^2 = L^2 * sum_m |c_m|^2 over the whole plane;
+  ``half_plane_sum`` counts every column but m2 = 0 and m2 = n/2 twice.
 * Fourier multipliers with a negative power of |k| (Lambda^g, g < 0, and
   the inverse Laplacian) zero the mean mode; the operators act on
   mean-free content only.
+* A symbol odd in k1 (k2) is zero on the Nyquist row m1 = -n/2 (column
+  m2 = n/2), where the grid cannot represent it as odd: there the product
+  with a real field's coefficients would not be those of a real field.
+  The zero keeps exactly the real part of the product, so every operator
+  returns the coefficients of a real field and a chain of them acts on
+  real fields step by step.  The k1, k2 of ``wavevectors`` and the
+  Biot-Savart symbols are zeroed that way; |k| and its powers are even.
 * Dealiasing zeroes every mode with any |m_i| > dealias_fraction * n/2
   and is applied after each nonlinear product.
 * This module owns every per-grid table: wavevectors, |k|^g symbols, the
   Biot-Savart symbols, the dealias mask and the grid-shift lengths.  Each
   is built once per grid and handed out read-only.
-* A ``SpectralField`` holds one of two layouts, told apart by the shape of
-  its coefficients: the full plane (n, n) in fft2 order, or the half plane
-  (n, n/2+1) of a real field, the rfft2 layout: the leading n/2+1 columns
-  (m2 = 0, ..., n/2) of the fft2 layout, with ``norm="forward"`` so the
-  coefficients are the same c(m).  ``to_physical``, the multiplier
-  operators and the norms pick their symbol from that shape; on the half
-  plane ``to_physical`` is irfft2 and the symbols are column slices of the
-  tables above (``half_plane``), with one exception
-  (``half_plane_odd_symbols``): a symbol odd in k1 (k2) is zero on the
-  Nyquist row m1 = -n/2 (column m2 = n/2), where the grid cannot represent
-  it as odd.  There the full-plane product is anti-Hermitian, so
-  ``to_physical`` drops it with ``.real``; the zero keeps the half plane
-  equal to that real part (on the Nyquist row a half-plane inverse would
-  otherwise count the term twice).  Each half-plane operator therefore
-  returns the coefficients of a real field, and a chain of them acts on
-  real fields step by step.  The time stepper and the diagnostics work on
-  the half plane; constructors and ``to_spectral`` give the full plane.
 
 All operations are pure: fields in, fresh fields out.
 """
@@ -96,9 +90,8 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex coefficients per integer wavevector: the full plane (n, n) in
-    numpy fft2 layout, or the half plane (n, n/2+1) of a real field in rfft2
-    layout."""
+    """Complex half-plane coefficients of a real field, shape (n, n/2+1) in
+    rfft2 layout."""
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -106,15 +99,10 @@ class SpectralField:
     def __post_init__(self):
         c = self.coeffs
         n = self.grid.n
-        if c.shape not in ((n, n), (n, n // 2 + 1)):
+        if c.shape != (n, n // 2 + 1):
             raise ValueError(f"coeffs shape {c.shape} does not match grid n={n}")
         if not np.isfinite(c).all():
             raise ValueError("non-finite coefficients in spectral field")
-
-    @property
-    def half(self) -> bool:
-        """True for the half-plane (rfft2) layout."""
-        return self.coeffs.shape[1] != self.grid.n
 
 
 @dataclass(frozen=True)
@@ -157,12 +145,16 @@ def _modes(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def wavevectors(grid: GridSpec):
-    """(k1, k2, |k|) arrays in fft layout (read-only)."""
-    m = _modes(grid.n)
+    """Read-only half-plane (k1, k2, |k|), k1 zero on the Nyquist row and k2
+    on the Nyquist column (the odd-symbol rule of the module docstring)."""
+    n = grid.n
     scale = TWO_PI / grid.side_length
-    k1 = scale * m[:, None]
-    k2 = scale * m[None, :]
-    return _read_only(k1), _read_only(k2), _read_only(np.hypot(k1, k2))
+    k1 = scale * _modes(n)[:, None]
+    k2 = scale * np.fft.rfftfreq(n, d=1.0 / n)[None, :]
+    kmag = np.hypot(k1, k2)
+    k1[n // 2, :] = 0.0
+    k2[:, -1] = 0.0
+    return _read_only(k1), _read_only(k2), _read_only(kmag)
 
 
 @lru_cache(maxsize=64)
@@ -176,9 +168,10 @@ def kpow(grid: GridSpec, g: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _biot_savart_symbols(grid: GridSpec):
-    # k1/|k|^2 and k2/|k|^2 as k * (1/|k|^2), the rounding of the complex
-    # division i k / |k|^2; the mean mode is 0 because k vanishes there
+def biot_savart_symbols(grid: GridSpec):
+    """Read-only (k1/|k|^2, k2/|k|^2), zero at the mean mode and, like k1 and
+    k2, on their Nyquist lines."""
+    # k * (1/|k|^2), the rounding of the complex division i k / |k|^2
     k1, k2, kmag = wavevectors(grid)
     kk = kmag**2
     kk[0, 0] = 1.0
@@ -189,49 +182,18 @@ def _biot_savart_symbols(grid: GridSpec):
 @lru_cache(maxsize=64)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Read-only boolean mask of the modes kept by dealiasing."""
-    keep1 = np.abs(_modes(grid.n)) <= grid.dealias_fraction * grid.n / 2.0
-    return _read_only(keep1[:, None] & keep1[None, :])
+    cut = grid.dealias_fraction * grid.n / 2.0
+    keep1 = np.abs(_modes(grid.n)) <= cut
+    keep2 = np.fft.rfftfreq(grid.n, d=1.0 / grid.n) <= cut
+    return _read_only(keep1[:, None] & keep2[None, :])
 
 
 @lru_cache(maxsize=64)
 def shift_norms(grid: GridSpec) -> np.ndarray:
-    """Read-only nearest-image length |t| of every grid shift (fft-order signed indexing)."""
+    """Read-only n x n nearest-image length |t| of every grid shift
+    (fft-order signed indexing)."""
     t = grid.spacing * _modes(grid.n)
     return _read_only(np.hypot(t[:, None], t[None, :]))
-
-
-def half_plane(grid: GridSpec, table: np.ndarray) -> np.ndarray:
-    """rfft2-layout view of a full-plane table: its leading n/2+1 columns."""
-    return table[:, : grid.n // 2 + 1]
-
-
-@lru_cache(maxsize=64)
-def half_plane_odd_symbols(grid: GridSpec):
-    """Read-only half-plane (k1, k2, k1/|k|^2, k2/|k|^2), each zero on the
-    Nyquist line where it fails to be odd (row m1 = -n/2 for the k1 symbols,
-    column m2 = n/2 for the k2 symbols)."""
-    k1, k2, _ = wavevectors(grid)
-    b1, b2 = _biot_savart_symbols(grid)
-    nyquist = grid.n // 2
-    out = []
-    for table, along_k1 in ((k1, True), (k2, False), (b1, True), (b2, False)):
-        sym = half_plane(grid, table).copy()
-        if along_k1:
-            sym[nyquist, :] = 0.0
-        else:
-            sym[:, -1] = 0.0
-        out.append(_read_only(sym))
-    return tuple(out)
-
-
-def layout_table(fh: SpectralField, table: np.ndarray) -> np.ndarray:
-    """A full-plane table even in k, in the layout of ``fh``."""
-    return half_plane(fh.grid, table) if fh.half else table
-
-
-def _k_symbols(fh: SpectralField):
-    """(k1, k2) in the layout of ``fh``."""
-    return half_plane_odd_symbols(fh.grid)[:2] if fh.half else wavevectors(fh.grid)[:2]
 
 
 def coordinates(grid: GridSpec):
@@ -242,19 +204,6 @@ def coordinates(grid: GridSpec):
 
 # ---------------------------------------------------------------------------
 # transforms
-
-
-def to_spectral(f: PhysicalField) -> SpectralField:
-    return SpectralField(f.grid, np.fft.fft2(f.values) / f.grid.n**2)
-
-
-def to_physical(fh: SpectralField) -> PhysicalField:
-    if fh.half:
-        return PhysicalField(fh.grid, irfft2(fh.coeffs))
-    # Hermitian input assumed; the imaginary residue of a symmetrized field
-    # is at rounding level and is dropped.
-    vals = np.fft.ifft2(fh.coeffs).real * fh.grid.n**2
-    return PhysicalField(fh.grid, vals)
 
 
 def rfft2(values: np.ndarray) -> np.ndarray:
@@ -268,15 +217,12 @@ def irfft2(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(coeffs, s=(n, n), norm="forward")
 
 
-def full_plane(grid: GridSpec, half: np.ndarray) -> np.ndarray:
-    """fft2-layout coefficients of a real field from its half plane,
-    through c(-m) = conj(c(m))."""
-    n, h = grid.n, grid.n // 2 + 1
-    rev = (-np.arange(n)) % n
-    out = np.empty((n, n), dtype=complex)
-    out[:, :h] = half
-    out[:, h:] = np.conj(half[rev, h - 2 : 0 : -1])
-    return out
+def to_spectral(f: PhysicalField) -> SpectralField:
+    return SpectralField(f.grid, rfft2(f.values))
+
+
+def to_physical(fh: SpectralField) -> PhysicalField:
+    return PhysicalField(fh.grid, irfft2(fh.coeffs))
 
 
 def half_plane_sum(values: np.ndarray) -> float:
@@ -284,17 +230,6 @@ def half_plane_sum(values: np.ndarray) -> float:
     column but m2 = 0 and m2 = n/2 stands for itself and its mirror."""
     cols = values.sum(axis=0)
     return float(2.0 * cols.sum() - cols[0] - cols[-1])
-
-
-def hermitian_symmetrize(fh: SpectralField) -> SpectralField:
-    """Project full-plane coefficients onto those of a real field:
-    c(-m) = conj(c(m))."""
-    if fh.half:
-        raise ValueError("hermitian_symmetrize takes full-plane coefficients")
-    n = fh.grid.n
-    rev = (-np.arange(n)) % n
-    mirrored = np.conj(fh.coeffs[np.ix_(rev, rev)])
-    return SpectralField(fh.grid, 0.5 * (fh.coeffs + mirrored))
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +240,32 @@ def fractional_laplacian(fh: SpectralField, gamma: float) -> SpectralField:
     """Lambda^gamma: multiply by |k|^gamma; mean mode -> 0 for gamma != 0."""
     if gamma == 0.0:
         return fh
-    return SpectralField(fh.grid, fh.coeffs * layout_table(fh, kpow(fh.grid, gamma)))
+    return SpectralField(fh.grid, fh.coeffs * kpow(fh.grid, gamma))
 
 
 def riesz_alpha(fh: SpectralField, alpha: float) -> SpectralField:
     """Lambda^{-alpha} d_1: multiplier i*k1*|k|^{-alpha}, mean mode zero."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("riesz_alpha requires alpha in (0, 1]")
-    k1 = _k_symbols(fh)[0]
-    return SpectralField(fh.grid, fh.coeffs * (1j * k1 * layout_table(fh, kpow(fh.grid, -alpha))))
+    k1 = wavevectors(fh.grid)[0]
+    return SpectralField(fh.grid, fh.coeffs * (1j * k1 * kpow(fh.grid, -alpha)))
 
 
 def biot_savart(wh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Velocity from vorticity: u1 = i k2 w/|k|^2, u2 = -i k1 w/|k|^2."""
-    b1, b2 = half_plane_odd_symbols(wh.grid)[2:] if wh.half else _biot_savart_symbols(wh.grid)
+    b1, b2 = biot_savart_symbols(wh.grid)
     return SpectralField(wh.grid, 1j * b2 * wh.coeffs), SpectralField(wh.grid, -1j * b1 * wh.coeffs)
 
 
 def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, SpectralField]:
     """Temperature-driven velocity: multipliers (-k1 k2, k1^2) * |k|^{beta-3}.
 
-    Identical to ``biot_savart(riesz_alpha(th, 1 - beta))`` in either layout.
+    Identical to ``biot_savart(riesz_alpha(th, 1 - beta))``.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("v_from_theta requires beta in (0, 1)")
-    k1, k2 = _k_symbols(th)
-    radial = layout_table(th, kpow(th.grid, beta - 3.0))
+    k1, k2, _ = wavevectors(th.grid)
+    radial = kpow(th.grid, beta - 3.0)
     return (
         SpectralField(th.grid, -k1 * k2 * radial * th.coeffs),
         SpectralField(th.grid, k1 * k1 * radial * th.coeffs),
@@ -338,7 +273,7 @@ def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, Spectra
 
 
 def grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
-    k1, k2 = _k_symbols(fh)
+    k1, k2, _ = wavevectors(fh.grid)
     return (
         SpectralField(fh.grid, 1j * k1 * fh.coeffs),
         SpectralField(fh.grid, 1j * k2 * fh.coeffs),
@@ -347,7 +282,7 @@ def grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 def perp_grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Perpendicular gradient (-d2 f, d1 f)."""
-    k1, k2 = _k_symbols(fh)
+    k1, k2, _ = wavevectors(fh.grid)
     return (
         SpectralField(fh.grid, -1j * k2 * fh.coeffs),
         SpectralField(fh.grid, 1j * k1 * fh.coeffs),
@@ -361,7 +296,7 @@ def grad_sup(fh: SpectralField) -> float:
 
 
 def dealias(fh: SpectralField) -> SpectralField:
-    return SpectralField(fh.grid, np.where(layout_table(fh, dealias_mask(fh.grid)), fh.coeffs, 0.0))
+    return SpectralField(fh.grid, np.where(dealias_mask(fh.grid), fh.coeffs, 0.0))
 
 
 def mean_free(fh: SpectralField) -> SpectralField:
@@ -392,25 +327,20 @@ def lp_norm(f: PhysicalField, p: float) -> float:
     return float((np.sum(a**p) * f.grid.cell_weight) ** (1.0 / p))
 
 
-def _plane_sum(fh: SpectralField, values: np.ndarray) -> float:
-    """Full-plane sum of a quantity even in m, given in the layout of fh."""
-    return half_plane_sum(values) if fh.half else np.sum(values)
-
-
 def l2_norm_spectral(fh: SpectralField) -> float:
     """L^2 norm via Parseval: L * sqrt(sum |c|^2)."""
-    return float(fh.grid.side_length * math.sqrt(_plane_sum(fh, np.abs(fh.coeffs) ** 2)))
+    return float(fh.grid.side_length * math.sqrt(half_plane_sum(np.abs(fh.coeffs) ** 2)))
 
 
 def sobolev_norm(fh: SpectralField, s: float, homogeneous: bool = True) -> float:
     """Multiplier Sobolev norm (L^2 sum of (|k|^2)^s [or (1+|k|^2)^s] |c|^2)^(1/2)."""
     mag2 = np.abs(fh.coeffs) ** 2
     if homogeneous:
-        weight = layout_table(fh, kpow(fh.grid, 2.0 * s))
+        weight = kpow(fh.grid, 2.0 * s)
     else:
         _, _, kmag = wavevectors(fh.grid)
-        weight = (1.0 + layout_table(fh, kmag) ** 2) ** s
-    return float(fh.grid.side_length * math.sqrt(_plane_sum(fh, weight * mag2)))
+        weight = (1.0 + kmag**2) ** s
+    return float(fh.grid.side_length * math.sqrt(half_plane_sum(weight * mag2)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +359,18 @@ def field_from_function(grid: GridSpec, fn) -> PhysicalField:
 def random_band_spectral(
     grid: GridSpec, kmin: float, kmax: float, rng: np.random.Generator
 ) -> SpectralField:
-    """Mean-free Hermitian field with support in kmin <= |k| <= kmax (dealiased)."""
+    """Mean-free real field with support in kmin <= |k| <= kmax (dealiased).
+
+    Complex normal deviates are drawn on the whole n x n plane and made
+    Hermitian, 0.5 (c(m) + conj(c(-m))), on the half plane.
+    """
     n = grid.n
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    _, _, kmag = wavevectors(grid)
-    mask = (kmag >= kmin) & (kmag <= kmax)
-    fh = SpectralField(grid, np.where(mask, raw, 0.0))
-    return mean_free(dealias(hermitian_symmetrize(fh)))
+    rev = (-np.arange(n)) % n
+    coeffs = 0.5 * (raw[:, : n // 2 + 1] + np.conj(raw[np.ix_(rev, rev[: n // 2 + 1])]))
+    kmag = wavevectors(grid)[2]
+    fh = SpectralField(grid, np.where((kmag >= kmin) & (kmag <= kmax), coeffs, 0.0))
+    return mean_free(dealias(fh))
 
 
 def random_band_field(

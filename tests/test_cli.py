@@ -146,6 +146,20 @@ class TestRunCommand:
         assert post.startswith("# blow-up at t=")
         assert "theta_l2" in post
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("amplitude, code", [("1e200", EXIT_CONFIG), ("1e100", EXIT_CONFIG), ("1e60", EXIT_BLOWUP)])
+    def test_huge_amplitude_is_config_error_or_blowup(self, tmp_path, capsys, amplitude, code):
+        # monitors that overflow on the initial state stop the run before any
+        # output; a velocity no time step resolves is a blow-up at t = 0
+        out = tmp_path / "huge"
+        rc = run_main(["run", "--n", "16", "--amplitude", amplitude, "--t-end", "0.01", "--out-dir", str(out)])
+        assert rc == code
+        if code == EXIT_CONFIG:
+            assert capsys.readouterr().err.startswith("config error:")
+            assert not out.exists()
+        else:
+            assert (out / "post_mortem.csv").read_text().startswith("# blow-up at t=0.0 ")
+
     @pytest.mark.parametrize("n_steps, rows", [(5, 4), (4, 3)])
     def test_final_row_written_once(self, tmp_path, n_steps, rows):
         # rows at t = 0 and every second step, plus the final step when it is off the cadence
@@ -341,6 +355,7 @@ class TestVerificationCommands:
             ["run", "--n", "32", "--dt-init", "nan"],
             ["run", "--n", "32", "--oss-L", "nan"],
             ["run", "--n", "32", "--amplitude", "inf"],
+            ["run", "--n", "32", "--dt-init", "1e-13"],
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
@@ -353,6 +368,20 @@ class TestVerificationCommands:
         out = tmp_path / "never.csv"
         rc = run_main([a.format(chk=chk) for a in argv] + ["--out", str(out)])
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("s, r", [("1e308", "inf"), ("511.9", "inf"), ("300", "2")])
+    def test_besov_overflow_is_config_error(self, tmp_path, capsys, s, r):
+        # 2^(j s) past the float range, a weighted block norm past it, and an l^r sum past it
+        from bq2d.solver import initial_data, write_checkpoint
+        from bq2d.spectral import FlowParams, GridSpec
+
+        chk, out = tmp_path / "band.chk", tmp_path / "never.csv"
+        write_checkpoint(chk, initial_data("random-band", 0, GridSpec(32)), FlowParams(1.0, 1.0, 0.9, 0.1))
+        assert run_main(["besov", str(chk), "--s", "0.5", "--r", r]) == EXIT_OK
+        capsys.readouterr()
+        assert run_main(["besov", str(chk), "--s", s, "--r", r, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 

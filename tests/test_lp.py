@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import full_plane as fp
 from bq2d.lp import (
     BesovIndex,
     bernstein_check,
@@ -213,20 +214,20 @@ class TestCommutators:
 
     def test_against_direct_convolution_oracle(self):
         # independent path: explicit coefficient-space convolution with
-        # truncation to the dealias set (aliasing-free by the 2/3 rule)
+        # truncation to the dealias set (aliasing-free by the 2/3 rule), on
+        # the full plane of ``full_plane``
         g = GridSpec(16)
         rng = np.random.default_rng(8)
         wh = random_band_spectral(g, 1, 3, rng)
-        th_hat = random_band_spectral(g, 1, 3, rng)
+        theta = to_physical(random_band_spectral(g, 1, 3, rng))
         u = tuple(to_physical(c) for c in biot_savart(wh))
-        theta = to_physical(th_hat)
         out = commutator_advection(u, theta, 0.8)
 
         n = g.n
         keep = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= g.dealias_fraction * n / 2
 
         def conv(a, b):
-            ah, bh = np.fft.fft2(a) / n**2, np.fft.fft2(b) / n**2
+            ah, bh = fp.to_spectral(a), fp.to_spectral(b)
             out = np.zeros((n, n), complex)
             for i in range(n):
                 for j in range(n):
@@ -239,19 +240,19 @@ class TestCommutators:
                     out[i, j] = acc
             return out
 
-        k1, k2, km = wavevectors(g)
+        k1, k2, km = fp.wavevectors(g)
         safe = km.copy()
         safe[0, 0] = 1.0
         riesz = 1j * k1 * safe**-0.8
         riesz[0, 0] = 0.0
-        rth = np.fft.ifft2(riesz * th_hat.coeffs).real * n**2
+        rth = fp.to_physical(riesz * fp.to_spectral(theta.values))
         div_theta = 1j * k1 * conv(u[0].values, theta.values) + 1j * k2 * conv(
             u[1].values, theta.values
         )
         div_rth = 1j * k1 * conv(u[0].values, rth) + 1j * k2 * conv(u[1].values, rth)
         expect_hat = riesz * div_theta - div_rth
         expect_hat[0, 0] = 0.0
-        expect = np.fft.ifft2(expect_hat).real * n**2
+        expect = fp.to_physical(expect_hat)
         assert np.abs(out.values - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1e-300)
 
     def test_bilinearity(self):

@@ -3,10 +3,11 @@ replaced.
 
 ``snapshot_record``, ``initial_report``, ``cordoba_margin`` /
 ``cordoba_scale``, ``besov_norm`` and ``grad_theta_monitor`` on full-plane
-fft2 coefficients are written out here as the oracle; the package runs them
-on rfft2 half-plane coefficients.  The dealias_fraction = 1 cases keep
-content on the Nyquist lines, where the odd symbols must drop out exactly as
-the full plane's ``.real`` drops them.
+fft2 coefficients are written out here as the oracle, on the tables and
+operators of ``full_plane``; the package runs them on rfft2 half-plane
+coefficients.  The dealias_fraction = 1 cases keep content on the Nyquist
+lines, where the odd symbols must drop out exactly as the full plane's
+``.real`` drops them.
 """
 
 import math
@@ -14,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from bq2d.lp import BesovIndex, _lr_combine, besov_norm, max_band_index
+import full_plane as fp
+from bq2d.lp import BesovIndex, _smooth_step, besov_norm, lr_combine, max_band_index
 from bq2d.monitors import (
     CONVEX_GAMMAS,
     cordoba_margin,
@@ -24,67 +26,59 @@ from bq2d.monitors import (
     snapshot_record,
 )
 from bq2d.solver import G_hat, SimState, StepperConfig, initial_data, initial_report, step
-from bq2d.spectral import (
-    FlowParams,
-    GridSpec,
-    PhysicalField,
-    SpectralField,
-    biot_savart,
-    fractional_laplacian,
-    full_plane,
-    grad,
-    hermitian_symmetrize,
-    lp_norm,
-    riesz_alpha,
-    to_physical,
-    to_spectral,
-    wavevectors,
-)
+from bq2d.spectral import FlowParams, GridSpec, PhysicalField, lp_norm
 
 # ---------------------------------------------------------------------------
 # the oracle: the full-plane diagnostics
 
 
-def _full(fh):
-    return SpectralField(fh.grid, full_plane(fh.grid, fh.coeffs))
+def full_plane_grad_sup(grid, c):
+    g1, g2 = (fp.to_physical(g) for g in fp.grad(grid, c))
+    return float(np.hypot(g1, g2).max())
 
 
-def full_plane_grad_sup(fh):
-    g1, g2 = grad(fh)
-    return float(np.hypot(to_physical(g1).values, to_physical(g2).values).max())
-
-
-def full_plane_besov(f, s, p, r):
-    """Sharp-block Besov norm of a physical field through fft2/ifft2."""
+def full_plane_besov(f, s, p, r, smooth=False):
+    """Block Besov norm of a physical field through fft2/ifft2: sharp bands,
+    or the smooth bump weights of ``lp._smooth_step`` on the full plane."""
     grid = f.grid
-    coeffs = np.fft.fft2(f.values) / grid.n**2
-    kmag = wavevectors(grid)[2]
-    band_of = np.where(kmag >= 1.0, np.floor(np.log2(np.maximum(kmag, 1.0))), -1.0)
+    coeffs = fp.to_spectral(f.values)
+    kmag = fp.wavevectors(grid)[2]
+    jmax = max_band_index(grid)
+    if smooth:
+        weights = [(-1, _smooth_step(2.0 * kmag))] + [
+            (j, _smooth_step(kmag / 2.0**j) - _smooth_step(kmag / 2.0 ** (j - 1))) for j in range(jmax + 2)
+        ]
+    else:
+        band_of = np.where(kmag >= 1.0, np.floor(np.log2(np.maximum(kmag, 1.0))), -1.0)
+        weights = [(j, band_of == j) for j in range(-1, jmax + 1)]
     terms = []
-    for j in range(-1, max_band_index(grid) + 1):
-        band = np.where(band_of == j, coeffs, 0.0)
+    for j, w in weights:
+        band = coeffs * w
         if np.any(band):
-            vals = np.fft.ifft2(band).real * grid.n**2
-            terms.append(2.0 ** (j * s) * lp_norm(PhysicalField(grid, vals), p))
-    return _lr_combine(terms, r)
+            terms.append(2.0 ** (j * s) * lp_norm(PhysicalField(grid, fp.to_physical(band)), p))
+    return lr_combine(terms, r)
+
+
+def _full_hats(state):
+    return fp.full_plane(state.theta_hat.coeffs), fp.full_plane(state.omega_hat.coeffs)
 
 
 def full_plane_G(state, alpha):
-    th_hat, w_hat = _full(state.theta_hat), _full(state.omega_hat)
-    return to_physical(SpectralField(state.grid, w_hat.coeffs - riesz_alpha(th_hat, alpha).coeffs))
+    th_hat, w_hat = _full_hats(state)
+    return PhysicalField(state.grid, fp.to_physical(w_hat - fp.riesz_alpha(state.grid, th_hat, alpha)))
 
 
 def full_plane_snapshot(state, params, q, s):
     grid = state.grid
-    u1h, u2h = biot_savart(_full(state.omega_hat))
-    u1, u2 = to_physical(u1h).values, to_physical(u2h).values
+    th_hat, w_hat = _full_hats(state)
+    u1, u2 = (fp.to_physical(c) for c in fp.biot_savart(grid, w_hat))
     G = full_plane_G(state, params.alpha)
     return {
         "theta_l2": lp_norm(state.theta, 2),
         "theta_linf": lp_norm(state.theta, math.inf),
         "u_l2": math.sqrt((np.sum(u1**2) + np.sum(u2**2)) * grid.cell_weight),
         "omega_linf": lp_norm(state.omega, math.inf),
-        "grad_theta_linf": full_plane_grad_sup(_full(state.theta_hat)),
+        "grad_theta_linf": full_plane_grad_sup(grid, th_hat),
         "G_l2": lp_norm(G, 2),
         "G_lq": lp_norm(G, q),
         "G_besov": full_plane_besov(G, s, q, math.inf),
@@ -92,10 +86,10 @@ def full_plane_snapshot(state, params, q, s):
 
 
 def full_plane_cordoba_terms(f, beta, gamma, gamma_prime):
-    lam_f = to_physical(fractional_laplacian(to_spectral(f), beta)).values
-    gam = PhysicalField(f.grid, np.asarray(gamma(f.values), dtype=float))
-    lam_gam = to_physical(fractional_laplacian(to_spectral(gam), beta)).values
-    return gamma_prime(f.values) * lam_f, lam_gam
+    def lam(values):
+        return fp.to_physical(fp.fractional_laplacian(f.grid, fp.to_spectral(values), beta))
+
+    return gamma_prime(f.values) * lam(f.values), lam(np.asarray(gamma(f.values), dtype=float))
 
 
 def full_plane_grad_theta_monitor(states, params):
@@ -106,15 +100,14 @@ def full_plane_grad_theta_monitor(states, params):
     column) that are no part of the grid fields G and u_tilde."""
     out = []
     for st in states:
-        th_hat, w_hat = _full(st.theta_hat), _full(st.omega_hat)
-        g_hat = hermitian_symmetrize(
-            SpectralField(st.grid, w_hat.coeffs - riesz_alpha(th_hat, params.alpha).coeffs)
-        )
+        grid = st.grid
+        th_hat, w_hat = _full_hats(st)
+        g_hat = fp.hermitian_symmetrize(w_hat - fp.riesz_alpha(grid, th_hat, params.alpha))
         m = 0.0
-        for comp in biot_savart(g_hat):
-            for d in grad(hermitian_symmetrize(comp)):
-                m = max(m, float(np.abs(to_physical(d).values).max()))
-        out.append((full_plane_grad_sup(th_hat), m))
+        for comp in fp.biot_savart(grid, g_hat):
+            for d in fp.grad(grid, fp.hermitian_symmetrize(comp)):
+                m = max(m, float(np.abs(fp.to_physical(d)).max()))
+        out.append((full_plane_grad_sup(grid, th_hat), m))
     return out
 
 
@@ -170,7 +163,7 @@ def test_diagnostics_match_full_plane_oracle(n, L, fraction, alpha):
             assert _close(besov_norm(g_hat, index), want)
             assert _close(besov_norm(G, index), want)
         index = BesovIndex(s, q, 2.0)
-        assert _close(besov_norm(g_hat, index, smooth=True), besov_norm(to_spectral(G), index, smooth=True))
+        assert _close(besov_norm(g_hat, index, smooth=True), full_plane_besov(G, s, q, 2.0, smooth=True))
 
     got = grad_theta_monitor(states, params)
     want = full_plane_grad_theta_monitor(states, params)

@@ -1,9 +1,10 @@
 """The real-transform stepping core against the complex-transform step it
-replaced.
+replaced, and the census of complex transforms.
 
 The integrating-factor Heun step on full-plane fft2 coefficients and the
-full-plane dissipation rates are written out here as the oracle; the
-package steps on rfft2 half-plane coefficients.
+full-plane dissipation rates are written out here as the oracle, on the
+tables and operators of ``full_plane``; the package steps on rfft2
+half-plane coefficients.
 """
 
 import math
@@ -11,22 +12,11 @@ import math
 import numpy as np
 import pytest
 
+import full_plane as fp
+from bq2d import cli, kernels
 from bq2d.monitors import CONVEX_GAMMAS, cordoba_margin, dissipation_rates, snapshot_record
 from bq2d.solver import StepperConfig, SimState, initial_data, step
-from bq2d.spectral import (
-    FlowParams,
-    GridSpec,
-    SpectralField,
-    biot_savart,
-    dealias,
-    dealias_mask,
-    hermitian_symmetrize,
-    kpow,
-    riesz_alpha,
-    to_physical,
-    to_spectral,
-    wavevectors,
-)
+from bq2d.spectral import FlowParams, GridSpec, PhysicalField
 
 # ---------------------------------------------------------------------------
 # the oracle: the complex-transform step and full-plane rates
@@ -34,41 +24,37 @@ from bq2d.spectral import (
 
 def _complex_nonstiff_rhs(theta, omega):
     grid = theta.grid
-    th_hat, w_hat = dealias(to_spectral(theta)), dealias(to_spectral(omega))
-    u1h, u2h = biot_savart(w_hat)
-    u = (to_physical(u1h).values, to_physical(u2h).values)
-    k1, k2, _ = wavevectors(grid)
-    keep = dealias_mask(grid)
+    th_hat = fp.dealias(grid, fp.to_spectral(theta.values))
+    w_hat = fp.dealias(grid, fp.to_spectral(omega.values))
+    u = tuple(fp.to_physical(c) for c in fp.biot_savart(grid, w_hat))
+    k1, k2, _ = fp.wavevectors(grid)
 
     def advection(f):
-        p1 = np.where(keep, np.fft.fft2(u[0] * f.values), 0.0) / grid.n**2
-        p2 = np.where(keep, np.fft.fft2(u[1] * f.values), 0.0) / grid.n**2
+        p1 = fp.dealias(grid, fp.to_spectral(u[0] * f))
+        p2 = fp.dealias(grid, fp.to_spectral(u[1] * f))
         return 1j * k1 * p1 + 1j * k2 * p2
 
-    n_theta = -advection(to_physical(th_hat))
-    n_omega = -advection(to_physical(w_hat)) + 1j * k1 * th_hat.coeffs
-    return n_theta, n_omega, th_hat.coeffs, w_hat.coeffs
+    n_theta = -advection(fp.to_physical(th_hat))
+    n_omega = -advection(fp.to_physical(w_hat)) + 1j * k1 * th_hat
+    return n_theta, n_omega, th_hat, w_hat
 
 
 def _physical(grid, coeffs):
-    return to_physical(SpectralField(grid, coeffs))
+    return PhysicalField(grid, fp.to_physical(coeffs))
 
 
 def complex_step(state, params, dt):
     grid = state.grid
     n1_theta, n1_omega, th0, w0 = _complex_nonstiff_rhs(state.theta, state.omega)
-    e_theta = np.exp(-params.kappa * dt * kpow(grid, params.beta))
-    e_omega = np.exp(-params.nu * dt * kpow(grid, params.alpha))
+    e_theta = np.exp(-params.kappa * dt * fp.kpow(grid, params.beta))
+    e_omega = np.exp(-params.nu * dt * fp.kpow(grid, params.alpha))
     th_pred = e_theta * (th0 + dt * n1_theta)
     w_pred = e_omega * (w0 + dt * n1_omega)
     n2_theta, n2_omega, _, _ = _complex_nonstiff_rhs(_physical(grid, th_pred), _physical(grid, w_pred))
     th_new = e_theta * th0 + 0.5 * dt * (e_theta * n1_theta + n2_theta)
     w_new = e_omega * w0 + 0.5 * dt * (e_omega * n1_omega + n2_omega)
-    keep = dealias_mask(grid)
     return SimState(
-        _physical(grid, np.where(keep, th_new, 0.0)),
-        _physical(grid, np.where(keep, w_new, 0.0)),
-        state.t + dt,
+        _physical(grid, fp.dealias(grid, th_new)), _physical(grid, fp.dealias(grid, w_new)), state.t + dt
     )
 
 
@@ -78,10 +64,11 @@ def full_plane_rates(state, params):
     dealias_fraction = 1) is no part of that field and is projected out."""
     grid = state.grid
     a = params.alpha
-    th_hat, w_hat = dealias(to_spectral(state.theta)), dealias(to_spectral(state.omega))
-    u_rate = grid.side_length**2 * float(np.sum(kpow(grid, a - 2.0) * np.abs(w_hat.coeffs) ** 2))
-    g_hat = hermitian_symmetrize(SpectralField(grid, w_hat.coeffs - riesz_alpha(th_hat, a).coeffs))
-    g_rate = grid.side_length**2 * float(np.sum(np.abs(kpow(grid, a / 2.0) * g_hat.coeffs) ** 2))
+    th_hat = fp.dealias(grid, fp.to_spectral(state.theta.values))
+    w_hat = fp.dealias(grid, fp.to_spectral(state.omega.values))
+    u_rate = grid.side_length**2 * float(np.sum(fp.kpow(grid, a - 2.0) * np.abs(w_hat) ** 2))
+    g_hat = fp.hermitian_symmetrize(w_hat - fp.riesz_alpha(grid, th_hat, a))
+    g_rate = grid.side_length**2 * float(np.sum(np.abs(fp.kpow(grid, a / 2.0) * g_hat) ** 2))
     return u_rate, g_rate
 
 
@@ -163,3 +150,18 @@ def test_diagnostics_transform_budget(monkeypatch):
     cordoba_margin(state.theta, params.beta, gamma, gamma_prime)
     assert counts["complex"] == 0
     assert 0 < counts["real"] <= 13
+
+
+def test_no_complex_transform_in_the_commands(monkeypatch, tmp_path):
+    """The complex-transform census: a run, a resume, the Besov table, the
+    inequality suite and the kernel quadrature make no fft2/ifft2 call."""
+    counts = _count_transforms(monkeypatch, 32)
+    run, common = tmp_path / "run", ["--n", "32", "--n-steps", "4", "--diag-every", "2"]
+    assert cli.main(["run", *common, "--checkpoint-every", "2", "--out-dir", str(run)]) == 0
+    resume = ["resume", str(run / "ckpt_00000002.chk"), "--n-steps", "2", "--out-dir", str(tmp_path / "resume")]
+    assert cli.main(resume) == 0
+    assert cli.main(["besov", str(run / "final.chk"), "--s", "0.5", "--field", "G"]) == 0
+    assert cli.main(["inequality-suite", *common, "--out", str(tmp_path / "iq.csv")]) == 0
+    kernels.quadrature_errors(0.5, 16)
+    assert counts["complex"] == 0
+    assert counts["real"] > 0

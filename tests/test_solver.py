@@ -269,9 +269,9 @@ class TestInitialData:
 
     def test_random_band_support(self):
         st = initial_data("random-band", 1, G64)
-        from bq2d.spectral import layout_table, wavevectors
+        from bq2d.spectral import wavevectors
 
-        km = layout_table(st.theta_hat, wavevectors(G64)[2])
+        km = wavevectors(G64)[2]
         hot = np.abs(st.theta_hat.coeffs) > 1e-12 * np.abs(st.theta_hat.coeffs).max()
         assert km[hot].max() <= 6.0 + 1e-9
         assert km[hot].min() >= 2.0 - 1e-9

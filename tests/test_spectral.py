@@ -5,23 +5,21 @@ import math
 import numpy as np
 import pytest
 
+import full_plane as fp
 from bq2d.spectral import (
     FlowParams,
     GridSpec,
     PhysicalField,
     SpectralField,
     biot_savart,
+    biot_savart_symbols,
     constant_field,
     coordinates,
     dealias,
     field_from_function,
     fractional_laplacian,
-    full_plane,
     grad,
-    half_plane,
-    half_plane_odd_symbols,
     half_plane_sum,
-    hermitian_symmetrize,
     irfft2,
     l2_norm_spectral,
     lp_norm,
@@ -151,10 +149,11 @@ class TestRiesz:
         assert np.abs(out.values - expect).max() < 1e-12
 
     def test_output_real(self):
+        # the self-conjugate columns m2 = 0, n/2 hold a real field's coefficients
         rng = np.random.default_rng(4)
         fh = random_band_spectral(G32, 1, 8, rng)
         out = riesz_alpha(fh, 0.9)
-        raw = np.fft.ifft2(out.coeffs) * G32.n**2
+        raw = np.fft.ifft2(fp.full_plane(out.coeffs)) * G32.n**2
         assert np.abs(raw.imag).max() < 1e-12 * max(np.abs(raw.real).max(), 1e-300)
 
     def test_alpha_range(self):
@@ -224,7 +223,7 @@ class TestVFromTheta:
 class TestDealiasGradNorms:
     def test_dealias_cutoff_mode(self):
         n = 16
-        coeffs = np.zeros((n, n), complex)
+        coeffs = np.zeros((n, n // 2 + 1), complex)
         coeffs[n // 2 - 1, 0] = 1.0
         coeffs[(-(n // 2 - 1)) % n, 0] = 1.0
         fh = SpectralField(G16, coeffs)
@@ -281,15 +280,23 @@ def _same_bits(a, b) -> bool:
 
 
 class TestSymbolTables:
-    """The cached per-grid tables against the per-call formulas they replaced,
-    which are written out here as the oracle."""
+    """The cached per-grid tables against the per-call full-plane formulas
+    they replaced, which are written out here as the oracle: on the half
+    plane, the leading n/2+1 columns of those formulas, bit for bit, with
+    the odd symbols zero on their Nyquist lines."""
 
     @pytest.mark.parametrize("n, L", [(16, 2 * math.pi), (32, 1.0), (64, 3.7)])
     def test_operators_match_per_call_formulas(self, n, L):
         grid = GridSpec(n, side_length=L)
-        c = np.fft.fft2(np.random.default_rng(n).standard_normal((n, n))) / n**2
+        h = n // 2 + 1
+        c = rfft2(np.random.default_rng(n).standard_normal((n, n)))
         fh = SpectralField(grid, c)
-        k1, k2, kmag = wavevectors(grid)
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        k1 = (2 * math.pi / L) * m[:, None] * np.ones((1, h))
+        k2 = (2 * math.pi / L) * m[None, :h] * np.ones((n, 1))
+        kmag = np.hypot(k1, k2)
+        k1[n // 2, :] = 0.0
+        k2[:, -1] = 0.0
         for g in (-2.5, -0.9, 0.45, 1.0, 2.0):
             with np.errstate(divide="ignore"):
                 mult = kmag**g
@@ -299,7 +306,7 @@ class TestSymbolTables:
             nz = kmag > 0
             weight = np.zeros_like(kmag)
             weight[nz] = kmag[nz] ** (2.0 * g)
-            assert sobolev_norm(fh, g) == float(L * math.sqrt(np.sum(weight * np.abs(c) ** 2)))
+            assert sobolev_norm(fh, g) == float(L * math.sqrt(half_plane_sum(weight * np.abs(c) ** 2)))
         safe = kmag.copy()
         safe[0, 0] = 1.0
         for alpha in (0.3, 0.9, 1.0):
@@ -325,13 +332,12 @@ class TestSymbolTables:
         h = 5.0 / 24
         assert _same_bits(shift_norms(grid), np.hypot(h * m[:, None], h * m[None, :]))
         keep1 = np.abs(m) <= grid.dealias_fraction * 24 / 2.0
-        assert np.array_equal(dealias_mask(grid), keep1[:, None] & keep1[None, :])
+        assert np.array_equal(dealias_mask(grid), keep1[:, None] & keep1[None, :13])
 
     def test_cached_tables_are_read_only(self):
         from bq2d.kernels import _pad_displacements
         from bq2d.lp import _band_indices
         from bq2d.monitors import _dirichlet_kernel_fft
-        from bq2d.spectral import _biot_savart_symbols
 
         grid = GridSpec(16)
         tables = [
@@ -339,9 +345,8 @@ class TestSymbolTables:
             kpow(grid, 0.5),
             dealias_mask(grid),
             shift_norms(grid),
-            *_biot_savart_symbols(grid),
-            *half_plane_odd_symbols(grid),
-            _band_indices(grid, True),
+            *biot_savart_symbols(grid),
+            _band_indices(grid),
             *_pad_displacements(grid.n, grid.side_length),
             _dirichlet_kernel_fft(grid, 0.5)[0],
         ]
@@ -351,19 +356,19 @@ class TestSymbolTables:
 
 
 class TestHalfPlane:
-    """The rfft2 layout against the full plane, on unfiltered random fields
-    so that the Nyquist lines carry content."""
+    """The rfft2 layout against the full plane of ``full_plane``, on
+    unfiltered random fields so that the Nyquist lines carry content."""
 
     @pytest.mark.parametrize("n, L", [(8, 2 * math.pi), (16, 1.0), (32, 3.7)])
     def test_layout_matches_full_plane(self, n, L):
         grid = GridSpec(n, side_length=L, dealias_fraction=1.0)
         x = np.random.default_rng(n).standard_normal((n, n))
-        full = to_spectral(PhysicalField(grid, x)).coeffs
-        half = rfft2(x)
+        full = fp.to_spectral(x)
+        half = to_spectral(PhysicalField(grid, x)).coeffs
         assert half.shape == (n, n // 2 + 1)
-        assert np.abs(full_plane(grid, half) - full).max() <= 1e-16
+        assert np.abs(fp.full_plane(half) - full).max() <= 1e-16
         assert np.abs(irfft2(half) - x).max() <= 1e-14
-        assert np.array_equal(half_plane(grid, kpow(grid, 0.7)), kpow(grid, 0.7)[:, : n // 2 + 1])
+        assert np.array_equal(kpow(grid, 0.7), fp.kpow(grid, 0.7)[:, : n // 2 + 1])
         w = np.abs(full) ** 2
         assert abs(half_plane_sum(np.abs(half) ** 2) - np.sum(w)) <= 1e-14 * np.sum(w)
 
@@ -371,34 +376,33 @@ class TestHalfPlane:
     def test_odd_symbols_match_the_real_part_of_the_full_plane(self, n, L):
         grid = GridSpec(n, side_length=L, dealias_fraction=1.0)
         x = np.random.default_rng(n + 1).standard_normal((n, n))
-        full = to_spectral(PhysicalField(grid, x))
-        half = rfft2(x)
-        k1, k2, b1, b2 = half_plane_odd_symbols(grid)
-        u1, u2 = biot_savart(full)
-        d1, d2 = grad(full)
-        for ref, sym in ((d1, 1j * k1), (d2, 1j * k2), (u1, 1j * b2), (u2, -1j * b1)):
-            expect = to_physical(ref).values
-            assert np.abs(irfft2(sym * half) - expect).max() <= 1e-14 * np.abs(expect).max()
+        full = fp.to_spectral(x)
+        half = SpectralField(grid, rfft2(x))
+        pairs = (*zip(grad(half), fp.grad(grid, full)), *zip(biot_savart(half), fp.biot_savart(grid, full)))
+        for got, ref in pairs:
+            expect = fp.to_physical(ref)
+            assert np.abs(to_physical(got).values - expect).max() <= 1e-14 * np.abs(expect).max()
         # without the zeroed Nyquist lines the half plane counts their anti-Hermitian part twice
-        k1_raw = half_plane(grid, wavevectors(grid)[0])
-        assert np.abs(irfft2(1j * k1_raw * half) - to_physical(d1).values).max() > 1e-3
+        k1_raw = fp.wavevectors(grid)[0][:, : n // 2 + 1]
+        assert np.abs(irfft2(1j * k1_raw * half.coeffs) - fp.to_physical(fp.grad(grid, full)[0])).max() > 1e-3
 
     def test_layout_is_read_from_the_shape(self):
+        # the half plane (n, n/2+1) is the one shape a SpectralField takes
         grid = GridSpec(16)
-        with pytest.raises(ValueError):
-            SpectralField(grid, np.zeros((16, 8), dtype=complex))
-        x = np.random.default_rng(3).standard_normal((16, 16))
-        full, half = to_spectral(PhysicalField(grid, x)), SpectralField(grid, rfft2(x))
-        assert half.half and not full.half
-        with pytest.raises(ValueError):
-            hermitian_symmetrize(half)
+        for shape in ((16, 8), (16, 16)):
+            with pytest.raises(ValueError):
+                SpectralField(grid, np.zeros(shape, dtype=complex))
+        assert SpectralField(grid, np.zeros((16, 9), dtype=complex)).coeffs.shape == (16, 9)
 
     def test_bernstein_check_in_both_layouts(self):
-        from bq2d.lp import bernstein_check, block
+        # the half-plane ratios against the full-plane multiplier and norms
+        from bq2d.lp import bernstein_check
 
         grid = GridSpec(32)
         fh = random_band_spectral(grid, 4.0, 7.99, np.random.default_rng(7))
-        half = SpectralField(grid, rfft2(to_physical(fh).values))
-        want = bernstein_check(fh, 2, 0.45, 2, math.inf)
-        for got, ref in zip(bernstein_check(block(half, 2), 2, 0.45, 2, math.inf), want):
+        full = fp.full_plane(fh.coeffs)
+        num = lp_norm(PhysicalField(grid, fp.to_physical(fp.fractional_laplacian(grid, full, 0.9))), math.inf)
+        f_phys = PhysicalField(grid, fp.to_physical(full))
+        want = (num / (2.0 ** 1.8 * lp_norm(f_phys, math.inf)), num / (2.0 ** (1.8 + 2.0) * lp_norm(f_phys, 2)))
+        for got, ref in zip(bernstein_check(fh, 2, 0.45, 2, math.inf), want):
             assert abs(got - ref) <= 1e-12 * ref
