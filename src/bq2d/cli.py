@@ -5,13 +5,16 @@ Configuration is a flat ``key = value`` text file ('#' starts a comment);
 every command-line flag mirrors a config key and wins over the file.  All
 values are validated before any file output is created.  Exit codes:
 0 success, 2 config error, 3 blow-up abort, 4 assertion failure inside a
-verification suite.  The only environment variable honored is
-``BQ2D_OUT_DIR``, which overrides the output directory.
+verification suite.  A command reports bad input by raising ``ConfigError``;
+``main`` alone turns it into the ``config error:`` line and exit 2.  The
+only environment variable honored is ``BQ2D_OUT_DIR``, which overrides the
+output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -115,6 +118,10 @@ class RunConfig:
             raise ConfigError("checkpoint_every must be >= 0")
         if self.n_steps is not None and self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.cfl_number * self.grid().spacing < solver.DT_UNDERFLOW:
+            raise ConfigError(f"cfl_number * side_length / n is below the step floor {solver.DT_UNDERFLOW:g}")
         if self.oss_L > self.side_length / 2.0:
             raise ConfigError("oss_L must not exceed side_length / 2")
         win = self._window()
@@ -236,44 +243,50 @@ def _float_fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _initial_monitors():
+    """Monitors taken on the initial state: one that overflows there is a
+    config error, raised without numpy's overflow warnings ahead of it."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"the monitors overflow on the initial state: {exc}") from exc
+
+
 def _run_loop(
     cfg: RunConfig, state: solver.SimState, params: FlowParams, out_dir: str, announce: bool = False
 ) -> int:
     """Step, monitor and checkpoint from ``state``; with ``announce``, first
     print the ``initial:`` line from the starting snapshot record.  That
-    record and its margins are taken before any output, so a state the
-    monitors overflow on is a config error."""
+    record and its margins are taken before any output."""
     stepper = cfg.stepper()
-    theta0_l2 = lp_norm(state.theta, 2)
-    theta0_linf = lp_norm(state.theta, math.inf)
-    u0_l2 = solver._velocity_l2(state)
     diss_u = diss_G = 0.0
-    delta_target = solver.delta_star(max(theta0_linf, 1e-300), params.beta, cfg.oss_delta_c)
     gamma, gamma_p = CONVEX_GAMMAS["square"]
-    worst = {"maxprinciple_l2": 0.0, "maxprinciple_linf": 0.0, "energy_linear": 0.0}
+    worst = dict.fromkeys(("margin_maxprinciple_l2", "margin_maxprinciple_linf", "margin_energy_linear"), 0.0)
 
     def record(st, fh=None):
         """The snapshot record of ``st`` with its margins, written as one CSV
         row to ``fh`` when given; updates the running worst margins."""
         rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
         m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
-        rec.margins["maxprinciple_l2"] = m2
-        rec.margins["maxprinciple_linf"] = minf
-        rec.margins["energy_linear"] = energy_margin(rec, u0_l2, theta0_l2)[0]
-        rec.margins["cordoba_min"] = cordoba_margin(st.theta, params.beta, gamma, gamma_p)
-        rec.margins["oss_delta_measured"] = solver.oss_check(st.theta, delta_target, cfg.oss_L).delta_measured
+        rec.margin_maxprinciple_l2, rec.margin_maxprinciple_linf = m2, minf
+        rec.margin_energy_linear = energy_margin(rec, u0_l2, theta0_l2)[0]
+        rec.cordoba_min = cordoba_margin(st.theta, params.beta, gamma, gamma_p)
+        rec.oss_delta_measured = solver.oss_check(st.theta, delta_target, cfg.oss_L).delta_measured
         for key in worst:
-            worst[key] = min(worst[key], rec.margins[key])
+            worst[key] = min(worst[key], getattr(rec, key))
         if fh is not None:
             fh.write(rec.csv_row() + "\n")
             fh.flush()
         return rec
 
-    try:
+    with _initial_monitors():
+        theta0_l2 = lp_norm(state.theta, 2)
+        theta0_linf = lp_norm(state.theta, math.inf)
+        u0_l2 = solver._velocity_l2(state)
+        delta_target = solver.delta_star(max(theta0_linf, 1e-300), params.beta, cfg.oss_delta_c)
         rec = record(state)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"config error: the monitors overflow on the initial state: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     if announce:
         print(
             "initial: theta_l2={!r} theta_linf={!r} grad_theta_linf={!r} u_l2={!r}".format(
@@ -320,32 +333,21 @@ def _run_loop(
             _float_fmt(rec.theta_l2), _float_fmt(rec.theta_linf), _float_fmt(rec.omega_linf)
         )
     )
-    print(
-        "worst margins: maxprinciple_l2={} maxprinciple_linf={} energy_linear={}".format(
-            *(_float_fmt(worst[k]) for k in ("maxprinciple_l2", "maxprinciple_linf", "energy_linear"))
-        )
-    )
+    print("worst margins:", *(f"{k.removeprefix('margin_')}={_float_fmt(v)}" for k, v in worst.items()))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = build_config(args.config, _collect_overrides(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    grid = cfg.grid()
-    params = cfg.flow_params()
-    state = solver.initial_data(cfg.init_kind, cfg.seed, grid, cfg.amplitude)
-    return _run_loop(cfg, state, params, cfg.out_dir, announce=True)
+    cfg = build_config(args.config, _collect_overrides(args))
+    state = solver.initial_data(cfg.init_kind, cfg.seed, cfg.grid(), cfg.amplitude)
+    return _run_loop(cfg, state, cfg.flow_params(), cfg.out_dir, announce=True)
 
 
 def cmd_resume(args) -> int:
     try:
         state, params = solver.read_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
-        print(f"config error: cannot resume: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot resume: {exc}") from exc
     header = {
         "n": state.grid.n,
         "side_length": state.grid.side_length,
@@ -354,11 +356,7 @@ def cmd_resume(args) -> int:
         "alpha": params.alpha,
         "beta": params.beta,
     }
-    try:
-        cfg = build_config(args.config, _collect_overrides(args), header)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = build_config(args.config, _collect_overrides(args), header)
     grid = cfg.grid()
     state = solver.SimState(
         PhysicalField(grid, state.theta.values), PhysicalField(grid, state.omega.values), state.t
@@ -379,37 +377,46 @@ def _emit(rows, out_path: str | None):
         sys.stdout.write(text)
 
 
+class _CheckTable:
+    """The check,value,threshold,pass table of the verification suites."""
+
+    def __init__(self):
+        self.rows = [["check", "value", "threshold", "pass"]]
+        self.ok = True
+
+    def add(self, name, value, threshold, passed) -> None:
+        self.ok = self.ok and bool(passed)
+        self.rows.append([name, repr(float(value)), repr(float(threshold)), bool(passed)])
+
+    def emit(self, out_path: str | None) -> int:
+        """Write the table; exit 0 when every check passed, else 4."""
+        _emit(self.rows, out_path)
+        return EXIT_OK if self.ok else EXIT_ASSERTION
+
+
 def cmd_kernel_verify(args) -> int:
     beta, n = args.beta, args.n
     try:
         kcfg = kernels.KernelConfig(beta=beta)
         grid = GridSpec(n=n)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = [["check", "value", "threshold", "pass"]]
-    ok = True
-
-    def add(name, value, threshold, passed):
-        nonlocal ok
-        ok = ok and passed
-        rows.append([name, repr(float(value)), repr(float(threshold)), passed])
-
+        raise ConfigError(str(exc)) from exc
+    checks = _CheckTable()
     cm = np.abs(kernels.circle_mean_sigma(1.0, 64)).max()
-    add("sigma_circle_mean", cm, 1e-12, cm <= 1e-12)
+    checks.add("sigma_circle_mean", cm, 1e-12, cm <= 1e-12)
     try:
         res = kernels.quadrature_errors(beta, n)
         res2 = kernels.quadrature_errors(beta, 2 * n)
     except kernels.CalibrationError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    add("v_residual_n", res["v_residual"], 1e-3, res["v_residual"] <= 1e-3)
-    add("symgrad_error_n", res["symgrad_error"], 1e-2, res["symgrad_error"] <= 1e-2)
-    add("v_residual_2n", res2["v_residual"], 1e-3, res2["v_residual"] <= 1e-3)
+    checks.add("v_residual_n", res["v_residual"], 1e-3, res["v_residual"] <= 1e-3)
+    checks.add("symgrad_error_n", res["symgrad_error"], 1e-2, res["symgrad_error"] <= 1e-2)
+    checks.add("v_residual_2n", res2["v_residual"], 1e-3, res2["v_residual"] <= 1e-3)
     ratio = res["v_residual"] / max(res2["v_residual"], 1e-300)
-    add("v_refinement_ratio", ratio, 2.0, ratio >= 2.0)
+    checks.add("v_refinement_ratio", ratio, 2.0, ratio >= 2.0)
     c_drift = abs(res2["C_star"] / res["C_star"] - 1.0)
-    add("C_star_drift", c_drift, 0.01, c_drift <= 0.01)
+    checks.add("C_star_drift", c_drift, 0.01, c_drift <= 0.01)
 
     theta = kernels.gaussian_bump(grid)
     full = kernels.symgrad_v_quadrature(theta, kcfg, 1.0)
@@ -419,29 +426,19 @@ def cmd_kernel_verify(args) -> int:
         np.abs(near[i].values + mid[i].values + far[i].values - full[i].values).max()
         for i in range(3)
     )
-    add("split_partition_identity", worst / scale, 1e-12, worst / scale <= 1e-12)
-    rows.append(["C_star", repr(float(res["C_star"])), "", ""])
-    _emit(rows, args.out)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    checks.add("split_partition_identity", worst / scale, 1e-12, worst / scale <= 1e-12)
+    checks.rows.append(["C_star", repr(float(res["C_star"])), "", ""])
+    return checks.emit(args.out)
 
 
 def cmd_inequality_suite(args) -> int:
-    try:
-        cfg = build_config(args.config, _collect_overrides(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = build_config(args.config, _collect_overrides(args))
     grid = cfg.grid()
     params = cfg.flow_params()
     state = solver.initial_data(cfg.init_kind, cfg.seed, grid, cfg.amplitude)
-    theta0_l2 = lp_norm(state.theta, 2)
-    theta0_linf = lp_norm(state.theta, math.inf)
-    try:
+    with _initial_monitors():
         rec0 = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"config error: the monitors overflow on the initial state: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    u0_l2 = rec0.u_l2
+    theta0_l2, theta0_linf, u0_l2 = rec0.theta_l2, rec0.theta_linf, rec0.u_l2
 
     snapshots = [state]
     try:
@@ -452,22 +449,15 @@ def cmd_inequality_suite(args) -> int:
         return EXIT_BLOWUP
     picks = snapshots[:: max(1, len(snapshots) // 4)][:5]
 
-    rows = [["check", "value", "threshold", "pass"]]
-    ok = True
-
-    def add(name, value, threshold, passed):
-        nonlocal ok
-        ok = ok and bool(passed)
-        rows.append([name, repr(float(value)), repr(float(threshold)), bool(passed)])
-
-    for st in (snapshots[-1],):
-        rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
-        m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
-        band = 1e-6 * (1.0 + st.t)
-        add("maxprinciple_l2", m2, -band * theta0_l2, m2 >= -band * theta0_l2)
-        add("maxprinciple_linf", minf, -band * theta0_linf, minf >= -band * theta0_linf)
-        lin, _ = energy_margin(rec, u0_l2, theta0_l2)
-        add("energy_linear", lin, -band * max(u0_l2, 1.0), lin >= -band * max(u0_l2, 1.0))
+    checks = _CheckTable()
+    final = snapshots[-1]
+    rec = snapshot_record(final, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
+    m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
+    band = 1e-6 * (1.0 + final.t)
+    checks.add("maxprinciple_l2", m2, -band * theta0_l2, m2 >= -band * theta0_l2)
+    checks.add("maxprinciple_linf", minf, -band * theta0_linf, minf >= -band * theta0_linf)
+    lin, _ = energy_margin(rec, u0_l2, theta0_l2)
+    checks.add("energy_linear", lin, -band * max(u0_l2, 1.0), lin >= -band * max(u0_l2, 1.0))
 
     for name, (gam, gam_p) in CONVEX_GAMMAS.items():
         worst = math.inf
@@ -475,30 +465,28 @@ def cmd_inequality_suite(args) -> int:
             margin = cordoba_margin(st.theta, params.beta, gam, gam_p)
             scale = cordoba_scale(st.theta, params.beta, gam, gam_p)
             worst = min(worst, margin / scale)
-        add(f"cordoba_{name}", worst, -1e-8, worst >= -1e-8)
+        checks.add(f"cordoba_{name}", worst, -1e-8, worst >= -1e-8)
 
-    for st in picks[-1:]:
-        exact, _ = gradient_lower_bound_margin(st.theta, params.beta, 4.0)
-        scale = max(np.abs(st.theta.values).max() ** 2, 1e-300)
-        add("gradlower_exact_part", exact / scale, -1e-8, exact / scale >= -1e-8)
-        exact_h, _ = difference_lower_bound_margin(st.theta, (grid.n // 4, 0), params.beta)
-        add("difflower_exact_part", exact_h / scale, -1e-8, exact_h / scale >= -1e-8)
+    theta = picks[-1].theta
+    exact, _ = gradient_lower_bound_margin(theta, params.beta, 4.0)
+    scale = max(np.abs(theta.values).max() ** 2, 1e-300)
+    checks.add("gradlower_exact_part", exact / scale, -1e-8, exact / scale >= -1e-8)
+    exact_h, _ = difference_lower_bound_margin(theta, (grid.n // 4, 0), params.beta)
+    checks.add("difflower_exact_part", exact_h / scale, -1e-8, exact_h / scale >= -1e-8)
 
     m0 = rec0.grad_theta_linf
     if m0 > 0:
         delta = solver.delta_star(theta0_linf, params.beta, cfg.oss_delta_c)
         L = min(delta / (4.0 * m0), grid.side_length / 2.0)
-        report = solver.oss_check(snapshots[-1].theta, delta, L)
-        add("oss_lipschitz_choice", report.delta_measured, delta, report.holds)
+        report = solver.oss_check(final.theta, delta, L)
+        checks.add("oss_lipschitz_choice", report.delta_measured, delta, report.holds)
 
     try:
         check_lq_index(params.alpha, index_window(params.alpha).q0 + 0.1)
-        add("window_rejection", 0.0, 1.0, False)
+        checks.add("window_rejection", 0.0, 1.0, False)
     except ValueError:
-        add("window_rejection", 1.0, 1.0, True)
-
-    _emit(rows, args.out)
-    return EXIT_OK if ok else EXIT_ASSERTION
+        checks.add("window_rejection", 1.0, 1.0, True)
+    return checks.emit(args.out)
 
 
 def cmd_besov(args) -> int:
@@ -506,8 +494,7 @@ def cmd_besov(args) -> int:
         index = BesovIndex(args.s, args.p, args.r)
         state, params = solver.read_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
     if args.field == "theta":
         fh = state.theta_hat
     elif args.field == "omega":
@@ -519,8 +506,7 @@ def cmd_besov(args) -> int:
         norms = [weighted_block_norm(band, index) for band in bands]
         total = lr_combine(norms, index.r)  # besov_norm's total, from the same norms
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
     rows = [["j", "weighted_block_norm"]] + [[b.j, repr(float(v))] for b, v in zip(bands, norms)]
     rows.append(["total", repr(float(total))])
     _emit(rows, args.out)
@@ -594,7 +580,11 @@ def main(argv=None) -> int:
     p_bs.set_defaults(fn=cmd_besov)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -245,6 +245,7 @@ def split_symgrad_bound(
     """Three-region split |z| <= rho < |z| <= L_split < |z| of the symmetric
     gradient integral.  Returns (near, mid, far), each an (s11, s12, s22)
     triple; the parts sum to symgrad_v_quadrature on the same nodes."""
+    KernelConfig(beta=beta)  # the same beta check as the other quadratures
     reach = _reach(theta.grid)
     if not 0.0 < rho < L_split <= reach:
         raise ValueError("need 0 < rho < L_split <= the quadrature reach")
@@ -309,6 +310,13 @@ def oracle_width(beta: float, side_length: float = 2.0 * math.pi) -> float:
     return side_length / (26.0 - 7.5 * beta)
 
 
+def _calibration_bump(bump: str, grid: GridSpec, width: float) -> PhysicalField:
+    makers = {"oracle": oracle_bump, "gauss": gaussian_bump}
+    if bump not in makers:
+        raise ValueError(f"bump must be 'oracle' or 'gauss', got {bump!r}")
+    return makers[bump](grid, width=width)
+
+
 def _pair_l2(grid: GridSpec, a1, a2) -> float:
     return math.sqrt((np.sum(a1**2) + np.sum(a2**2)) * grid.cell_weight)
 
@@ -329,8 +337,7 @@ def calibrate_C_beta(
     exceeds ``residual_tol``.
     """
     grid = GridSpec(n=n, side_length=side_length)
-    maker = oracle_bump if bump == "oracle" else gaussian_bump
-    theta = maker(grid, width=width if width is not None else oracle_width(beta, side_length))
+    theta = _calibration_bump(bump, grid, width if width is not None else oracle_width(beta, side_length))
     cfg = KernelConfig(beta=beta)
     q1, q2 = v_quadrature(theta, cfg, 1.0)
     s1, s2 = v_from_theta(to_spectral(theta), beta)
@@ -357,8 +364,7 @@ def quadrature_errors(
     calibrated quadrature velocity and symmetric gradient."""
     c_star, resid = calibrate_C_beta(beta, n, side_length, bump=bump, residual_tol=math.inf)
     grid = GridSpec(n=n, side_length=side_length)
-    maker = oracle_bump if bump == "oracle" else gaussian_bump
-    theta = maker(grid, width=oracle_width(beta, side_length))
+    theta = _calibration_bump(bump, grid, oracle_width(beta, side_length))
     cfg = KernelConfig(beta=beta)
     s11, s12, s22 = symgrad_v_quadrature(theta, cfg, c_star)
     v1h, v2h = v_from_theta(to_spectral(theta), beta)

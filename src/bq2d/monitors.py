@@ -12,7 +12,7 @@ appear only inside measured quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -102,30 +102,11 @@ def check_besov_index(alpha: float, s: float, q: float) -> None:
 # diagnostics records and CSV schema
 
 
-CSV_COLUMNS = [
-    "t",
-    "theta_l2",
-    "theta_linf",
-    "u_l2",
-    "omega_linf",
-    "grad_theta_linf",
-    "G_l2",
-    "G_lq",
-    "q",
-    "G_besov",
-    "s",
-    "diss_u_accum",
-    "diss_G_accum",
-    "margin_maxprinciple_l2",
-    "margin_maxprinciple_linf",
-    "margin_energy_linear",
-    "cordoba_min",
-    "oss_delta_measured",
-]
-
-
-@dataclass
+@dataclass(slots=True)
 class DiagnosticsRecord:
+    """One row of ``diagnostics.csv``: the fields, in order, are its columns.
+    The margins are left at 0.0 by ``snapshot_record`` and set by the run loop."""
+
     t: float
     theta_l2: float
     theta_linf: float
@@ -139,30 +120,17 @@ class DiagnosticsRecord:
     s: float
     diss_u_accum: float
     diss_G_accum: float
-    margins: dict = field(default_factory=dict)
+    margin_maxprinciple_l2: float = 0.0
+    margin_maxprinciple_linf: float = 0.0
+    margin_energy_linear: float = 0.0
+    cordoba_min: float = 0.0
+    oss_delta_measured: float = 0.0
 
     def csv_row(self) -> str:
-        vals = [
-            self.t,
-            self.theta_l2,
-            self.theta_linf,
-            self.u_l2,
-            self.omega_linf,
-            self.grad_theta_linf,
-            self.G_l2,
-            self.G_lq,
-            self.q,
-            self.G_besov,
-            self.s,
-            self.diss_u_accum,
-            self.diss_G_accum,
-            self.margins.get("maxprinciple_l2", 0.0),
-            self.margins.get("maxprinciple_linf", 0.0),
-            self.margins.get("energy_linear", 0.0),
-            self.margins.get("cordoba_min", 0.0),
-            self.margins.get("oss_delta_measured", 0.0),
-        ]
-        return ",".join(repr(float(v)) for v in vals)
+        return ",".join(repr(float(getattr(self, c))) for c in CSV_COLUMNS)
+
+
+CSV_COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
 def csv_header() -> str:

@@ -466,7 +466,7 @@ def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
         raise
 
 
-def read_checkpoint(path, dealias_fraction: float = 2.0 / 3.0):
+def read_checkpoint(path):
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         if len(header) != 8 or header[0] != "BQCHK1":
@@ -487,7 +487,7 @@ def read_checkpoint(path, dealias_fraction: float = 2.0 / 3.0):
             arrays.append(np.frombuffer(raw, dtype="<f8").reshape(n, n).astype(float))
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
-    grid = GridSpec(n=n, side_length=L, dealias_fraction=dealias_fraction)
+    grid = GridSpec(n=n, side_length=L)
     state = SimState(PhysicalField(grid, arrays[0]), PhysicalField(grid, arrays[1]), t=t)
     params = FlowParams(nu=nu, kappa=kappa, alpha=alpha, beta=beta)
     return state, params

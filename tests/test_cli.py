@@ -160,6 +160,20 @@ class TestRunCommand:
         else:
             assert (out / "post_mortem.csv").read_text().startswith("# blow-up at t=0.0 ")
 
+    @pytest.mark.parametrize(
+        "command, amplitude", [("run", "1e200"), ("run", "1e100"), ("inequality-suite", "1e200")]
+    )
+    def test_overflow_config_error_is_alone_on_stderr(self, tmp_path, cli_env, command, amplitude):
+        # pytest captures numpy's overflow warnings, so only a child interpreter shows the stderr a user sees
+        out = tmp_path / "huge"
+        argv = [command, "--n", "16", "--amplitude", amplitude, "--t-end", "0.01", "--out-dir", str(out)]
+        cmd = [sys.executable, "-m", "bq2d.cli", *argv]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == EXIT_CONFIG
+        assert r.stderr.startswith("config error: the monitors overflow on the initial state:")
+        assert r.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_steps, rows", [(5, 4), (4, 3)])
     def test_final_row_written_once(self, tmp_path, n_steps, rows):
         # rows at t = 0 and every second step, plus the final step when it is off the cadence
@@ -356,6 +370,9 @@ class TestVerificationCommands:
             ["run", "--n", "32", "--oss-L", "nan"],
             ["run", "--n", "32", "--amplitude", "inf"],
             ["run", "--n", "32", "--dt-init", "1e-13"],
+            ["run", "--n", "32", "--seed", "-1"],
+            ["inequality-suite", "--n", "32", "--seed", "-1"],
+            ["run", "--n", "16", "--side-length", "1e-12", "--oss-L", "1e-13", "--t-end", "0.01"],
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):

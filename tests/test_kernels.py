@@ -15,6 +15,7 @@ from bq2d.kernels import (
     grad_v_quadrature,
     oracle_bump,
     oracle_width,
+    quadrature_errors,
     sigma,
     split_symgrad_bound,
     symgrad_v_quadrature,
@@ -245,6 +246,12 @@ class TestSplitIntegral:
         with pytest.raises(ValueError):
             split_symgrad_bound(th, rho=1.0, L_split=0.5, beta=0.5)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
+    def test_beta_checked_like_the_other_quadratures(self, beta):
+        th = oracle_bump(GridSpec(32))
+        with pytest.raises(ValueError, match="beta strictly inside"):
+            split_symgrad_bound(th, rho=0.05, L_split=1.0, beta=beta)
+
 
 class TestCalibration:
     def test_deterministic(self):
@@ -278,3 +285,8 @@ class TestCalibration:
             warnings.simplefilter("ignore")  # the tiny grid also trips the support check
             with pytest.raises(CalibrationError):
                 calibrate_C_beta(0.9, 32, residual_tol=1e-6)
+
+    @pytest.mark.parametrize("fn", [calibrate_C_beta, quadrature_errors])
+    def test_unknown_bump_rejected(self, fn):
+        with pytest.raises(ValueError, match="bump must be 'oracle' or 'gauss', got 'orcale'"):
+            fn(0.5, 32, bump="orcale")

@@ -329,3 +329,13 @@ class TestRecordsAndCsv:
         rec = snapshot_record(states[-1], params, 2.3, 0.5, 0.1, 0.2)
         row = rec.csv_row().split(",")
         assert float(row[1]) == rec.theta_l2  # repr round-trips exactly
+
+    def test_margins_are_record_fields(self):
+        # a margin set on the record lands in its column; a misspelt one is an error, not a 0.0 column
+        states, params = short_run(t_end=0.05)
+        rec = snapshot_record(states[-1], params, 2.3, 0.5, 0.1, 0.2)
+        assert rec.csv_row().split(",")[-5:] == ["0.0"] * 5
+        rec.cordoba_min = -1.5
+        assert rec.csv_row().split(",")[csv_header().split(",").index("cordoba_min")] == "-1.5"
+        with pytest.raises(AttributeError):
+            rec.cordoba_mn = -1.5
