@@ -113,30 +113,29 @@ def circle_mean_sigma(r: float, m: int = 64) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _pad_displacements(n: int, side_length: float):
     """Displacement components on the 2n x 2n padded grid (true x - y values
-    for any pair of cell points live in (-L, L)^2, which this grid covers)."""
-    h = side_length / n
-    m = np.fft.fftfreq(2 * n, d=1.0 / (2 * n))
-    z1 = h * m[:, None] * np.ones((1, 2 * n))
-    z2 = h * m[None, :] * np.ones((2 * n, 1))
-    zn = np.hypot(z1, z2)
-    for a in (z1, z2, zn):
+    for any pair of cell points live in (-L, L)^2, which this grid covers):
+    z1 as a (2n, 1) column and z2 as a (1, 2n) row, which broadcast against
+    the full 2n x 2n |z|."""
+    z = (side_length / n) * np.fft.fftfreq(2 * n, d=1.0 / (2 * n))
+    zn = np.hypot(z[:, None], z[None, :])
+    for a in (z, zn):
         a.flags.writeable = False
-    return z1, z2, zn
+    return z[:, None], z[None, :], zn
 
 
-def _apply_kernel(kernel: np.ndarray, f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """sum_y kernel(x - y) f(y) (L/n)^2 over the cell, true displacements.
+def _apply_kernels(f: np.ndarray, grid: GridSpec, kernels) -> list[np.ndarray]:
+    """sum_y kernel(x - y) f(y) (L/n)^2 over the cell, true displacements,
+    for each of ``kernels``; f is zero-padded and transformed once.
 
-    ``kernel`` lives on the padded 2n grid, where the circular convolution
+    The kernels live on the padded 2n grid, where the circular convolution
     equals the literal double sum to rounding.  The product of two
     forward-normalized spectra carries 1/(2n)^2 once too often; the point
     count (2n)^2 undoes it.
     """
     n = grid.n
-    big = np.zeros((2 * n, 2 * n))
-    big[:n, :n] = f
-    out = irfft2(rfft2(kernel) * rfft2(big))
-    return out[:n, :n] * ((2 * n) ** 2 * grid.cell_weight)
+    f_hat = rfft2(np.pad(f, (0, n)))
+    scale = (2 * n) ** 2 * grid.cell_weight
+    return [irfft2(rfft2(kernel) * f_hat)[:n, :n] * scale for kernel in kernels]
 
 
 SUPPORT_TAIL_TOLERANCE = 1e-3  # fraction of |theta| mass allowed outside |x-c| < L/4
@@ -174,9 +173,8 @@ def v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     # z^perp = (-z2, z1); the kernel is odd, so the self cell would vanish
     # by parity even if it were included.
     f = _d1_theta(theta)
-    v1 = C_beta * _apply_kernel(-z2 * radial, f, grid)
-    v2 = C_beta * _apply_kernel(z1 * radial, f, grid)
-    return PhysicalField(grid, v1), PhysicalField(grid, v2)
+    v1, v2 = _apply_kernels(f, grid, (zp * radial for zp in (-z2, z1)))
+    return PhysicalField(grid, C_beta * v1), PhysicalField(grid, C_beta * v2)
 
 
 def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
@@ -191,48 +189,53 @@ def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     tensor = np.zeros_like(zn)
     tensor[mask] = zn[mask] ** (-3.0 - cfg.beta)
     f = _d1_theta(theta)
-    s_int = _apply_kernel(scalar, f, grid)
-    zp = (-z2, z1)
-    zz = (z1, z2)
-    g = [[None, None], [None, None]]
+    zp, zz = (-z2, z1), (z1, z2)
+    # g22's tensor kernel z1 z2 is the exact negation of g11's, -z2 z1, and
+    # J_11 = J_22 = 0, so g22 = -g11 (up to the sign of zero)
+    ij = ((0, 0), (0, 1), (1, 0))
+    s_int, *t_int = _apply_kernels(f, grid, [scalar, *(zp[i] * zz[j] * tensor for i, j in ij)])
     J = ((0.0, -1.0), (1.0, 0.0))
-    for i in range(2):
-        for j in range(2):
-            t_int = _apply_kernel(zp[i] * zz[j] * tensor, f, grid)
-            vals = C_beta * (J[i][j] * s_int - (1.0 + cfg.beta) * t_int)
-            g[i][j] = PhysicalField(grid, vals)
-    return (g[0][0], g[0][1]), (g[1][0], g[1][1])
+    g = [C_beta * (J[i][j] * s_int - (1.0 + cfg.beta) * t) for (i, j), t in zip(ij, t_int)]
+    g11, g12, g21 = (PhysicalField(grid, vals) for vals in g)
+    return (g11, g12), (g21, PhysicalField(grid, -g[0]))
 
 
-def _sigma_kernels(grid: GridSpec, rmin: float, rmax: float):
+def _sigma_kernels(grid: GridSpec, beta: float, rmin: float, rmax: float):
+    """Entries 11 and 12 of sigma(z) / |z|^{1+beta} on rmin < |z| <= rmax;
+    sigma is trace-free, so entry 22 is the exact negation of entry 11."""
     z1, z2, zn = _pad_displacements(grid.n, grid.side_length)
     mask = (zn > max(rmin, 0.0)) & (zn <= rmax)
     radial = np.zeros_like(zn)
     radial[mask] = zn[mask] ** (-3.0)
-    # entries of sigma(z) / |z|^{1+beta}; beta power folded in by the caller
-    return (-2.0 * z1 * z2 * radial, (z1 * z1 - z2 * z2) * radial, 2.0 * z1 * z2 * radial), zn, mask
+    power = np.zeros_like(zn)
+    power[mask] = zn[mask] ** (-beta)  # together with |z|^{-3}: sigma(z)/|z|^{1+beta}
+    return -2.0 * z1 * z2 * radial * power, (z1 * z1 - z2 * z2) * radial * power
 
 
-def _symgrad_from_region(theta, beta, C_beta, rmin, rmax):
+def _symgrad_regions(theta, beta, C_beta, edges):
+    """(s11, s12, s22) of the sigma integral over each annulus
+    edges[k] < |z| <= edges[k+1], with d1 theta padded and transformed once.
+    s22 = -s11 is the 22 kernel's integral up to the sign of exact zeros:
+    IEEE negation commutes with the sums, the transforms and the scaling."""
     grid = theta.grid
     f = _d1_theta(theta)
     C_sym = 0.5 * (1.0 + beta) * C_beta
-    (k11, k12, k22), zn, mask = _sigma_kernels(grid, rmin, rmax)
-    power = np.zeros_like(zn)
-    power[mask] = zn[mask] ** (-beta)  # together with |z|^{-3}: sigma(z)/|z|^{1+beta}
-    out = []
-    for kern in (k11 * power, k12 * power, k22 * power):
-        total = kern.sum() * grid.cell_weight
-        conv = _apply_kernel(kern, f, grid)
-        out.append(PhysicalField(grid, C_sym * (f * total - conv)))
-    return tuple(out)
+    kernels = [k for rmin, rmax in zip(edges, edges[1:]) for k in _sigma_kernels(grid, beta, rmin, rmax)]
+    s = [
+        C_sym * (f * (kern.sum() * grid.cell_weight) - conv)
+        for kern, conv in zip(kernels, _apply_kernels(f, grid, kernels))
+    ]
+    return tuple(
+        (PhysicalField(grid, s11), PhysicalField(grid, s12), PhysicalField(grid, -s11))
+        for s11, s12 in zip(s[::2], s[1::2])
+    )
 
 
 def symgrad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     """Symmetric gradient via the difference-form sigma kernel; returns
     (s11, s12, s22).  Exactly symmetric and trace-free by construction."""
     _support_check(theta)
-    return _symgrad_from_region(theta, cfg.beta, C_beta, 0.0, _reach(theta.grid))
+    return _symgrad_regions(theta, cfg.beta, C_beta, (0.0, _reach(theta.grid)))[0]
 
 
 def split_symgrad_bound(
@@ -244,15 +247,13 @@ def split_symgrad_bound(
 ):
     """Three-region split |z| <= rho < |z| <= L_split < |z| of the symmetric
     gradient integral.  Returns (near, mid, far), each an (s11, s12, s22)
-    triple; the parts sum to symgrad_v_quadrature on the same nodes."""
+    triple computed on its own annulus; the parts sum to
+    symgrad_v_quadrature on the same nodes."""
     KernelConfig(beta=beta)  # the same beta check as the other quadratures
     reach = _reach(theta.grid)
     if not 0.0 < rho < L_split <= reach:
         raise ValueError("need 0 < rho < L_split <= the quadrature reach")
-    near = _symgrad_from_region(theta, beta, C_beta, 0.0, rho)
-    mid = _symgrad_from_region(theta, beta, C_beta, rho, L_split)
-    far = _symgrad_from_region(theta, beta, C_beta, L_split, reach)
-    return near, mid, far
+    return _symgrad_regions(theta, beta, C_beta, (0.0, rho, L_split, reach))
 
 
 # ---------------------------------------------------------------------------

@@ -176,16 +176,28 @@ class TestGradAndSymgrad:
         (g11, g12), (g21, g22) = grad_v_quadrature(th, KernelConfig(beta=beta), 1.0)
         anti = 0.5 * (g12.values - g21.values)
 
-        from bq2d.kernels import _apply_kernel, _pad_displacements
+        from bq2d.kernels import _apply_kernels, _pad_displacements
 
         z1, z2, zn = _pad_displacements(g.n, g.side_length)
         mask = zn > 0
         scalar = np.zeros_like(zn)
         scalar[mask] = zn[mask] ** (-1.0 - beta)
         d1 = to_physical(grad(to_spectral(th))[0]).values
-        w0 = _apply_kernel(scalar, d1, g)
+        (w0,) = _apply_kernels(d1, g, [scalar])
         expect = -0.5 * (1.0 - beta) * w0  # J[0][1] = -1 entry of the rotation
         assert np.abs(anti - expect).max() <= 1e-11 * max(np.abs(expect).max(), 1e-300)
+
+    def test_diagonal_entries_are_exact_negations(self):
+        # sigma is trace-free and the two diagonal tensor kernels of the
+        # gradient are negatives of each other, so one convolution serves both
+        g = GridSpec(32)
+        th = oracle_bump(g)
+        cfg = KernelConfig(beta=0.5)
+        triples = [symgrad_v_quadrature(th, cfg, 1.0), *split_symgrad_bound(th, 0.5, 1.5, 0.5)]
+        for s11, _, s22 in triples:
+            assert np.array_equal(s22.values, -s11.values)
+        (g11, _), (_, g22) = grad_v_quadrature(th, cfg, 1.0)
+        assert np.array_equal(g22.values, -g11.values)
 
     def test_symgrad_matches_symmetrized_gradient_quadrature(self):
         g = GridSpec(64)
@@ -251,6 +263,43 @@ class TestSplitIntegral:
         th = oracle_bump(GridSpec(32))
         with pytest.raises(ValueError, match="beta strictly inside"):
             split_symgrad_bound(th, rho=0.05, L_split=1.0, beta=beta)
+
+
+def padded_transform_count(monkeypatch, call, n):
+    """rfft2/irfft2 calls on the padded 2n-row grid made by ``call()``."""
+    calls = []
+    for name in ("rfft2", "irfft2"):
+        transform = getattr(np.fft, name)
+
+        def counted(a, *args, _transform=transform, **kwargs):
+            calls.append(a.shape[0] == 2 * n)
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the coarse grid trips the support check
+        call()
+    return sum(calls)
+
+
+class TestTransformCensus:
+    """d1 theta is padded and transformed once per call; each convolved
+    kernel then costs one forward and one inverse transform."""
+
+    @pytest.mark.parametrize(
+        "quadrature, want",
+        [
+            (lambda th, cfg: v_quadrature(th, cfg, 1.0), 5),
+            (lambda th, cfg: symgrad_v_quadrature(th, cfg, 1.0), 5),
+            (lambda th, cfg: split_symgrad_bound(th, 0.5, 1.5, cfg.beta), 13),
+            (lambda th, cfg: grad_v_quadrature(th, cfg, 1.0), 9),
+        ],
+        ids=["v", "symgrad", "split", "grad_v"],
+    )
+    def test_padded_transforms_per_call(self, monkeypatch, quadrature, want):
+        g = GridSpec(16)
+        th = oracle_bump(g)
+        assert padded_transform_count(monkeypatch, lambda: quadrature(th, KernelConfig(beta=0.5)), g.n) == want
 
 
 class TestCalibration:

@@ -141,3 +141,11 @@ class TestWeightedProfile:
         radii, sups = oss_weighted_profile(theta, 0.1, 1.0)
         want_radii, want_sups = loop_weighted_profile(theta, 0.1, 1.0)
         assert np.array_equal(radii, want_radii) and np.array_equal(sups, want_sups)
+
+    def test_one_roll_per_row_shift(self, monkeypatch):
+        theta = random_band(64)
+        calls = []
+        roll = np.roll
+        monkeypatch.setattr(np, "roll", lambda *a, **k: calls.append(1) or roll(*a, **k))
+        oss_weighted_profile(theta, 0.3, 1.5)
+        assert 0 < len(calls) <= theta.grid.n
