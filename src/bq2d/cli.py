@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels, solver
-from .lp import BesovIndex, dyadic_blocks, lr_combine, weighted_block_norm
+from .lp import BesovIndex, block_norms, lr_combine
 from .spectral import FlowParams, GridSpec, PhysicalField, lp_norm
 from .monitors import (
     CONVEX_GAMMAS,
@@ -501,13 +501,12 @@ def cmd_besov(args) -> int:
         fh = state.omega_hat
     else:  # argparse limits --field to theta, omega and G
         fh = solver.G_hat(state, params.alpha)
-    bands = dyadic_blocks(fh)
     try:
-        norms = [weighted_block_norm(band, index) for band in bands]
-        total = lr_combine(norms, index.r)  # besov_norm's total, from the same norms
+        norms = block_norms(fh, index)
+        total = lr_combine([v for _, v in norms], index.r)  # besov_norm's total, from the same norms
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [["j", "weighted_block_norm"]] + [[b.j, repr(float(v))] for b, v in zip(bands, norms)]
+    rows = [["j", "weighted_block_norm"]] + [[j, repr(float(v))] for j, v in norms]
     rows.append(["total", repr(float(total))])
     _emit(rows, args.out)
     return EXIT_OK

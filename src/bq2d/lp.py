@@ -42,6 +42,7 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
+    _read_only,
     dealias,
     fractional_laplacian,
     grad,
@@ -96,8 +97,7 @@ def _band_indices(grid: GridSpec) -> np.ndarray:
     idx = np.full(kmag.shape, -1, dtype=int)
     unit = kmag >= 1.0
     idx[unit] = np.floor(np.log2(kmag[unit])).astype(int)
-    idx.flags.writeable = False
-    return idx
+    return _read_only(idx)
 
 
 def _smooth_step(r: np.ndarray) -> np.ndarray:
@@ -147,18 +147,40 @@ def lr_combine(values: list[float], r: float) -> float:
         raise ValueError(f"the l^{r!r} sum of the block norms overflows") from exc
 
 
-def weighted_block_norm(band: LPBand, idx: BesovIndex) -> float:
-    """2^{js} ||Delta_j f||_p for one block; exactly 0.0 for an empty block.
-    ValueError when the weighted norm overflows the float range."""
-    if not np.any(band.band.coeffs):
+@lru_cache(maxsize=64)
+def _band_flat_indices(grid: GridSpec) -> tuple[tuple[int, np.ndarray], ...]:
+    """(j, read-only flat half-plane indices of sharp band j), j = -1 .. max_band_index."""
+    flat = _band_indices(grid).ravel()
+    return tuple((j, _read_only(np.flatnonzero(flat == j))) for j in range(-1, max_band_index(grid) + 1))
+
+
+def _weighted_norm(j: int, coeffs: np.ndarray, grid: GridSpec, idx: BesovIndex) -> float:
+    """2^{js} ||f||_p of one block's coefficients: 0.0 untransformed if empty, ValueError on overflow."""
+    if not np.any(coeffs):
         return 0.0
     try:
-        value = 2.0 ** (band.j * idx.s) * lp_norm(to_physical(band.band), idx.p)
+        value = 2.0 ** (j * idx.s) * lp_norm(PhysicalField(grid, irfft2(coeffs)), idx.p)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"2^(j s) ||Delta_j f||_p overflows at j={band.j}, s={idx.s!r}")
+        raise ValueError(f"2^(j s) ||Delta_j f||_p overflows at j={j}, s={idx.s!r}")
     return value
+
+
+def block_norms(fh: SpectralField, idx: BesovIndex, smooth: bool = False) -> list[tuple[int, float]]:
+    """(j, 2^{js} ||Delta_j f||_p) for every block of ``dyadic_blocks``: the one
+    per-band routine of ``besov_norm`` and ``bq2d besov``.  Each sharp band is
+    scattered from its cached indices into one zeroed buffer, zeroed again after."""
+    if smooth:
+        return [(b.j, _weighted_norm(b.j, b.band.coeffs, fh.grid, idx)) for b in dyadic_blocks(fh, smooth=True)]
+    buf = np.zeros_like(fh.coeffs, order="C")
+    flat, buf_flat = fh.coeffs.ravel(), buf.reshape(-1)
+    out = []
+    for j, ind in _band_flat_indices(fh.grid):
+        buf_flat[ind] = flat[ind]
+        out.append((j, _weighted_norm(j, buf, fh.grid, idx)))
+        buf_flat[ind] = 0.0
+    return out
 
 
 def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
@@ -167,8 +189,7 @@ def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
     fh = f if isinstance(f, SpectralField) else to_spectral(f)
     if idx.homogeneous:
         fh = mean_free(fh)
-    bands = [b for b in dyadic_blocks(fh, smooth=smooth) if not (idx.homogeneous and b.j == -1)]
-    return lr_combine([weighted_block_norm(b, idx) for b in bands], idx.r)
+    return lr_combine([v for j, v in block_norms(fh, idx, smooth) if not (idx.homogeneous and j == -1)], idx.r)
 
 
 # An even-p power sum is kept only above this multiple of its rounding

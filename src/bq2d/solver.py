@@ -15,7 +15,8 @@ the real fields with the symbol tables of ``spectral``; the diagnostics
 spectral operators.  A step costs 18 real n x n transforms: the forward
 pair of the state (shared with the dissipation rates on it), then per stage
 2 inverse for the velocity and 4 forward for the products, and 2 inverse
-each for the predictor and the new state.
+each for the predictor and the new state.  With per-grid symbol tables,
+spectra are multiplied and masked in place only on arrays the step allocated.
 
 The canonical prognostic state between steps is the pair of physical
 collocation arrays; spectral views are derived from them on demand (the
@@ -43,6 +44,7 @@ from .spectral import (
     biot_savart,
     biot_savart_symbols,
     coordinates,
+    derivative_symbols,
     dealias,
     dealias_mask,
     field_from_function,
@@ -58,7 +60,6 @@ from .spectral import (
     shift_norms,
     to_physical,
     to_spectral,
-    wavevectors,
 )
 
 OMEGA_BLOWUP_LIMIT = 1e8
@@ -89,8 +90,10 @@ class SimState:
 
     @cached_property
     def hats(self) -> tuple[np.ndarray, np.ndarray]:
-        keep = dealias_mask(self.grid)
-        return tuple(np.where(keep, rfft2(f.values), 0.0) for f in (self.theta, self.omega))
+        out = rfft2(self.theta.values), rfft2(self.omega.values)
+        for c in out:
+            c[~dealias_mask(self.grid)] = 0.0
+        return out
 
     @cached_property
     def theta_hat(self) -> SpectralField:
@@ -135,8 +138,7 @@ class OssReport:
 def _velocity(w: np.ndarray, grid: GridSpec):
     """Raw physical (u1, u2) from half-plane vorticity coefficients, for the
     step (``biot_savart`` is the diagnostics' path)."""
-    b1, b2 = biot_savart_symbols(grid)
-    return irfft2(1j * b2 * w), irfft2(-1j * b1 * w)
+    return tuple(irfft2(s * w) for s in biot_savart_symbols(grid))
 
 
 def _velocity_l2(state: SimState) -> float:
@@ -151,11 +153,13 @@ def _advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
     Works on raw arrays (no field validation) so an overflowing state
     surfaces as a blow-up diagnostic in the caller, not a type error.
     """
-    k1, k2, _ = wavevectors(grid)
+    ik1, ik2 = derivative_symbols(grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        p1 = rfft2(u[0] * f)
-        p2 = rfft2(u[1] * f)
-        return np.where(dealias_mask(grid), 1j * k1 * p1 + 1j * k2 * p2, 0.0)
+        p1, p2 = rfft2(u[0] * f), rfft2(u[1] * f)
+        p1 *= ik1
+        p1 += np.multiply(p2, ik2, out=p2)
+    p1[~dealias_mask(grid)] = 0.0
+    return p1
 
 
 def nonstiff_rhs(state: SimState, params: FlowParams, hats=None):
@@ -175,9 +179,9 @@ def nonstiff_rhs(state: SimState, params: FlowParams, hats=None):
     u_max = max(np.abs(u[0]).max(), np.abs(u[1]).max())
     if not math.isfinite(u_max):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
-    k1 = wavevectors(grid)[0]
     n_theta = -_advection(u, state.theta.values, grid)
-    n_omega = 1j * k1 * th_hat - _advection(u, state.omega.values, grid)
+    n_omega = derivative_symbols(grid)[0] * th_hat
+    n_omega -= _advection(u, state.omega.values, grid)
     if not (np.isfinite(n_theta).all() and np.isfinite(n_omega).all()):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
     return n_theta, n_omega, float(u_max)
@@ -215,11 +219,11 @@ def choose_dt(state: SimState, params: FlowParams, cfg: StepperConfig, u_max: fl
 def _physical_checked(grid: GridSpec, coeffs: np.ndarray, t: float) -> PhysicalField:
     """Inverse transform that reports non-finite intermediates as blow-up."""
     vals = irfft2(coeffs)
-    if not np.isfinite(vals).all():
+    try:
+        return PhysicalField(grid, vals)
+    except ValueError:
         finite = vals[np.isfinite(vals)]
-        peak = float(np.abs(finite).max()) if finite.size else math.inf
-        raise BlowUpError(t, peak)
-    return PhysicalField(grid, vals)
+        raise BlowUpError(t, float(np.abs(finite).max()) if finite.size else math.inf) from None
 
 
 def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | None = None) -> SimState:
@@ -245,7 +249,7 @@ def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | No
     theta_p = _physical_checked(grid, th_new, t)
     omega_p = _physical_checked(grid, w_new, t)
 
-    omega_max = float(np.abs(omega_p.values).max())
+    omega_max = float(max(omega_p.values.max(), -omega_p.values.min()))
     if omega_max > OMEGA_BLOWUP_LIMIT:
         raise BlowUpError(t, omega_max)
     return SimState(theta_p, omega_p, t)
@@ -310,7 +314,7 @@ def g_equation_residual(states, params: FlowParams) -> float:
 
     comm = riesz_alpha(SpectralField(grid, _advection(u, s1.theta.values, grid)), alpha).coeffs
     comm -= _advection(u, to_physical(riesz_alpha(s1.theta_hat, alpha)).values, grid)
-    d1_theta = 1j * wavevectors(grid)[0] * th_hat
+    d1_theta = derivative_symbols(grid)[0] * th_hat
     forcing = (1.0 - params.nu + params.kappa * kpow(grid, beta - alpha)) * d1_theta
 
     spatial = irfft2(adv + diss - comm - forcing)

@@ -27,8 +27,9 @@ Conventions used by every module in this package:
 * Dealiasing zeroes every mode with any |m_i| > dealias_fraction * n/2
   and is applied after each nonlinear product.
 * This module owns every per-grid table: wavevectors, |k|^g symbols, the
-  Biot-Savart symbols, the dealias mask and the grid-shift lengths.  Each
-  is built once per grid and handed out read-only.
+  complex multipliers (i k1, i k2, the Biot-Savart pair, the Riesz symbol
+  per alpha), the dealias mask and the grid-shift lengths, each built once
+  per grid and handed out read-only.
 
 All operations are pure: fields in, fresh fields out.
 """
@@ -168,15 +169,27 @@ def kpow(grid: GridSpec, g: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def derivative_symbols(grid: GridSpec):
+    """Read-only complex (i k1, i k2), the symbols of d1 and d2."""
+    return tuple(_read_only(1j * k) for k in wavevectors(grid)[:2])
+
+
+@lru_cache(maxsize=64)
+def riesz_symbol(grid: GridSpec, alpha: float) -> np.ndarray:
+    """Read-only complex i k1 |k|^{-alpha} of ``riesz_alpha``, mean mode zero."""
+    return _read_only(derivative_symbols(grid)[0] * kpow(grid, -alpha))
+
+
+@lru_cache(maxsize=64)
 def biot_savart_symbols(grid: GridSpec):
-    """Read-only (k1/|k|^2, k2/|k|^2), zero at the mean mode and, like k1 and
-    k2, on their Nyquist lines."""
+    """Read-only complex (i k2/|k|^2, -i k1/|k|^2) of u1 and u2, zero at the
+    mean mode and, like k1 and k2, on their Nyquist lines."""
     # k * (1/|k|^2), the rounding of the complex division i k / |k|^2
     k1, k2, kmag = wavevectors(grid)
     kk = kmag**2
     kk[0, 0] = 1.0
     inv = 1.0 / kk
-    return _read_only(k1 * inv), _read_only(k2 * inv)
+    return _read_only(1j * (k2 * inv)), _read_only(-1j * (k1 * inv))
 
 
 @lru_cache(maxsize=64)
@@ -207,8 +220,9 @@ def coordinates(grid: GridSpec):
 
 
 def rfft2(values: np.ndarray) -> np.ndarray:
-    """Half-plane coefficients of a real n x n array (``to_spectral``'s scaling)."""
-    return np.fft.rfft2(values, norm="forward")
+    """Half-plane coefficients of a real array (``to_spectral``'s scaling), in a
+    fresh ``out=`` array so that numpy's axis-0 pass runs in place (numpy >= 2.0)."""
+    return np.fft.rfft2(values, norm="forward", out=np.empty((len(values), values.shape[1] // 2 + 1), complex))
 
 
 def irfft2(coeffs: np.ndarray) -> np.ndarray:
@@ -247,14 +261,12 @@ def riesz_alpha(fh: SpectralField, alpha: float) -> SpectralField:
     """Lambda^{-alpha} d_1: multiplier i*k1*|k|^{-alpha}, mean mode zero."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("riesz_alpha requires alpha in (0, 1]")
-    k1 = wavevectors(fh.grid)[0]
-    return SpectralField(fh.grid, fh.coeffs * (1j * k1 * kpow(fh.grid, -alpha)))
+    return SpectralField(fh.grid, fh.coeffs * riesz_symbol(fh.grid, alpha))
 
 
 def biot_savart(wh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Velocity from vorticity: u1 = i k2 w/|k|^2, u2 = -i k1 w/|k|^2."""
-    b1, b2 = biot_savart_symbols(wh.grid)
-    return SpectralField(wh.grid, 1j * b2 * wh.coeffs), SpectralField(wh.grid, -1j * b1 * wh.coeffs)
+    return tuple(SpectralField(wh.grid, s * wh.coeffs) for s in biot_savart_symbols(wh.grid))
 
 
 def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, SpectralField]:
@@ -273,20 +285,13 @@ def v_from_theta(th: SpectralField, beta: float) -> tuple[SpectralField, Spectra
 
 
 def grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
-    k1, k2, _ = wavevectors(fh.grid)
-    return (
-        SpectralField(fh.grid, 1j * k1 * fh.coeffs),
-        SpectralField(fh.grid, 1j * k2 * fh.coeffs),
-    )
+    return tuple(SpectralField(fh.grid, ik * fh.coeffs) for ik in derivative_symbols(fh.grid))
 
 
 def perp_grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Perpendicular gradient (-d2 f, d1 f)."""
-    k1, k2, _ = wavevectors(fh.grid)
-    return (
-        SpectralField(fh.grid, -1j * k2 * fh.coeffs),
-        SpectralField(fh.grid, 1j * k1 * fh.coeffs),
-    )
+    d1, d2 = grad(fh)
+    return SpectralField(fh.grid, -d2.coeffs), d1
 
 
 def grad_sup(fh: SpectralField) -> float:

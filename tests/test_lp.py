@@ -11,6 +11,7 @@ from bq2d.lp import (
     bernstein_check,
     besov_norm,
     besov_norm_fd,
+    block_norms,
     chain_rule_besov_ratio,
     commutator_advection,
     commutator_estimate_ratio,
@@ -24,6 +25,7 @@ from bq2d.kernels import gaussian_bump
 from bq2d.spectral import (
     GridSpec,
     PhysicalField,
+    SpectralField,
     biot_savart,
     constant_field,
     field_from_function,
@@ -129,6 +131,35 @@ class TestBesovNorm:
         f = PhysicalField(G, constant_field(G, 2.0).values + np.sin(4 * coordinates_x1()))
         v = besov_norm(f, BesovIndex(0.5, 2, math.inf, homogeneous=True))
         assert abs(v - 2.0 * SIN2PI2) < 1e-12 * v
+
+
+class TestBlockNorms:
+    """``block_norms`` scatters each sharp band into one reused buffer; the
+    oracle is the masked copy of ``dyadic_blocks`` per band."""
+
+    @pytest.mark.parametrize("n, L", [(32, 2 * math.pi), (48, 0.7), (64, 9.0)])
+    def test_bitwise_the_masked_copy_per_band(self, n, L):
+        grid = GridSpec(n, side_length=L)
+        fh = random_band_spectral(grid, 0.0, 40.0 / L, np.random.default_rng(n))
+        for idx in (BesovIndex(0.5, 2.0, math.inf), BesovIndex(-0.3, 3.5, 2.0)):
+            want = []
+            for b in dyadic_blocks(fh):
+                value = 0.0
+                if np.any(b.band.coeffs):
+                    value = 2.0 ** (b.j * idx.s) * lp_norm(to_physical(b.band), idx.p)
+                want.append((b.j, value))
+            assert block_norms(fh, idx) == want
+
+    def test_empty_blocks_are_not_transformed(self, monkeypatch):
+        coeffs = np.zeros((G.n, G.n // 2 + 1), dtype=complex)
+        coeffs[0, 1] = coeffs[0, 8] = 0.5  # cos(x2) + cos(8 x2): bands 0 and 3 only
+        fh = SpectralField(G, coeffs)
+        calls = []
+        irfft2 = np.fft.irfft2
+        monkeypatch.setattr(np.fft, "irfft2", lambda *a, **k: calls.append(1) or irfft2(*a, **k))
+        norms = block_norms(fh, BesovIndex(1.0, 2, 1))
+        assert [j for j, v in norms if v != 0.0] == [0, 3] and len(calls) == 2
+        assert all(v == 0.0 for j, v in norms if j not in (0, 3))
 
 
 def coordinates_x1():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bq2d.monitors import dissipation_rates, snapshot_record
 from bq2d.solver import (
     BlowUpError,
     SimState,
@@ -127,6 +128,29 @@ class TestStep:
             step(st, PARAMS, StepperConfig(dt_init=1e-6, t_end=1.0), dt=1e-6)
         assert err.value.t == 1e-6 or err.value.t == 0.0
         assert err.value.omega_max > 0
+
+
+class TestAliasing:
+    """The step works in place on arrays it owns: its input state, the
+    state's cached coefficients and the diagnostics on it stay untouched."""
+
+    def test_step_and_diagnostics_leave_the_input_state_unchanged(self):
+        state = initial_data("random-band", 3, GridSpec(32))
+        arrays = (state.theta.values, state.omega.values, *state.hats)
+        before = [a.copy() for a in arrays]
+        cfg = StepperConfig(dt_init=0.01)
+        new = step(state, PARAMS, cfg)
+        dissipation_rates(state, PARAMS)
+        snapshot_record(state, PARAMS, 2.5, 0.4, 0.0, 0.0)
+        dissipation_rates(new, PARAMS)
+        snapshot_record(new, PARAMS, 2.5, 0.4, 0.0, 0.0)
+        again = step(state, PARAMS, cfg)
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+        assert again.theta.values.tobytes() == new.theta.values.tobytes()
+        assert again.omega.values.tobytes() == new.omega.values.tobytes()
+        for a in (new.theta.values, new.omega.values, *new.hats):
+            assert not any(np.shares_memory(a, b) for b in arrays)
 
 
 class TestInvariants:

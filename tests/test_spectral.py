@@ -16,6 +16,7 @@ from bq2d.spectral import (
     constant_field,
     coordinates,
     dealias,
+    derivative_symbols,
     field_from_function,
     fractional_laplacian,
     grad,
@@ -30,6 +31,7 @@ from bq2d.spectral import (
     random_band_spectral,
     rfft2,
     riesz_alpha,
+    riesz_symbol,
     shift_norms,
     sobolev_norm,
     to_physical,
@@ -319,6 +321,10 @@ class TestSymbolTables:
         u1[0, 0] = u2[0, 0] = 0.0
         b1, b2 = biot_savart(fh)
         assert _same_bits(b1.coeffs, u1) and _same_bits(b2.coeffs, u2)
+        d1, d2 = grad(fh)
+        assert _same_bits(d1.coeffs, 1j * k1 * c) and _same_bits(d2.coeffs, 1j * k2 * c)
+        p1, p2 = perp_grad(fh)
+        assert _same_bits(p1.coeffs, -1j * k2 * c) and _same_bits(p2.coeffs, 1j * k1 * c)
         for beta in (0.1, 0.5, 0.9):
             radial = safe ** (beta - 3.0)
             v1, v2 = -k1 * k2 * radial * c, k1 * k1 * radial * c
@@ -336,7 +342,7 @@ class TestSymbolTables:
 
     def test_cached_tables_are_read_only(self):
         from bq2d.kernels import _pad_displacements
-        from bq2d.lp import _band_indices
+        from bq2d.lp import _band_flat_indices, _band_indices
         from bq2d.monitors import _dirichlet_kernel_fft
 
         grid = GridSpec(16)
@@ -345,14 +351,26 @@ class TestSymbolTables:
             kpow(grid, 0.5),
             dealias_mask(grid),
             shift_norms(grid),
+            *derivative_symbols(grid),
+            riesz_symbol(grid, 0.5),
             *biot_savart_symbols(grid),
             _band_indices(grid),
+            *(ind for _, ind in _band_flat_indices(grid) if ind.size),
             *_pad_displacements(grid.n, grid.side_length),
             _dirichlet_kernel_fft(grid, 0.5)[0],
         ]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 1
+                table[(0,) * table.ndim] = 1
+
+    @pytest.mark.parametrize("n", [16, 48, 256])
+    def test_rfft2_is_numpys_forward_transform_in_a_fresh_array(self, n):
+        x = np.random.default_rng(n).standard_normal((n, n))
+        a, b = rfft2(x), rfft2(x)
+        want = np.fft.rfft2(x, norm="forward")
+        assert a.dtype == want.dtype and a.shape == want.shape
+        assert a.tobytes() == want.tobytes() and b.tobytes() == want.tobytes()
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, x)
 
 
 class TestHalfPlane:
