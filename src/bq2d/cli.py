@@ -2,7 +2,8 @@
 verification suites.
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment);
-every command-line flag mirrors a config key and wins over the file.  All
+every command-line flag mirrors a config key, is parsed as in the file (by
+``_coerce``) and wins over the file.  All
 values are validated before any file output is created.  Exit codes:
 0 success, 2 config error, 3 blow-up abort, 4 assertion failure inside a
 verification suite.  A command reports bad input by raising ``ConfigError``;
@@ -154,6 +155,7 @@ class RunConfig:
 _BOOL_KEYS = {"critical"}
 _INT_KEYS = {"n", "seed", "diag_every", "checkpoint_every", "n_steps"}
 _STR_KEYS = {"init_kind", "out_dir"}
+_FLAG_KEYS = [f.name for f in fields(RunConfig)]
 
 
 def _coerce(key: str, raw: str):
@@ -165,7 +167,7 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
     if key in _INT_KEYS:
-        if raw.lower() == "none":
+        if key == "n_steps" and raw.lower() == "none":
             return None
         try:
             return int(raw)
@@ -180,7 +182,6 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    known = {f.name for f in fields(RunConfig)}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -189,7 +190,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in body:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in known:
+        if key not in _FLAG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         out[key] = _coerce(key, raw)
     return out
@@ -197,7 +198,7 @@ def parse_config_text(text: str) -> dict:
 
 def build_config(config_path: str | None, overrides: dict, header: dict | None = None) -> RunConfig:
     """Defaults, then the config file, then a checkpoint ``header`` (when
-    resuming), then the non-None ``overrides``; BQ2D_OUT_DIR last.
+    resuming), then the ``overrides``, a None included; BQ2D_OUT_DIR last.
 
     A header value that the file contradicts is an error unless a flag
     overrides it; n is never overridden.  With a header, ``critical``
@@ -213,7 +214,7 @@ def build_config(config_path: str | None, overrides: dict, header: dict | None =
         file_vals = parse_config_text(text)
     layers = dict(file_vals)
     for key, ckpt_val in (header or {}).items():
-        if overrides.get(key) is not None:
+        if key in overrides:
             continue
         if key in file_vals and file_vals[key] != ckpt_val:
             raise ConfigError(
@@ -221,7 +222,7 @@ def build_config(config_path: str | None, overrides: dict, header: dict | None =
                 f"config has {file_vals[key]!r} (pass --{key.replace('_', '-')} to override)"
             )
         layers[key] = ckpt_val
-    layers.update((key, val) for key, val in overrides.items() if val is not None)
+    layers.update(overrides)
     cfg = RunConfig(**layers)
     env_out = os.environ.get("BQ2D_OUT_DIR")
     if env_out:
@@ -351,6 +352,7 @@ def cmd_resume(args) -> int:
     header = {
         "n": state.grid.n,
         "side_length": state.grid.side_length,
+        "dealias_fraction": state.grid.dealias_fraction,
         "nu": params.nu,
         "kappa": params.kappa,
         "alpha": params.alpha,
@@ -516,33 +518,14 @@ def cmd_besov(args) -> int:
 # argument plumbing
 
 
-_FLAG_KEYS = [f.name for f in fields(RunConfig)]
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="flat key = value config file")
     for key in _FLAG_KEYS:
-        flag = "--" + key.replace("_", "-")
-        if key in _BOOL_KEYS:
-            p.add_argument(flag, default=None, type=str, metavar="BOOL")
-        elif key in _INT_KEYS:
-            p.add_argument(flag, default=None, type=int)
-        elif key in _STR_KEYS:
-            p.add_argument(flag, default=None, type=str)
-        else:
-            p.add_argument(flag, default=None, type=float)
+        p.add_argument("--" + key.replace("_", "-"), default=None)
 
 
 def _collect_overrides(args) -> dict:
-    out = {}
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is None:
-            continue
-        if key in _BOOL_KEYS and isinstance(val, str):
-            val = _coerce(key, val)
-        out[key] = val
-    return out
+    return {key: _coerce(key, raw) for key in _FLAG_KEYS if (raw := getattr(args, key, None)) is not None}
 
 
 def main(argv=None) -> int:

@@ -45,11 +45,12 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import (
+    TWO_PI,
     GridSpec,
     PhysicalField,
     coordinates,
-    field_from_function,
     grad,
+    image_distance2,
     irfft2,
     rfft2,
     to_physical,
@@ -123,6 +124,15 @@ def _pad_displacements(n: int, side_length: float):
     return z[:, None], z[None, :], zn
 
 
+def _radial(grid: GridSpec, power: float, rmin: float, rmax: float) -> np.ndarray:
+    """|z|^{-power} on the padded displacements with rmin < |z| <= rmax, 0 elsewhere."""
+    _, _, zn = _pad_displacements(grid.n, grid.side_length)
+    mask = (zn > rmin) & (zn <= rmax)
+    out = np.zeros_like(zn)
+    out[mask] = zn[mask] ** -power
+    return out
+
+
 def _apply_kernels(f: np.ndarray, grid: GridSpec, kernels) -> list[np.ndarray]:
     """sum_y kernel(x - y) f(y) (L/n)^2 over the cell, true displacements,
     for each of ``kernels``; f is zero-padded and transformed once.
@@ -166,10 +176,8 @@ def v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     """Riemann-sum evaluation of the velocity integral; returns (v1, v2)."""
     grid = theta.grid
     _support_check(theta)
-    z1, z2, zn = _pad_displacements(grid.n, grid.side_length)
-    mask = (zn > 0) & (zn <= _reach(grid))
-    radial = np.zeros_like(zn)
-    radial[mask] = zn[mask] ** (-1.0 - cfg.beta)
+    z1, z2, _ = _pad_displacements(grid.n, grid.side_length)
+    radial = _radial(grid, 1.0 + cfg.beta, 0.0, _reach(grid))
     # z^perp = (-z2, z1); the kernel is odd, so the self cell would vanish
     # by parity even if it were included.
     f = _d1_theta(theta)
@@ -182,12 +190,9 @@ def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
     with g_ij = d_j v_i."""
     grid = theta.grid
     _support_check(theta)
-    z1, z2, zn = _pad_displacements(grid.n, grid.side_length)
-    mask = (zn > 0) & (zn <= _reach(grid))
-    scalar = np.zeros_like(zn)
-    scalar[mask] = zn[mask] ** (-1.0 - cfg.beta)
-    tensor = np.zeros_like(zn)
-    tensor[mask] = zn[mask] ** (-3.0 - cfg.beta)
+    z1, z2, _ = _pad_displacements(grid.n, grid.side_length)
+    scalar = _radial(grid, 1.0 + cfg.beta, 0.0, _reach(grid))
+    tensor = _radial(grid, 3.0 + cfg.beta, 0.0, _reach(grid))
     f = _d1_theta(theta)
     zp, zz = (-z2, z1), (z1, z2)
     # g22's tensor kernel z1 z2 is the exact negation of g11's, -z2 z1, and
@@ -203,13 +208,9 @@ def grad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float):
 def _sigma_kernels(grid: GridSpec, beta: float, rmin: float, rmax: float):
     """Entries 11 and 12 of sigma(z) / |z|^{1+beta} on rmin < |z| <= rmax;
     sigma is trace-free, so entry 22 is the exact negation of entry 11."""
-    z1, z2, zn = _pad_displacements(grid.n, grid.side_length)
-    mask = (zn > max(rmin, 0.0)) & (zn <= rmax)
-    radial = np.zeros_like(zn)
-    radial[mask] = zn[mask] ** (-3.0)
-    power = np.zeros_like(zn)
-    power[mask] = zn[mask] ** (-beta)  # together with |z|^{-3}: sigma(z)/|z|^{1+beta}
-    return -2.0 * z1 * z2 * radial * power, (z1 * z1 - z2 * z2) * radial * power
+    z1, z2, _ = _pad_displacements(grid.n, grid.side_length)
+    radial = _radial(grid, 3.0 + beta, rmin, rmax)  # over the entries of sigma(z) |z|^2
+    return -2.0 * z1 * z2 * radial, (z1 * z1 - z2 * z2) * radial
 
 
 def _symgrad_regions(theta, beta, C_beta, edges):
@@ -238,137 +239,102 @@ def symgrad_v_quadrature(theta: PhysicalField, cfg: KernelConfig, C_beta: float)
     return _symgrad_regions(theta, cfg.beta, C_beta, (0.0, _reach(theta.grid)))[0]
 
 
-def split_symgrad_bound(
-    theta: PhysicalField,
-    rho: float,
-    L_split: float,
-    beta: float,
-    C_beta: float = 1.0,
-):
+def split_symgrad_bound(theta: PhysicalField, rho: float, L_split: float, beta: float):
     """Three-region split |z| <= rho < |z| <= L_split < |z| of the symmetric
-    gradient integral.  Returns (near, mid, far), each an (s11, s12, s22)
-    triple computed on its own annulus; the parts sum to
+    gradient integral with C(beta) = 1.  Returns (near, mid, far), each an
+    (s11, s12, s22) triple computed on its own annulus; the parts sum to
     symgrad_v_quadrature on the same nodes."""
     KernelConfig(beta=beta)  # the same beta check as the other quadratures
     reach = _reach(theta.grid)
     if not 0.0 < rho < L_split <= reach:
         raise ValueError("need 0 < rho < L_split <= the quadrature reach")
-    return _symgrad_regions(theta, beta, C_beta, (0.0, rho, L_split, reach))
+    return _symgrad_regions(theta, beta, 1.0, (0.0, rho, L_split, reach))
 
 
 # ---------------------------------------------------------------------------
 # calibration bumps and the fit against the spectral operator
 
 
-def gaussian_bump(grid: GridSpec, width: float | None = None, amplitude: float = 1.0) -> PhysicalField:
+def gaussian_bump(grid: GridSpec, width: float | None = None) -> PhysicalField:
     """Centered periodic Gaussian.  Carries nonzero mass, so on the torus its
     periodic images couple to the slowly decaying kernels at O((width/L)^beta);
     use ``oracle_bump`` for quadrature-vs-spectral comparisons."""
-    L = grid.side_length
-    s = width if width is not None else L / 24.0
-    c = L / 2.0
-
-    def fn(x1, x2):
-        d1 = np.minimum(np.abs(x1 - c), L - np.abs(x1 - c))
-        d2 = np.minimum(np.abs(x2 - c), L - np.abs(x2 - c))
-        return amplitude * np.exp(-(d1**2 + d2**2) / (2.0 * s**2))
-
-    return field_from_function(grid, fn)
+    s = width if width is not None else grid.side_length / 24.0
+    c = grid.side_length / 2.0
+    return PhysicalField(grid, np.exp(-image_distance2(grid, c, c) / (2.0 * s**2)))
 
 
-def oracle_bump(grid: GridSpec, width: float | None = None, amplitude: float = 1.0) -> PhysicalField:
+def oracle_bump(grid: GridSpec, width: float | None = None) -> PhysicalField:
     """Centered Gaussian with a degree-two Laguerre weight:
     L2(u) e^{-u}, u = r^2/(2 s^2).  Radially symmetric with vanishing zeroth
     and second radial moments, so the periodic-image coupling of the plane
     integrals is below discretization error."""
-    L = grid.side_length
-    s = width if width is not None else L / 24.0
-    c = L / 2.0
-
-    def fn(x1, x2):
-        d1 = np.minimum(np.abs(x1 - c), L - np.abs(x1 - c))
-        d2 = np.minimum(np.abs(x2 - c), L - np.abs(x2 - c))
-        u = (d1**2 + d2**2) / (2.0 * s**2)
-        return amplitude * (1.0 - 2.0 * u + 0.5 * u**2) * np.exp(-u)
-
-    return field_from_function(grid, fn)
+    s = width if width is not None else grid.side_length / 24.0
+    c = grid.side_length / 2.0
+    u = image_distance2(grid, c, c) / (2.0 * s**2)
+    return PhysicalField(grid, (1.0 - 2.0 * u + 0.5 * u**2) * np.exp(-u))
 
 
 def annulus_kernel_mass(grid: GridSpec, rmin: float, rmax: float, power: float) -> float:
     """Riemann sum of |z|^{-power} over rmin < |z| <= rmax (the oscillation
     bound of the mid-region integral is the shock size times this mass with
     power = 2 + beta, which scales like rmin^{-beta})."""
-    _, _, zn = _pad_displacements(grid.n, grid.side_length)
-    mask = (zn > rmin) & (zn <= rmax)
-    return float(np.sum(zn[mask] ** (-power)) * grid.cell_weight)
+    return float(np.sum(_radial(grid, power, rmin, rmax)) * grid.cell_weight)
 
 
-def oracle_width(beta: float, side_length: float = 2.0 * math.pi) -> float:
-    """Default calibration-bump width, matched to the kernel's singularity
-    strength: stronger singularities (larger beta) want a smoother bump
-    relative to the grid, weaker ones a tighter one (smaller far-field
-    floor under refinement)."""
-    return side_length / (26.0 - 7.5 * beta)
+def oracle_width(beta: float) -> float:
+    """Default calibration-bump width on the 2 pi torus, matched to the
+    kernel's singularity strength: stronger singularities (larger beta) want
+    a smoother bump relative to the grid, weaker ones a tighter one (smaller
+    far-field floor under refinement)."""
+    return TWO_PI / (26.0 - 7.5 * beta)
 
 
-def _calibration_bump(bump: str, grid: GridSpec, width: float) -> PhysicalField:
+def _fit(beta: float, n: int, bump: str):
+    """The calibration fit on the 2 pi torus: (C_star, relative L2 residual,
+    the bump, the spectral velocity (v1, v2) of the bump)."""
     makers = {"oracle": oracle_bump, "gauss": gaussian_bump}
     if bump not in makers:
         raise ValueError(f"bump must be 'oracle' or 'gauss', got {bump!r}")
-    return makers[bump](grid, width=width)
-
-
-def _pair_l2(grid: GridSpec, a1, a2) -> float:
-    return math.sqrt((np.sum(a1**2) + np.sum(a2**2)) * grid.cell_weight)
-
-
-def calibrate_C_beta(
-    beta: float,
-    n: int,
-    side_length: float = 2.0 * math.pi,
-    width: float | None = None,
-    residual_tol: float = 1e-3,
-    bump: str = "oracle",
-) -> tuple[float, float]:
-    """Least-squares fit of the kernel constant against the spectral operator.
-
-    Runs the quadrature with C = 1 on the centered calibration bump and
-    returns (C_star, relative_l2_residual); the fitted C_star carries the
-    sign of the representation.  Raises CalibrationError when the residual
-    exceeds ``residual_tol``.
-    """
-    grid = GridSpec(n=n, side_length=side_length)
-    theta = _calibration_bump(bump, grid, width if width is not None else oracle_width(beta, side_length))
-    cfg = KernelConfig(beta=beta)
-    q1, q2 = v_quadrature(theta, cfg, 1.0)
-    s1, s2 = v_from_theta(to_spectral(theta), beta)
-    sp1, sp2 = to_physical(s1).values, to_physical(s2).values
-    qq = np.sum(q1.values**2) + np.sum(q2.values**2)
+    grid = GridSpec(n=n)
+    theta = makers[bump](grid, width=oracle_width(beta))
+    q1, q2 = (q.values for q in v_quadrature(theta, KernelConfig(beta=beta), 1.0))
+    v_hat = v_from_theta(to_spectral(theta), beta)
+    sp1, sp2 = (to_physical(v).values for v in v_hat)
+    qq = np.sum(q1**2) + np.sum(q2**2)
     if qq == 0.0:
         raise CalibrationError("quadrature velocity vanished; cannot calibrate")
-    qs = np.sum(q1.values * sp1) + np.sum(q2.values * sp2)
-    c_star = float(qs / qq)
-    ref = _pair_l2(grid, sp1, sp2)
-    resid = _pair_l2(grid, c_star * q1.values - sp1, c_star * q2.values - sp2) / ref
+    c_star = float((np.sum(q1 * sp1) + np.sum(q2 * sp2)) / qq)
+
+    def pair_l2(a1, a2):
+        return math.sqrt((np.sum(a1**2) + np.sum(a2**2)) * grid.cell_weight)
+
+    resid = pair_l2(c_star * q1 - sp1, c_star * q2 - sp2) / pair_l2(sp1, sp2)
+    return c_star, float(resid), theta, v_hat
+
+
+def calibrate_C_beta(beta: float, n: int, residual_tol: float = 1e-3, bump: str = "oracle") -> tuple[float, float]:
+    """Least-squares fit of the kernel constant against the spectral operator.
+
+    Runs the quadrature with C = 1 on the centered calibration bump of the
+    2 pi torus and returns (C_star, relative_l2_residual); the fitted C_star
+    carries the sign of the representation.  Raises CalibrationError when
+    the residual exceeds ``residual_tol``.
+    """
+    c_star, resid, _, _ = _fit(beta, n, bump)
     if resid > residual_tol:
         raise CalibrationError(
             f"calibration residual {resid:.3e} exceeds tolerance {residual_tol:.1e} "
             f"(beta={beta}, n={n}, bump={bump})"
         )
-    return c_star, float(resid)
+    return c_star, resid
 
 
-def quadrature_errors(
-    beta: float, n: int, side_length: float = 2.0 * math.pi, bump: str = "oracle"
-) -> dict:
+def quadrature_errors(beta: float, n: int, bump: str = "oracle") -> dict:
     """Oracle comparison on the calibration bump: relative L2 errors of the
     calibrated quadrature velocity and symmetric gradient."""
-    c_star, resid = calibrate_C_beta(beta, n, side_length, bump=bump, residual_tol=math.inf)
-    grid = GridSpec(n=n, side_length=side_length)
-    theta = _calibration_bump(bump, grid, oracle_width(beta, side_length))
-    cfg = KernelConfig(beta=beta)
-    s11, s12, s22 = symgrad_v_quadrature(theta, cfg, c_star)
-    v1h, v2h = v_from_theta(to_spectral(theta), beta)
+    c_star, resid, theta, (v1h, v2h) = _fit(beta, n, bump)
+    s11, s12, s22 = symgrad_v_quadrature(theta, KernelConfig(beta=beta), c_star)
     sp11 = to_physical(grad(v1h)[0]).values
     sp22 = to_physical(grad(v2h)[1]).values
     g12 = to_physical(grad(v1h)[1]).values

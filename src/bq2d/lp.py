@@ -11,7 +11,8 @@ Dyadic blocks come in two variants:
 
 The inhomogeneous low block j = -1 collects every mode with |k| < 1
 (on the default 2*pi torus that is the mean mode alone).  Homogeneous
-norms drop the mean mode and the block j = -1.
+norms drop the mean mode only, which is exact for side_length <= 4*pi
+(every other mode has |k| >= 1/2); larger tori are refused.
 
 Finite-difference Besov norms (``besov_norm_fd``) sum ||f(. + h) - f||_p
 over every grid shift h.  For even integer p the power sum
@@ -39,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import (
+    TWO_PI,
     GridSpec,
     PhysicalField,
     SpectralField,
@@ -188,8 +190,10 @@ def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
     field or its coefficients."""
     fh = f if isinstance(f, SpectralField) else to_spectral(f)
     if idx.homogeneous:
+        if fh.grid.side_length > 2.0 * TWO_PI:
+            raise ValueError("homogeneous Besov norms need side_length <= 4 pi, where every nonzero |k| >= 1/2")
         fh = mean_free(fh)
-    return lr_combine([v for j, v in block_norms(fh, idx, smooth) if not (idx.homogeneous and j == -1)], idx.r)
+    return lr_combine([v for _, v in block_norms(fh, idx, smooth)], idx.r)
 
 
 # An even-p power sum is kept only above this multiple of its rounding

@@ -56,11 +56,6 @@ class IndexWindow:
     q_low_sqdef: float
     q_low: float
     s_max: float
-    alpha0: float = ALPHA_STAR
-
-    @property
-    def valid(self) -> bool:
-        return self.q_low < self.q0 and self.s_max > 0
 
 
 def index_window(alpha: float) -> IndexWindow:
@@ -263,16 +258,17 @@ CONVEX_GAMMAS = {
 }
 
 
+def _lambda(values: np.ndarray, grid: GridSpec, beta: float) -> np.ndarray:
+    """Lambda^b of a real n x n array, through its half-plane coefficients."""
+    return to_physical(fractional_laplacian(SpectralField(grid, rfft2(values)), beta)).values
+
+
 def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime):
-    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid, through
-    half-plane coefficients."""
+    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid."""
     if not 0.0 < beta < 2.0:
         raise ValueError("cordoba_margin requires beta in (0, 2)")
-
-    def lam(values):
-        return to_physical(fractional_laplacian(SpectralField(f.grid, rfft2(values)), beta)).values
-
-    return gamma_prime(f.values) * lam(f.values), lam(np.asarray(gamma(f.values), dtype=float))
+    lam_f = _lambda(f.values, f.grid, beta)
+    return gamma_prime(f.values) * lam_f, _lambda(np.asarray(gamma(f.values), dtype=float), f.grid, beta)
 
 
 def cordoba_margin(f: PhysicalField, beta: float, gamma, gamma_prime) -> float:
@@ -348,8 +344,7 @@ def gradient_lower_bound_margin(f: PhysicalField, beta: float, q: float):
         g1 * to_physical(fractional_laplacian(g1h, beta)).values
         + g2 * to_physical(fractional_laplacian(g2h, beta)).values
     )
-    sq = PhysicalField(grid, g1 * g1 + g2 * g2)
-    t2 = 0.5 * to_physical(fractional_laplacian(to_spectral(sq), beta)).values
+    t2 = 0.5 * _lambda(g1 * g1 + g2 * g2, grid, beta)
     exact = t1 - t2
     exact_min = float(exact.min())
 
@@ -384,11 +379,8 @@ def difference_lower_bound_margin(theta: PhysicalField, h: tuple[int, int], beta
     if i == 0 and j == 0:
         return 0.0, 0.0
     g = np.roll(theta.values, (-i, -j), axis=(0, 1)) - theta.values
-    gh = to_spectral(PhysicalField(grid, g))
-    t1 = g * to_physical(fractional_laplacian(gh, beta)).values
-    t2 = 0.5 * to_physical(
-        fractional_laplacian(to_spectral(PhysicalField(grid, g * g)), beta)
-    ).values
+    t1 = g * _lambda(g, grid, beta)
+    t2 = 0.5 * _lambda(g * g, grid, beta)
     exact = t1 - t2
     exact_min = float(exact.min())
 

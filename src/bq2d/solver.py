@@ -22,7 +22,7 @@ The canonical prognostic state between steps is the pair of physical
 collocation arrays; spectral views are derived from them on demand (the
 predictor hands its coefficients on without a round trip).  Checkpoints
 store exactly those arrays, which is what makes a split run bitwise equal
-to an unsplit one; the BQCHK1 format does not depend on the transforms.
+to an unsplit one; the checkpoint format does not depend on the transforms.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from .spectral import (
     SpectralField,
     biot_savart,
     biot_savart_symbols,
-    coordinates,
     derivative_symbols,
     dealias,
     dealias_mask,
     field_from_function,
     grad_sup,
+    image_distance2,
     irfft2,
     kpow,
     l2_norm_spectral,
@@ -162,7 +162,7 @@ def _advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return p1
 
 
-def nonstiff_rhs(state: SimState, params: FlowParams, hats=None):
+def nonstiff_rhs(state: SimState, hats=None):
     """Explicitly integrated tendencies (transport + buoyancy) and max |u|.
 
     Returns (N_theta, N_omega, u_max) with the tendencies as half-plane
@@ -189,7 +189,7 @@ def nonstiff_rhs(state: SimState, params: FlowParams, hats=None):
 
 def rhs(state: SimState, params: FlowParams):
     """Full tendencies (d theta^/dt, d omega^/dt) including dissipation."""
-    n_theta, n_omega, _ = nonstiff_rhs(state, params)
+    n_theta, n_omega, _ = nonstiff_rhs(state)
     grid = state.grid
     th_hat, w_hat = state.hats
     d_theta = n_theta - params.kappa * kpow(grid, params.beta) * th_hat
@@ -203,7 +203,7 @@ def _integrating_factors(grid: GridSpec, params: FlowParams, dt: float):
     return e_theta, e_omega
 
 
-def choose_dt(state: SimState, params: FlowParams, cfg: StepperConfig, u_max: float) -> float:
+def choose_dt(state: SimState, cfg: StepperConfig, u_max: float) -> float:
     """CFL step; a velocity that drives it below DT_UNDERFLOW is a blow-up."""
     dx = state.grid.spacing
     dt = min(cfg.dt_init, cfg.cfl_number * dx)  # buoyancy cap: zeroth-order coupling
@@ -229,10 +229,10 @@ def _physical_checked(grid: GridSpec, coeffs: np.ndarray, t: float) -> PhysicalF
 def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | None = None) -> SimState:
     """One integrating-factor Heun step; dt defaults to the CFL choice."""
     grid = state.grid
-    n1_theta, n1_omega, u_max = nonstiff_rhs(state, params)
+    n1_theta, n1_omega, u_max = nonstiff_rhs(state)
     if dt is None:
-        dt = choose_dt(state, params, cfg, u_max)
-    if dt < DT_UNDERFLOW:
+        dt = choose_dt(state, cfg, u_max)
+    elif dt < DT_UNDERFLOW:
         raise RuntimeError(f"time step underflow: dt={dt:.3e}")
     e_theta, e_omega = _integrating_factors(grid, params, dt)
     t = state.t + dt
@@ -241,7 +241,7 @@ def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | No
     th_pred = e_theta * (th0 + dt * n1_theta)
     w_pred = e_omega * (w0 + dt * n1_omega)
     pred = SimState(_physical_checked(grid, th_pred, t), _physical_checked(grid, w_pred, t), t)
-    n2_theta, n2_omega, _ = nonstiff_rhs(pred, params, (th_pred, w_pred))
+    n2_theta, n2_omega, _ = nonstiff_rhs(pred, (th_pred, w_pred))
 
     # every term is dealiased already: th0, w0 by construction, N1 and N2 by _advection
     th_new = e_theta * th0 + 0.5 * dt * (e_theta * n1_theta + n2_theta)
@@ -335,7 +335,6 @@ def initial_data(kind: str, seed: int, grid: GridSpec, amplitude: float = 1.0) -
     elif kind == "gaussian-bumps":
         rng = np.random.default_rng(seed)
         L = grid.side_length
-        x1, x2 = coordinates(grid)
 
         def bumps():
             out = np.zeros((grid.n, grid.n))
@@ -343,9 +342,7 @@ def initial_data(kind: str, seed: int, grid: GridSpec, amplitude: float = 1.0) -
                 cx, cy = rng.uniform(0.25 * L, 0.75 * L, size=2)
                 amp = rng.uniform(-1.0, 1.0)
                 width = rng.uniform(L / 24.0, L / 12.0)
-                d1 = np.minimum(np.abs(x1 - cx), L - np.abs(x1 - cx))
-                d2 = np.minimum(np.abs(x2 - cy), L - np.abs(x2 - cy))
-                out += amp * np.exp(-(d1**2 + d2**2) / (2.0 * width**2))
+                out += amp * np.exp(-image_distance2(grid, cx, cy) / (2.0 * width**2))
             return amplitude * out
 
         theta = PhysicalField(grid, bumps())
@@ -453,9 +450,10 @@ def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
 
 def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
     grid = state.grid
-    header = "BQCHK1 {n} {L} {t} {nu} {kappa} {alpha} {beta}\n".format(
+    header = "BQCHK2 {n} {L} {frac} {t} {nu} {kappa} {alpha} {beta}\n".format(
         n=grid.n,
         L=repr(grid.side_length),
+        frac=repr(grid.dealias_fraction),
         t=repr(state.t),
         nu=repr(params.nu),
         kappa=repr(params.kappa),
@@ -482,10 +480,12 @@ def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
 def read_checkpoint(path):
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
-        if len(header) != 8 or header[0] != "BQCHK1":
+        if header[:1] == ["BQCHK1"]:
+            header[3:3] = [repr(2.0 / 3.0)]  # BQCHK1 has no dealias fraction: the default
+        if len(header) != 9 or header[0] not in ("BQCHK1", "BQCHK2"):
             raise ValueError(f"corrupt checkpoint header in {path}")
         n = int(header[1])
-        L, t, nu, kappa, alpha, beta = (float(x) for x in header[2:])
+        L, frac, t, nu, kappa, alpha, beta = (float(x) for x in header[2:])
         arrays = []
         for _ in range(2):
             prefix = fh.read(8)
@@ -500,7 +500,7 @@ def read_checkpoint(path):
             arrays.append(np.frombuffer(raw, dtype="<f8").reshape(n, n).astype(float))
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
-    grid = GridSpec(n=n, side_length=L)
+    grid = GridSpec(n=n, side_length=L, dealias_fraction=frac)
     state = SimState(PhysicalField(grid, arrays[0]), PhysicalField(grid, arrays[1]), t=t)
     params = FlowParams(nu=nu, kappa=kappa, alpha=alpha, beta=beta)
     return state, params

@@ -215,6 +215,14 @@ def coordinates(grid: GridSpec):
     return np.meshgrid(x, x, indexing="ij")
 
 
+def image_distance2(grid: GridSpec, c1: float, c2: float) -> np.ndarray:
+    """Squared distance from each collocation point to the nearest periodic
+    image of (c1, c2)."""
+    L = grid.side_length
+    d1, d2 = (np.minimum(np.abs(x - c), L - np.abs(x - c)) for x, c in zip(coordinates(grid), (c1, c2)))
+    return d1**2 + d2**2
+
+
 # ---------------------------------------------------------------------------
 # transforms
 

@@ -298,6 +298,59 @@ class TestResume:
         assert not out.exists()
 
 
+    def test_resume_keeps_the_dealias_fraction(self, tmp_path):
+        common = ["--n", "32", "--dealias-fraction", "0.5"]
+        assert run_main(["run", *common, "--t-end", "0.1", "--out-dir", str(tmp_path / "full")]) == EXIT_OK
+        assert run_main(["run", *common, "--t-end", "0.05", "--out-dir", str(tmp_path / "half")]) == EXIT_OK
+        resume = ["resume", str(tmp_path / "half" / "final.chk"), "--t-end", "0.1", "--out-dir", str(tmp_path / "res")]
+        assert run_main(resume) == EXIT_OK
+        assert (tmp_path / "full" / "final.chk").read_bytes() == (tmp_path / "res" / "final.chk").read_bytes()
+
+    def test_version_1_checkpoint_resumes_with_the_default_fraction(self, tmp_path):
+        self._run(tmp_path / "src", 2)
+        v2 = tmp_path / "src" / "final.chk"
+        head, payload = v2.read_bytes().split(b"\n", 1)
+        tag, n, L, frac, *rest = head.split()
+        assert (tag, float(frac)) == (b"BQCHK2", 2.0 / 3.0)
+        v1 = tmp_path / "v1.chk"
+        v1.write_bytes(b" ".join([b"BQCHK1", n, L, *rest]) + b"\n" + payload)
+        for chk, out in ((v1, "from_v1"), (v2, "from_v2")):
+            assert run_main(["resume", str(chk), "--n-steps", "2", "--out-dir", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / "from_v1" / "final.chk").read_bytes() == (tmp_path / "from_v2" / "final.chk").read_bytes()
+
+
+class TestFlagsParseLikeTheFile:
+    """Every config flag goes through the config file's parser."""
+
+    def test_n_steps_none_flag_runs_like_the_file(self, tmp_path, capsys):
+        common = ["--n", "32", "--t-end", "0.03"]
+        none_file, three_file = tmp_path / "none.cfg", tmp_path / "three.cfg"
+        none_file.write_text("n_steps = none\n")
+        three_file.write_text("n_steps = 3\n")
+        runs = {
+            "file": ["--config", str(none_file)],
+            "flag": ["--n-steps", "none"],
+            "flag_over_file": ["--config", str(three_file), "--n-steps", "None"],
+        }
+        outputs = {}
+        for name, extra in runs.items():
+            capsys.readouterr()
+            assert run_main(["run", *common, *extra, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+            files = [(tmp_path / name / f).read_bytes() for f in ("diagnostics.csv", "final.chk")]
+            outputs[name] = (capsys.readouterr().out, *files)
+        assert outputs["flag"] == outputs["file"] == outputs["flag_over_file"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--n", "abc"], ["--alpha", "x"], ["--seed", "1.5"], ["--seed", "none"], ["--critical", "maybe"]]
+    )
+    def test_bad_flag_value_is_one_config_error_line(self, tmp_path, capsys, flags):
+        out = tmp_path / "never"
+        assert run_main(["run", "--n", "32", *flags, "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_bitwise_identical_csv(self, tmp_path, cli_env):
         # separate interpreter processes: no in-process state can leak

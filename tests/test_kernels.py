@@ -335,6 +335,30 @@ class TestCalibration:
             with pytest.raises(CalibrationError):
                 calibrate_C_beta(0.9, 32, residual_tol=1e-6)
 
+    def test_quadrature_errors_reuses_the_calibration(self, monkeypatch):
+        # one bump, one spectrum of it and one spectral velocity serve both the
+        # fit and the symmetric-gradient comparison: 3 forward n x n transforms
+        # (the bump, and d1 theta in each quadrature) and 5 + 5 padded ones
+        n = 16
+        shapes = []
+        for name in ("rfft2", "irfft2"):
+            transform = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _transform=transform, **kwargs):
+                shapes.append((_name, a.shape[0]))
+                return _transform(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the coarse grid trips the support check
+            res = quadrature_errors(0.5, n)
+        assert shapes.count(("rfft2", n)) == 3
+        assert sum(rows == 2 * n for _, rows in shapes) == 10
+        monkeypatch.undo()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert res["C_star"] == calibrate_C_beta(0.5, n, residual_tol=math.inf)[0]
+
     @pytest.mark.parametrize("fn", [calibrate_C_beta, quadrature_errors])
     def test_unknown_bump_rejected(self, fn):
         with pytest.raises(ValueError, match="bump must be 'oracle' or 'gauss', got 'orcale'"):

@@ -19,6 +19,7 @@ from bq2d.lp import (
     convolution_commutator_ratio,
     dyadic_blocks,
     interp_inequality_ratio,
+    lr_combine,
     torus_convolution,
 )
 from bq2d.kernels import gaussian_bump
@@ -131,6 +132,34 @@ class TestBesovNorm:
         f = PhysicalField(G, constant_field(G, 2.0).values + np.sin(4 * coordinates_x1()))
         v = besov_norm(f, BesovIndex(0.5, 2, math.inf, homogeneous=True))
         assert abs(v - 2.0 * SIN2PI2) < 1e-12 * v
+
+    @pytest.mark.parametrize("smooth, want", [(False, 4.5), (True, 3.16875)])
+    def test_homogeneous_keeps_the_modes_below_one(self, smooth, want):
+        # on L = 9 the modes 2 pi / 9 and 4 pi / 9 have 1/2 <= |k| < 1: they
+        # sit in block j = -1, which the homogeneous norm must keep
+        g = GridSpec(32, side_length=9.0)
+        f = field_from_function(g, lambda x1, x2: np.sin(2 * np.pi * x1 / 9) + 0.3 * np.cos(4 * np.pi * x2 / 9))
+        hom = besov_norm(f, BesovIndex(0.5, 2, math.inf, homogeneous=True), smooth=smooth)
+        assert hom == besov_norm(f, BesovIndex(0.5, 2, math.inf), smooth=smooth)
+        assert abs(hom - want) < 1e-5
+
+    def test_homogeneous_refused_past_four_pi(self):
+        f = field_from_function(GridSpec(32, side_length=13.0), lambda x1, x2: np.sin(x1))
+        with pytest.raises(ValueError, match="side_length <= 4 pi"):
+            besov_norm(f, BesovIndex(0.5, 2, 2, homogeneous=True))
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+    def test_homogeneous_on_the_2pi_torus_drops_only_the_mean(self, smooth, r):
+        # there block j = -1 holds the mean mode alone: the norm is bitwise
+        # the inhomogeneous blocks of the mean-free field without j = -1
+        f = random_band_field(G, 0, 20, np.random.default_rng(3))
+        f = PhysicalField(G, f.values + 0.7)
+        idx = BesovIndex(0.5, 3, r, homogeneous=True)
+        fh = to_spectral(f).coeffs.copy()
+        fh[0, 0] = 0.0
+        blocks = block_norms(SpectralField(G, fh), idx, smooth)
+        assert besov_norm(f, idx, smooth) == lr_combine([v for j, v in blocks if j != -1], r)
 
 
 class TestBlockNorms:

@@ -419,6 +419,24 @@ class TestCheckpoint:
         write_checkpoint(path2, back, params)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_dealias_fraction_round_trip_and_version_1(self, tmp_path):
+        grid = GridSpec(32, dealias_fraction=0.5)
+        st = initial_data("random-band", 8, grid)
+        path = tmp_path / "v2.chk"
+        write_checkpoint(path, st, PARAMS)
+        back, _ = read_checkpoint(path)
+        assert back.grid == grid
+        head, payload = path.read_bytes().split(b"\n", 1)
+        tag, n, L, frac, *rest = head.split()
+        assert (tag, float(frac)) == (b"BQCHK2", 0.5)
+        path.write_bytes(b" ".join([b"BQCHK1", n, L, *rest]) + b"\n" + payload)
+        back, _ = read_checkpoint(path)
+        assert back.grid == GridSpec(32)
+        assert np.array_equal(back.theta.values, st.theta.values) and back.t == st.t
+        path.write_bytes(b" ".join([b"BQCHK1", n, L, frac, *rest]) + b"\n" + payload)
+        with pytest.raises(ValueError, match="header"):
+            read_checkpoint(path)
+
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.chk"
         path.write_bytes(b"NOTCHK 64\n")

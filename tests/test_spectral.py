@@ -21,6 +21,7 @@ from bq2d.spectral import (
     fractional_laplacian,
     grad,
     half_plane_sum,
+    image_distance2,
     irfft2,
     l2_norm_spectral,
     lp_norm,
@@ -69,6 +70,15 @@ class TestGridAndFields:
         FlowParams(1.0, 1.0, 0.85, 1.0 - 0.85, critical=True)
         with pytest.raises(ValueError):
             FlowParams(1.0, 1.0, 0.9, 0.2, critical=True)
+
+    def test_image_distance2_is_the_nearest_periodic_image(self):
+        grid = GridSpec(16, side_length=3.0)
+        x1, x2 = coordinates(grid)
+        c1, c2 = 0.1, 2.9
+        images = [
+            (x1 - c1 - a * 3.0) ** 2 + (x2 - c2 - b * 3.0) ** 2 for a in (-1, 0, 1) for b in (-1, 0, 1)
+        ]
+        assert np.allclose(image_distance2(grid, c1, c2), np.min(images, axis=0), rtol=1e-12, atol=1e-14)
 
 
 class TestTransforms:
