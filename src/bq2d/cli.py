@@ -3,8 +3,9 @@ verification suites.
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment);
 every command-line flag mirrors a config key, is parsed as in the file (by
-``_coerce``) and wins over the file.  All
-values are validated before any file output is created.  Exit codes:
+``_coerce``) and wins over the file.  All values are validated before any
+file output is created; a command line that does not parse and an output
+location that cannot be created are refused before any computation.  Exit codes:
 0 success, 2 config error, 3 blow-up abort, 4 assertion failure inside a
 verification suite.  A command reports bad input by raising ``ConfigError``;
 ``main`` alone turns it into the ``config error:`` line and exit 2.  The
@@ -50,6 +51,30 @@ EXIT_ASSERTION = 4
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is bad input too; subparsers share the class
+        raise ConfigError(message)
+
+
+def _check_output(path: str | None, directory: bool = False) -> None:
+    """ConfigError unless ``path`` can be written: an output file needs its
+    parent, an output directory its nearest existing ancestor (itself
+    included), to be a writable directory."""
+    if not path:
+        if directory:
+            raise ConfigError("out_dir must not be empty")
+        return
+    where = os.path.abspath(path)
+    if not directory:
+        if os.path.isdir(where):
+            raise ConfigError(f"output file {path!r} is a directory")
+        where = os.path.dirname(where)
+    while directory and not os.path.lexists(where):
+        where = os.path.dirname(where)
+    if not (os.path.isdir(where) and os.access(where, os.W_OK)):
+        raise ConfigError(f"cannot write {path!r}: {where!r} is not a writable directory")
 
 
 @dataclass
@@ -340,6 +365,7 @@ def _run_loop(
 
 def cmd_run(args) -> int:
     cfg = build_config(args.config, _collect_overrides(args))
+    _check_output(cfg.out_dir, directory=True)
     state = solver.initial_data(cfg.init_kind, cfg.seed, cfg.grid(), cfg.amplitude)
     return _run_loop(cfg, state, cfg.flow_params(), cfg.out_dir, announce=True)
 
@@ -359,6 +385,7 @@ def cmd_resume(args) -> int:
         "beta": params.beta,
     }
     cfg = build_config(args.config, _collect_overrides(args), header)
+    _check_output(cfg.out_dir, directory=True)
     grid = cfg.grid()
     state = solver.SimState(
         PhysicalField(grid, state.theta.values), PhysicalField(grid, state.omega.values), state.t
@@ -403,6 +430,7 @@ def cmd_kernel_verify(args) -> int:
         grid = GridSpec(n=n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_output(args.out)
     checks = _CheckTable()
     cm = np.abs(kernels.circle_mean_sigma(1.0, 64)).max()
     checks.add("sigma_circle_mean", cm, 1e-12, cm <= 1e-12)
@@ -435,6 +463,7 @@ def cmd_kernel_verify(args) -> int:
 
 def cmd_inequality_suite(args) -> int:
     cfg = build_config(args.config, _collect_overrides(args))
+    _check_output(args.out)
     grid = cfg.grid()
     params = cfg.flow_params()
     state = solver.initial_data(cfg.init_kind, cfg.seed, grid, cfg.amplitude)
@@ -492,6 +521,7 @@ def cmd_inequality_suite(args) -> int:
 
 
 def cmd_besov(args) -> int:
+    _check_output(args.out)
     try:
         index = BesovIndex(args.s, args.p, args.r)
         state, params = solver.read_checkpoint(args.checkpoint)
@@ -529,7 +559,7 @@ def _collect_overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="bq2d", description=__doc__)
+    parser = _Parser(prog="bq2d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a simulation from a config")
@@ -561,8 +591,8 @@ def main(argv=None) -> int:
     p_bs.add_argument("--out", default=None)
     p_bs.set_defaults(fn=cmd_besov)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

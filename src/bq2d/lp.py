@@ -21,8 +21,8 @@ cross-correlations sum_x f(x+h)^m f(x)^(p-m), all taken at once with real
 FFTs of the centred field.  A shift whose S_p(h) is not above 1e12 times
 the expansion's rounding scale
 B = 4 eps log2(n^2) sum_m C(p, m) sqrt(sum f^(2m) * sum f^(2(p-m)))
-(small differences, where the correlations cancel) is recomputed by the
-direct difference, which is also the one path for odd, non-integer and
+(small differences, where the correlations cancel) is recomputed by
+``spectral.shift_scan``, also the one path for odd, non-integer and
 infinite p; the norm matches the per-shift loop to rounding.
 
 Measured-constant protocol: ratio checks for estimates whose constants
@@ -56,6 +56,7 @@ from .spectral import (
     rfft2,
     riesz_alpha,
     shift_norms,
+    shift_scan,
     sobolev_norm,
     spectral_product,
     to_physical,
@@ -202,15 +203,6 @@ def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
 _FD_TRUST_FACTOR = 1e12
 
 
-def _shift_difference_norms(ph: PhysicalField, shifts: np.ndarray, p: float) -> np.ndarray:
-    """||f(. + h) - f||_p for each listed grid shift h, one ``np.roll`` each."""
-    vals = ph.values
-    return np.array(
-        [lp_norm(PhysicalField(ph.grid, np.roll(vals, (-i, -j), axis=(0, 1)) - vals), p) for i, j in shifts],
-        dtype=float,
-    )
-
-
 def _difference_power_sums(vals: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     """S_p(h) = sum_x (f(x+h) - f(x))^p at every grid shift h (even p), and
     the rounding scale of those sums.
@@ -237,14 +229,13 @@ def _difference_power_sums(vals: np.ndarray, p: int) -> tuple[np.ndarray, float]
 
 def _difference_norms(ph: PhysicalField, include: np.ndarray, p: float) -> np.ndarray:
     """||f(. + h) - f||_p at each included grid shift, in ``np.argwhere`` order."""
-    shifts = np.argwhere(include)
+    norm = lambda d: lp_norm(PhysicalField(ph.grid, d), p)
     if not (math.isfinite(p) and p == int(p) and int(p) % 2 == 0):
-        return _shift_difference_norms(ph, shifts, p)
+        return shift_scan(ph.values, include, norm)
     sums, scale = _difference_power_sums(ph.values, int(p))
-    sums = sums[include]
-    direct = ~(sums > _FD_TRUST_FACTOR * scale)  # NaN falls back as well
-    norms = (np.where(direct, 0.0, sums) * ph.grid.cell_weight) ** (1.0 / p)
-    norms[direct] = _shift_difference_norms(ph, shifts[direct], p)
+    direct = include & ~(sums > _FD_TRUST_FACTOR * scale)  # NaN falls back as well
+    norms = (np.where(direct, 0.0, sums)[include] * ph.grid.cell_weight) ** (1.0 / p)
+    norms[direct[include]] = shift_scan(ph.values, direct, norm)
     return norms
 
 

@@ -58,6 +58,7 @@ from .spectral import (
     rfft2,
     riesz_alpha,
     shift_norms,
+    shift_scan,
     to_physical,
     to_spectral,
 )
@@ -381,6 +382,11 @@ def _one_of_each_pair(grid: GridSpec) -> np.ndarray:
     return positive[:, None] | ((idx == 0)[:, None] & positive[None, :]) | (own[:, None] & own[None, :])
 
 
+def _sup_abs(d: np.ndarray) -> float:
+    """max |d|, without an |d| temporary."""
+    return max(d.max(), -d.min())
+
+
 def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
     """Exhaustive oscillation scan: max over grid shifts |h| < L of
     sup_x |theta(x+h) - theta(x)|.
@@ -393,12 +399,8 @@ def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
     if L > grid.side_length / 2.0:
         raise ValueError("L must not exceed half the domain size")
     tnorm = shift_norms(grid)
-    shifts = np.argwhere(_one_of_each_pair(grid) & (tnorm > 0) & (tnorm < L))
-    measured = 0.0
-    vals = theta.values
-    for i, j in shifts:
-        diff = np.abs(np.roll(vals, (-i, -j), axis=(0, 1)) - vals).max()
-        measured = max(measured, float(diff))
+    sups = shift_scan(theta.values, _one_of_each_pair(grid) & (tnorm > 0) & (tnorm < L), _sup_abs)
+    measured = float(sups.max(initial=0.0))
     return OssReport(delta_measured=measured, delta_target=delta, L=L, holds=measured <= delta)
 
 
@@ -417,25 +419,16 @@ def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
     sup_x (delta_h theta)^2 is bitwise the same at h and -h (the difference
     at -h is the one at h, negated and moved), so one shift of each pair is
     scanned (``_one_of_each_pair``, as in ``oss_check``) and mirrored to the
-    other.  Each row shift rolls the field once; its column shifts are
-    windows of that roll laid twice side by side.  max |d| squared equals
-    max d^2 bit for bit, because rounding x^2 is monotone in |x|.
+    other.  The scan is ``shift_scan``'s.  max |d| squared equals max d^2
+    bit for bit, because rounding x^2 is monotone in |x|.
     """
     grid = theta.grid
-    n = grid.n
     tnorm = shift_norms(grid)
     include = tnorm <= grid.side_length / 2.0
     scanned = _one_of_each_pair(grid)
     todo = include & scanned
-    vals = theta.values
-    sup2 = np.zeros((n, n))
-    diff = np.empty((n, n))
-    for i in np.flatnonzero(todo.any(axis=1)):
-        wide = np.tile(np.roll(vals, -i, axis=0), 2)
-        for j in np.flatnonzero(todo[i]):
-            np.subtract(wide[:, j : j + n], vals, out=diff)
-            big = max(diff.max(), -diff.min())
-            sup2[i, j] = big * big
+    sup2 = np.zeros((grid.n, grid.n))
+    sup2[todo] = shift_scan(theta.values, todo, _sup_abs) ** 2
     mirror = -np.arange(grid.n) % grid.n
     sup2 = np.where(scanned, sup2, sup2[np.ix_(mirror, mirror)])
     radii = tnorm[include]

@@ -209,6 +209,24 @@ def shift_norms(grid: GridSpec) -> np.ndarray:
     return _read_only(np.hypot(t[:, None], t[None, :]))
 
 
+def shift_scan(values: np.ndarray, mask: np.ndarray, reduce) -> np.ndarray:
+    """reduce(values(. + h) - values) for each grid shift h set in ``mask``
+    (indexed as ``shift_norms``), in ``np.argwhere`` order.  One roll per row
+    shift; each column shift is copied into one reused buffer as two column
+    blocks and differenced there in place (a strided operand would halve the
+    subtraction's speed): bit for bit the rolled difference, in memory order."""
+    n = values.shape[1]
+    diff = np.empty_like(values)
+    out = []
+    for i in np.flatnonzero(mask.any(axis=1)):
+        rolled = np.roll(values, -i, axis=0)
+        for j in np.flatnonzero(mask[i]).tolist():
+            diff[:, : n - j] = rolled[:, j:]
+            diff[:, n - j :] = rolled[:, :j]
+            out.append(reduce(np.subtract(diff, values, out=diff)))
+    return np.array(out, dtype=float)
+
+
 def coordinates(grid: GridSpec):
     """(x1, x2) meshgrid of collocation points, axis 0 = x1."""
     x = np.arange(grid.n) * grid.spacing

@@ -351,6 +351,77 @@ class TestFlagsParseLikeTheFile:
         assert not out.exists()
 
 
+class TestCommandLineContract:
+    """A bad command line or an output path that cannot be created is one
+    ``config error:`` line and exit 2, with nothing computed or written."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        from bq2d import kernels, solver
+        from bq2d.spectral import FlowParams, GridSpec, constant_field
+
+        g = GridSpec(32)
+        zero = solver.SimState(constant_field(g, 0.0), constant_field(g, 0.0))
+        solver.write_checkpoint(tmp_path / "CHK", zero, FlowParams(1.0, 1.0, 0.9, 0.1))
+        (tmp_path / "afile").write_text("")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BQ2D_OUT_DIR", raising=False)
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computation started before validation ended")
+
+        for module, name in (
+            (solver, "initial_data"),
+            (solver, "run"),
+            (solver, "write_checkpoint"),
+            (kernels, "quadrature_errors"),
+        ):
+            monkeypatch.setattr(module, name, computed)
+        return tmp_path
+
+    def _assert_one_config_error(self, argv, workdir, capsys):
+        before = sorted(p.name for p in workdir.iterdir())
+        assert run_main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in workdir.iterdir()) == before
+        assert (workdir / "afile").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel-verify", "--beta", "0.5", "--n", "abc"],
+            ["besov", "CHK", "--s", "abc"],
+            ["run", "--n", "16", "--n-steps"],
+            ["besov", "CHK"],
+            ["besov", "CHK", "--s", "0.5", "--field", "u"],
+            ["run", "--no-such-flag", "1"],
+            [],
+        ],
+    )
+    def test_parser_error_is_one_config_error_line(self, workdir, capsys, argv):
+        self._assert_one_config_error(argv, workdir, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "16", "--out-dir", "afile/sub"],
+            ["run", "--n", "16", "--out-dir", "afile"],
+            ["run", "--n", "16", "--out-dir", ""],
+            ["resume", "CHK", "--out-dir", "afile/sub"],
+            ["besov", "CHK", "--s", "0.5", "--out", "afile/x.csv"],
+            ["besov", "CHK", "--s", "0.5", "--out", "missing/x.csv"],
+            ["kernel-verify", "--beta", "0.5", "--n", "16", "--out", "afile/x.csv"],
+            ["kernel-verify", "--beta", "0.5", "--n", "16", "--out", "."],
+            ["inequality-suite", "--n", "16", "--out", "afile/x.csv"],
+        ],
+    )
+    def test_unwritable_output_is_one_config_error_line(self, workdir, capsys, argv):
+        self._assert_one_config_error(argv, workdir, capsys)
+
+
 class TestDeterminism:
     def test_repeated_runs_bitwise_identical_csv(self, tmp_path, cli_env):
         # separate interpreter processes: no in-process state can leak

@@ -1,9 +1,10 @@
 """Shift scans against their per-shift ``np.roll`` loops.
 
-``lp.besov_norm_fd`` (FFT correlations for even p, with a direct fallback)
-and ``solver.oss_weighted_profile`` (one shift of each +-h pair, mirrored)
-are checked against the plain loops over every grid shift, written out
-here as the oracles."""
+``spectral.shift_scan`` (one roll per row shift), ``lp.besov_norm_fd``
+(FFT correlations for even p, with a direct fallback) and
+``solver.oss_weighted_profile`` (one shift of each +-h pair, mirrored) are
+checked against the plain loops over every grid shift, written out here as
+the oracles."""
 
 import itertools
 import math
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from bq2d.lp import besov_norm_fd
-from bq2d.solver import initial_data, oss_weighted_profile
-from bq2d.spectral import GridSpec, PhysicalField, constant_field, field_from_function, shift_norms
+from bq2d.solver import _one_of_each_pair, initial_data, oss_check, oss_weighted_profile
+from bq2d.spectral import GridSpec, PhysicalField, constant_field, field_from_function, shift_norms, shift_scan
 
 P_VALUES = (1.0, 2.0, 3.0, 4.0, 6.0, math.inf)
 REL_TOL = 1e-12
@@ -142,10 +143,62 @@ class TestWeightedProfile:
         want_radii, want_sups = loop_weighted_profile(theta, 0.1, 1.0)
         assert np.array_equal(radii, want_radii) and np.array_equal(sups, want_sups)
 
-    def test_one_roll_per_row_shift(self, monkeypatch):
+
+def _masks(n):
+    rng = np.random.default_rng(11)
+    single_row = np.zeros((n, n), dtype=bool)
+    single_row[n - 3, ::3] = True
+    return {
+        "random": rng.random((n, n)) < 0.3,
+        "empty": np.zeros((n, n), dtype=bool),
+        "single_row": single_row,
+        "full": np.ones((n, n), dtype=bool),
+    }
+
+
+# name: (the scan, the mask of the shifts it visits, from the grid and its shift lengths)
+SCANS = {
+    "oss_weighted_profile": (
+        lambda theta: oss_weighted_profile(theta, 0.3, 1.5),
+        lambda grid, t: _one_of_each_pair(grid) & (t <= grid.side_length / 2.0),
+    ),
+    "oss_check": (
+        lambda theta: oss_check(theta, 1.0, 1.0),
+        lambda grid, t: _one_of_each_pair(grid) & (t > 0) & (t < 1.0),
+    ),
+    "besov_norm_fd_p3": (
+        lambda theta: besov_norm_fd(theta, 0.5, 3.0, 2.0),
+        lambda grid, t: (t > 0) & (t <= grid.side_length / 2.0),
+    ),
+}
+
+
+class TestShiftScan:
+    @pytest.mark.parametrize("kind", ("random", "empty", "single_row", "full"))
+    def test_matches_roll_loop_bitwise(self, kind):
+        vals = random_band(32).values
+        mask = _masks(32)[kind]
+        seen = []
+        got = shift_scan(vals, mask, lambda d: seen.append(d.copy(order="K")) or float(np.sum(d**3)))
+        shifts = np.argwhere(mask)
+        assert got.dtype == float and got.shape == (len(shifts),) and len(seen) == len(shifts)
+        for (i, j), d, value in zip(shifts, seen, got):
+            want = np.roll(vals, (-i, -j), axis=(0, 1)) - vals
+            assert np.array_equal(d, want) and d.flags.c_contiguous == want.flags.c_contiguous
+            assert value == float(np.sum(want**3))
+
+    def test_empty_mask_and_an_oss_check_without_shifts(self):
+        theta = random_band(32)
+        assert shift_scan(theta.values, _masks(32)["empty"], np.max).shape == (0,)
+        assert oss_check(theta, 1.0, 0.5 * theta.grid.spacing).delta_measured == 0.0
+
+    @pytest.mark.parametrize("name", list(SCANS))
+    def test_one_roll_per_row_shift(self, monkeypatch, name):
         theta = random_band(64)
+        scan, mask = SCANS[name]
+        rows = np.count_nonzero(mask(theta.grid, shift_norms(theta.grid)).any(axis=1))
         calls = []
         roll = np.roll
         monkeypatch.setattr(np, "roll", lambda *a, **k: calls.append(1) or roll(*a, **k))
-        oss_weighted_profile(theta, 0.3, 1.5)
-        assert 0 < len(calls) <= theta.grid.n
+        scan(theta)
+        assert 0 < len(calls) <= rows
