@@ -2,10 +2,11 @@
 verification suites.
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment);
-every command-line flag mirrors a config key, is parsed as in the file (by
-``_coerce``) and wins over the file.  All values are validated before any
-file output is created; a command line that does not parse and an output
-location that cannot be created are refused before any computation.  Exit codes:
+every command-line flag mirrors a config key, is matched by its full name
+only, is parsed as in the file (by ``_coerce``) and wins over the file.  All
+values are validated before any file output is created; a command line that
+does not parse and an output location that cannot be created are refused
+before any computation.  Exit codes:
 0 success, 2 config error, 3 blow-up abort, 4 assertion failure inside a
 verification suite.  A command reports bad input by raising ``ConfigError``;
 ``main`` alone turns it into the ``config error:`` line and exit 2.  The
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import kernels, solver
 from .lp import BesovIndex, block_norms, lr_combine
-from .spectral import FlowParams, GridSpec, PhysicalField, lp_norm
+from .spectral import FlowParams, GridSpec, dealias_mask, lp_norm
 from .monitors import (
     CONVEX_GAMMAS,
     check_besov_index,
@@ -54,7 +55,12 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a bad command line is bad input too; subparsers share the class
+    """Subparsers share the class; a prefix of a flag is no alias of it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):  # a bad command line is bad input too
         raise ConfigError(message)
 
 
@@ -226,8 +232,7 @@ def build_config(config_path: str | None, overrides: dict, header: dict | None =
     resuming), then the ``overrides``, a None included; BQ2D_OUT_DIR last.
 
     A header value that the file contradicts is an error unless a flag
-    overrides it; n is never overridden.  With a header, ``critical``
-    follows alpha + beta == 1.
+    overrides it; n is never overridden.
     """
     file_vals = {}
     if config_path is not None:
@@ -255,7 +260,6 @@ def build_config(config_path: str | None, overrides: dict, header: dict | None =
     if header is not None:
         if cfg.n != header["n"]:
             raise ConfigError(f"checkpoint has n={header['n']!r}; a resume cannot change n to {cfg.n!r}")
-        cfg.critical = cfg.alpha + cfg.beta == 1.0
     cfg.resolve()
     cfg.validate()
     return cfg
@@ -298,7 +302,7 @@ def _run_loop(
         m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
         rec.margin_maxprinciple_l2, rec.margin_maxprinciple_linf = m2, minf
         rec.margin_energy_linear = energy_margin(rec, u0_l2, theta0_l2)[0]
-        rec.cordoba_min = cordoba_margin(st.theta, params.beta, gamma, gamma_p)
+        rec.cordoba_min = cordoba_margin(st.theta, params.beta, gamma, gamma_p, st.hats[0])
         rec.oss_delta_measured = solver.oss_check(st.theta, delta_target, cfg.oss_L).delta_measured
         for key in worst:
             worst[key] = min(worst[key], getattr(rec, key))
@@ -383,13 +387,14 @@ def cmd_resume(args) -> int:
         "kappa": params.kappa,
         "alpha": params.alpha,
         "beta": params.beta,
+        "critical": params.critical,
     }
     cfg = build_config(args.config, _collect_overrides(args), header)
     _check_output(cfg.out_dir, directory=True)
     grid = cfg.grid()
-    state = solver.SimState(
-        PhysicalField(grid, state.theta.values), PhysicalField(grid, state.omega.values), state.t
-    )
+    if grid != state.grid:  # a flag changed the side length or the dealias fraction
+        keep = dealias_mask(grid)
+        state = solver.SimState.from_hats(grid, tuple(np.where(keep, c, 0.0) for c in state.hats), state.t)
     return _run_loop(cfg, state, cfg.flow_params(), cfg.out_dir)
 
 

@@ -28,11 +28,11 @@ from .spectral import (
     fractional_laplacian,
     grad,
     grad_sup,
-    half_plane_sum,
     irfft2,
-    kpow,
     lp_norm,
+    parseval_weights,
     rfft2,
+    riesz_symbol,
     shift_norms,
     to_physical,
     to_spectral,
@@ -167,16 +167,22 @@ def dissipation_rates(state: SimState, params: FlowParams) -> tuple[float, float
     """(||Lambda^{a/2} u||_2^2, ||Lambda^{a/2} G||_2^2) for the accumulators.
 
     Biot-Savart gives |u^|^2 = |omega^|^2 / |k|^2, so the velocity rate is
-    L^2 sum |k|^{a-2} |omega^|^2.  Both sums run over the half-plane
-    coefficients the next step reuses.
+    L^2 sum |k|^{a-2} |omega^|^2.  Each rate is one sum of the state's
+    half-plane coefficients (and of G's, omega^ - R_a theta^) squared,
+    weighted by ``parseval_weights``.
     """
     grid = state.grid
     a = params.alpha
-    w2 = np.abs(state.hats[1]) ** 2
-    u_rate = grid.side_length**2 * half_plane_sum(kpow(grid, a - 2.0) * w2)
-    g2 = np.abs(G_hat(state, a).coeffs) ** 2
-    g_rate = grid.side_length**2 * half_plane_sum(kpow(grid, a) * g2)
-    return u_rate, g_rate
+    th_hat, w_hat = state.hats
+    g_hat = riesz_symbol(grid, a) * th_hat
+    np.subtract(w_hat, g_hat, out=g_hat)
+    rates = tuple(
+        float(np.einsum("ij,ij,ij->", parseval_weights(grid, g), x, x))
+        for g, x in ((a - 2.0, w_hat.view(float)), (a, g_hat.view(float)))
+    )
+    if not all(math.isfinite(r) for r in rates):
+        raise ValueError(f"non-finite dissipation rate {rates!r}")
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +264,26 @@ CONVEX_GAMMAS = {
 }
 
 
-def _lambda(values: np.ndarray, grid: GridSpec, beta: float) -> np.ndarray:
-    """Lambda^b of a real n x n array, through its half-plane coefficients."""
-    return to_physical(fractional_laplacian(SpectralField(grid, rfft2(values)), beta)).values
+def _lambda(values: np.ndarray, grid: GridSpec, beta: float, coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Lambda^b of a real n x n array, through its half-plane coefficients
+    (``coeffs`` when the caller holds them)."""
+    coeffs = rfft2(values) if coeffs is None else coeffs
+    return to_physical(fractional_laplacian(SpectralField(grid, coeffs), beta)).values
 
 
-def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime):
+def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime, f_hat=None):
     """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid."""
     if not 0.0 < beta < 2.0:
         raise ValueError("cordoba_margin requires beta in (0, 2)")
-    lam_f = _lambda(f.values, f.grid, beta)
+    lam_f = _lambda(f.values, f.grid, beta, f_hat)
     return gamma_prime(f.values) * lam_f, _lambda(np.asarray(gamma(f.values), dtype=float), f.grid, beta)
 
 
-def cordoba_margin(f: PhysicalField, beta: float, gamma, gamma_prime) -> float:
+def cordoba_margin(f: PhysicalField, beta: float, gamma, gamma_prime, f_hat: np.ndarray | None = None) -> float:
     """min over the grid of Gamma'(f) Lambda^b f - Lambda^b Gamma(f) (>= 0
-    in the continuum for convex Gamma)."""
-    first, second = _cordoba_terms(f, beta, gamma, gamma_prime)
+    in the continuum for convex Gamma).  ``f_hat`` are the half-plane
+    coefficients of f when the caller holds them (a state's ``hats[0]``)."""
+    first, second = _cordoba_terms(f, beta, gamma, gamma_prime, f_hat)
     return float((first - second).min())
 
 

@@ -12,17 +12,18 @@ dealiased products, which conserves the theta mean to rounding.
 Stepping runs on real transforms: the half-plane (rfft2) coefficients of
 the real fields with the symbol tables of ``spectral``; the diagnostics
 (``G_hat``, ``initial_report``) take the same coefficients through the
-spectral operators.  A step costs 18 real n x n transforms: the forward
-pair of the state (shared with the dissipation rates on it), then per stage
-2 inverse for the velocity and 4 forward for the products, and 2 inverse
-each for the predictor and the new state.  With per-grid symbol tables,
-spectra are multiplied and masked in place only on arrays the step allocated.
+spectral operators.
 
-The canonical prognostic state between steps is the pair of physical
-collocation arrays; spectral views are derived from them on demand (the
-predictor hands its coefficients on without a round trip).  Checkpoints
-store exactly those arrays, which is what makes a split run bitwise equal
-to an unsplit one; the checkpoint format does not depend on the transforms.
+The canonical prognostic state is the pair of dealiased half-plane
+coefficient arrays ``SimState.hats``; the physical collocation arrays are
+their inverse transforms.  A step advances the coefficients and hands its
+result on as the next state's ``hats``, so it costs 16 real n x n
+transforms: per stage 2 inverse for the velocity and 4 forward for the
+products, and 2 inverse each for the predictor and the new state.  The
+dissipation rates and the Cordoba monitor read the same coefficients.
+With per-grid symbol tables, spectra are multiplied and masked in place
+only on arrays the step allocated.  Checkpoints store the coefficients
+bit for bit, which is what makes a split run equal to an unsplit one.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import contextlib
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,25 +78,34 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Prognostic state: physical theta/omega arrays plus simulation time.
+    """Prognostic state at time t.
 
     ``hats`` are the dealiased half-plane coefficients of (theta, omega),
-    computed once and shared by the step from this state, the dissipation
-    rates and the diagnostics on it; ``theta_hat`` / ``omega_hat`` wrap the
-    same arrays as ``SpectralField``s.
-    All are cached: treat states as immutable snapshots.
+    read-only: the canonical state, which the step advances, checkpoints
+    store and the diagnostics read.  ``theta`` / ``omega`` are their
+    inverse transforms, except in a state built from physical arrays
+    alone, whose ``hats`` are then their dealiased ``rfft2``.
+    ``theta_hat`` / ``omega_hat`` wrap the ``hats`` as ``SpectralField``s.
+    Treat states as immutable snapshots.
     """
 
     theta: PhysicalField
     omega: PhysicalField
     t: float = 0.0
+    hats: tuple[np.ndarray, np.ndarray] | None = None
 
-    @cached_property
-    def hats(self) -> tuple[np.ndarray, np.ndarray]:
-        out = rfft2(self.theta.values), rfft2(self.omega.values)
-        for c in out:
-            c[~dealias_mask(self.grid)] = 0.0
-        return out
+    def __post_init__(self):
+        if self.hats is None:
+            self.hats = rfft2(self.theta.values), rfft2(self.omega.values)
+            for c in self.hats:
+                c[~dealias_mask(self.grid)] = 0.0
+        for c in self.hats:
+            c.flags.writeable = False
+
+    @classmethod
+    def from_hats(cls, grid: GridSpec, hats, t: float) -> SimState:
+        """The state whose canonical coefficients are ``hats`` (dealiased)."""
+        return cls(PhysicalField(grid, irfft2(hats[0])), PhysicalField(grid, irfft2(hats[1])), t, hats)
 
     @cached_property
     def theta_hat(self) -> SpectralField:
@@ -163,19 +174,16 @@ def _advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return p1
 
 
-def nonstiff_rhs(state: SimState, hats=None):
+def nonstiff_rhs(state: SimState):
     """Explicitly integrated tendencies (transport + buoyancy) and max |u|.
 
     Returns (N_theta, N_omega, u_max) with the tendencies as half-plane
     coefficient arrays; the diagonal dissipation is excluded here and
-    handled exactly by the integrating factor.  ``hats`` are the dealiased
-    half-plane coefficients of the state when the caller already holds
-    them (the predictor), ``state.hats`` otherwise.  The products use
-    the physical arrays as they are: at step boundaries they are the
-    inverse transforms of dealiased coefficients.
+    handled exactly by the integrating factor.  The products use the
+    physical arrays, the inverse transforms of the state's coefficients.
     """
     grid = state.grid
-    th_hat, w_hat = state.hats if hats is None else hats
+    th_hat, w_hat = state.hats
     u = _velocity(w_hat, grid)
     u_max = max(np.abs(u[0]).max(), np.abs(u[1]).max())
     if not math.isfinite(u_max):
@@ -227,45 +235,58 @@ def _physical_checked(grid: GridSpec, coeffs: np.ndarray, t: float) -> PhysicalF
         raise BlowUpError(t, float(np.abs(finite).max()) if finite.size else math.inf) from None
 
 
-def step(state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | None = None) -> SimState:
-    """One integrating-factor Heun step; dt defaults to the CFL choice."""
+def step(
+    state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | None = None, t_stop: float | None = None
+) -> SimState:
+    """One integrating-factor Heun step; dt defaults to the CFL choice.  A
+    step that would end past ``t_stop``, or short of it by less than
+    DT_UNDERFLOW, is clipped to end on it."""
     grid = state.grid
+    # the new coefficient arrays come first, ahead of every temporary, and the corrector
+    # sums into them with one temporary: each state then takes the place of the one freed
+    # before it, so glibc does not regrow and trim the heap (page faults) every step
+    th_new, w_new = (np.empty_like(c) for c in state.hats)
     n1_theta, n1_omega, u_max = nonstiff_rhs(state)
     if dt is None:
         dt = choose_dt(state, cfg, u_max)
     elif dt < DT_UNDERFLOW:
         raise RuntimeError(f"time step underflow: dt={dt:.3e}")
-    e_theta, e_omega = _integrating_factors(grid, params, dt)
     t = state.t + dt
+    if t_stop is not None and t != t_stop and t_stop - t < DT_UNDERFLOW:
+        dt, t = t_stop - state.t, t_stop
+    e_theta, e_omega = _integrating_factors(grid, params, dt)
 
     th0, w0 = state.hats
     th_pred = e_theta * (th0 + dt * n1_theta)
     w_pred = e_omega * (w0 + dt * n1_omega)
-    pred = SimState(_physical_checked(grid, th_pred, t), _physical_checked(grid, w_pred, t), t)
-    n2_theta, n2_omega, _ = nonstiff_rhs(pred, (th_pred, w_pred))
+    pred = SimState(_physical_checked(grid, th_pred, t), _physical_checked(grid, w_pred, t), t, (th_pred, w_pred))
+    n2_theta, n2_omega, _ = nonstiff_rhs(pred)
 
-    # every term is dealiased already: th0, w0 by construction, N1 and N2 by _advection
-    th_new = e_theta * th0 + 0.5 * dt * (e_theta * n1_theta + n2_theta)
-    w_new = e_omega * w0 + 0.5 * dt * (e_omega * n1_omega + n2_omega)
+    # e c0 + dt/2 (e N1 + N2), in the order of the out-of-place sum; every term is
+    # dealiased already: th0, w0 by construction, N1 and N2 by _advection
+    for new, e, n1, n2, c0 in ((th_new, e_theta, n1_theta, n2_theta, th0), (w_new, e_omega, n1_omega, n2_omega, w0)):
+        np.multiply(e, c0, out=new)
+        half = e * n1
+        half += n2
+        half *= 0.5 * dt
+        new += half
     theta_p = _physical_checked(grid, th_new, t)
     omega_p = _physical_checked(grid, w_new, t)
 
     omega_max = float(max(omega_p.values.max(), -omega_p.values.min()))
     if omega_max > OMEGA_BLOWUP_LIMIT:
         raise BlowUpError(t, omega_max)
-    return SimState(theta_p, omega_p, t)
+    return SimState(theta_p, omega_p, t, (th_new, w_new))
 
 
 def run(state: SimState, params: FlowParams, cfg: StepperConfig, n_steps: int | None = None):
-    """Advance until t >= t_end (or exactly n_steps), yielding each new state."""
+    """Advance exactly n_steps, or else to t_end: the last step is clipped
+    onto t_end, and a remainder below DT_UNDERFLOW ends the run.  Yields
+    each new state."""
+    t_stop = cfg.t_end if n_steps is None else None
     count = 0
-    while True:
-        if n_steps is not None:
-            if count >= n_steps:
-                return
-        elif state.t >= cfg.t_end:
-            return
-        state = step(state, params, cfg)
+    while count != n_steps and (t_stop is None or t_stop - state.t >= DT_UNDERFLOW):
+        state = step(state, params, cfg, t_stop=t_stop)
         count += 1
         yield state
 
@@ -354,9 +375,9 @@ def initial_data(kind: str, seed: int, grid: GridSpec, amplitude: float = 1.0) -
         omega = random_band_field(grid, 2.0, 6.0, rng, amplitude)
     else:
         raise ValueError(f"unknown initial data kind {kind!r}")
-    theta = to_physical(dealias(to_spectral(theta)))
-    omega = to_physical(mean_free(dealias(to_spectral(omega))))  # vorticity is mean-free
-    return SimState(theta=theta, omega=omega, t=0.0)
+    th_hat = dealias(to_spectral(theta))
+    w_hat = mean_free(dealias(to_spectral(omega)))  # vorticity is mean-free
+    return SimState(to_physical(th_hat), to_physical(w_hat), 0.0, (th_hat.coeffs, w_hat.coeffs))
 
 
 def initial_report(state: SimState) -> dict:
@@ -438,20 +459,32 @@ def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: text header + length-prefixed little-endian float64 arrays
+# checkpoint format: one text header line, then the payload
+#
+#   BQCHK3 n L dealias_fraction critical t nu kappa alpha beta crc32
+#
+# ``critical`` is 0 or 1 and ``crc32`` the zlib.crc32 of the payload in hex;
+# the payload is the two half-plane coefficient arrays (theta^, omega^), each
+# n x (n/2+1) little-endian complex128.  BQCHK2 (no critical flag, no
+# checksum) and BQCHK1 (no dealias fraction either) hold the physical arrays
+# instead, each a little-endian uint64 length and n x n float64 values.
 
 
 def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
     grid = state.grid
-    header = "BQCHK2 {n} {L} {frac} {t} {nu} {kappa} {alpha} {beta}\n".format(
+    payload = [np.ascontiguousarray(c, dtype="<c16") for c in state.hats]
+    crc = zlib.crc32(payload[1], zlib.crc32(payload[0]))  # over the buffers, no copy
+    header = "BQCHK3 {n} {L} {frac} {critical:d} {t} {nu} {kappa} {alpha} {beta} {crc:08x}\n".format(
         n=grid.n,
         L=repr(grid.side_length),
         frac=repr(grid.dealias_fraction),
+        critical=params.critical,
         t=repr(state.t),
         nu=repr(params.nu),
         kappa=repr(params.kappa),
         alpha=repr(params.alpha),
         beta=repr(params.beta),
+        crc=crc,
     )
     # written beside the target and renamed over it, so a killed run never
     # leaves a torn checkpoint behind
@@ -459,10 +492,8 @@ def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(header.encode("ascii"))
-            for arr in (state.theta.values, state.omega.values):
-                flat = np.ascontiguousarray(arr, dtype="<f8").reshape(-1)
-                fh.write(struct.pack("<Q", flat.size))
-                fh.write(flat.tobytes())
+            for c in payload:
+                fh.write(c)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -470,30 +501,52 @@ def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
         raise
 
 
+def _read_exactly(fh, size: int) -> bytes:
+    """``size`` bytes of ``fh``, checked against what the file holds before
+    any buffer is allocated."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError("truncated checkpoint payload")
+    return fh.read(size)
+
+
 def read_checkpoint(path):
+    """(state, params) of a checkpoint; ValueError for a file that is not a
+    whole, intact one.  A ``BQCHK3`` state has the stored coefficients; one
+    from ``BQCHK2`` or ``BQCHK1`` has the stored physical arrays, with their
+    dealiased ``rfft2`` as coefficients, and is critical when alpha + beta == 1."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
-        if header[:1] == ["BQCHK1"]:
+        tag = header[0] if header else None
+        if tag == "BQCHK1":
             header[3:3] = [repr(2.0 / 3.0)]  # BQCHK1 has no dealias fraction: the default
-        if len(header) != 9 or header[0] not in ("BQCHK1", "BQCHK2"):
+        if tag == "BQCHK3" and len(header) == 11 and header[4] in ("0", "1"):
+            critical, crc = header.pop(4) == "1", int(header.pop(), 16)
+        elif tag not in ("BQCHK1", "BQCHK2") or len(header) != 9:
             raise ValueError(f"corrupt checkpoint header in {path}")
         n = int(header[1])
         L, frac, t, nu, kappa, alpha, beta = (float(x) for x in header[2:])
-        arrays = []
-        for _ in range(2):
-            prefix = fh.read(8)
-            if len(prefix) != 8:
-                raise ValueError("truncated checkpoint payload")
-            (count,) = struct.unpack("<Q", prefix)
-            if count != n * n:
-                raise ValueError("checkpoint array length does not match grid")
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ValueError("truncated checkpoint payload")
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(n, n).astype(float))
+        grid = GridSpec(n=n, side_length=L, dealias_fraction=frac)
+        if tag == "BQCHK3":
+            payload = [_read_exactly(fh, 32 * n * (n // 2 + 1))]
+        else:
+            payload = []
+            for _ in range(2):
+                (length,) = struct.unpack("<Q", _read_exactly(fh, 8))
+                if length != n * n:
+                    raise ValueError("checkpoint array length does not match grid")
+                payload.append(_read_exactly(fh, 8 * length))
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
-    grid = GridSpec(n=n, side_length=L, dealias_fraction=frac)
-    state = SimState(PhysicalField(grid, arrays[0]), PhysicalField(grid, arrays[1]), t=t)
-    params = FlowParams(nu=nu, kappa=kappa, alpha=alpha, beta=beta)
+    if tag == "BQCHK3":
+        if zlib.crc32(payload[0]) != crc:
+            raise ValueError(f"checkpoint payload of {path} fails its CRC-32 check")
+        hats = tuple(np.frombuffer(payload[0], dtype="<c16").reshape(2, n, n // 2 + 1).astype(complex))
+        if not all(np.isfinite(c).all() and not c[~dealias_mask(grid)].any() for c in hats):
+            raise ValueError(f"checkpoint coefficients of {path} are not finite and dealiased")
+        state = SimState.from_hats(grid, hats, t)
+    else:
+        critical = alpha + beta == 1.0
+        arrays = (np.frombuffer(raw, dtype="<f8").reshape(n, n).astype(float) for raw in payload)
+        state = SimState(*(PhysicalField(grid, a) for a in arrays), t=t)
+    params = FlowParams(nu=nu, kappa=kappa, alpha=alpha, beta=beta, critical=critical)
     return state, params

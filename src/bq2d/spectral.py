@@ -26,10 +26,10 @@ Conventions used by every module in this package:
   Biot-Savart symbols are zeroed that way; |k| and its powers are even.
 * Dealiasing zeroes every mode with any |m_i| > dealias_fraction * n/2
   and is applied after each nonlinear product.
-* This module owns every per-grid table: wavevectors, |k|^g symbols, the
-  complex multipliers (i k1, i k2, the Biot-Savart pair, the Riesz symbol
-  per alpha), the dealias mask and the grid-shift lengths, each built once
-  per grid and handed out read-only.
+* This module owns every per-grid table: wavevectors, |k|^g symbols and
+  their Parseval weights, the complex multipliers (i k1, i k2, the
+  Biot-Savart pair, the Riesz symbol per alpha), the dealias mask and the
+  grid-shift lengths, each built once per grid and handed out read-only.
 
 All operations are pure: fields in, fresh fields out.
 """
@@ -166,6 +166,17 @@ def kpow(grid: GridSpec, g: float) -> np.ndarray:
         out = kmag ** float(g)
     out[0, 0] = 0.0
     return _read_only(out)
+
+
+@lru_cache(maxsize=64)
+def parseval_weights(grid: GridSpec, g: float) -> np.ndarray:
+    """Read-only L^2 |k|^g on the float view of the half plane (each weight
+    twice, for the real and the imaginary part), with ``half_plane_sum``'s
+    column weights folded in: the sum of w * c.view(float)^2 is
+    L^2 sum_m |k|^g |c_m|^2 over the whole plane."""
+    w = (2.0 * grid.side_length**2) * kpow(grid, g)
+    w[:, [0, -1]] *= 0.5
+    return _read_only(np.repeat(w, 2, axis=1))
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,11 @@
 """Command-line interface: config parsing, runs, resume determinism, and the
 verification subcommands."""
 
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bq2d.cli import (
@@ -16,6 +18,10 @@ from bq2d.cli import (
     main,
     parse_config_text,
 )
+from bq2d.solver import read_checkpoint
+
+# written by the BQCHK2 writer: ``bq2d run --n 8 --n-steps 2 --dealias-fraction 0.5``, final.chk
+BQCHK2_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "bqchk2_n8.chk"
 
 
 def run_main(args):
@@ -307,16 +313,62 @@ class TestResume:
         assert (tmp_path / "full" / "final.chk").read_bytes() == (tmp_path / "res" / "final.chk").read_bytes()
 
     def test_version_1_checkpoint_resumes_with_the_default_fraction(self, tmp_path):
-        self._run(tmp_path / "src", 2)
-        v2 = tmp_path / "src" / "final.chk"
-        head, payload = v2.read_bytes().split(b"\n", 1)
+        # both files hold the payload of the committed BQCHK2 fixture (fraction 0.5)
+        head, payload = BQCHK2_FIXTURE.read_bytes().split(b"\n", 1)
         tag, n, L, frac, *rest = head.split()
-        assert (tag, float(frac)) == (b"BQCHK2", 2.0 / 3.0)
-        v1 = tmp_path / "v1.chk"
+        assert (tag, float(frac)) == (b"BQCHK2", 0.5)
+        v1, v2 = tmp_path / "v1.chk", tmp_path / "v2.chk"
         v1.write_bytes(b" ".join([b"BQCHK1", n, L, *rest]) + b"\n" + payload)
+        v2.write_bytes(b" ".join([b"BQCHK2", n, L, repr(2.0 / 3.0).encode(), *rest]) + b"\n" + payload)
         for chk, out in ((v1, "from_v1"), (v2, "from_v2")):
             assert run_main(["resume", str(chk), "--n-steps", "2", "--out-dir", str(tmp_path / out)]) == EXIT_OK
         assert (tmp_path / "from_v1" / "final.chk").read_bytes() == (tmp_path / "from_v2" / "final.chk").read_bytes()
+
+    def test_version_2_fixture_resumes(self, tmp_path, capsys):
+        """The BQCHK2 file of the parent format resumes where its run left off
+        (t = 0.02, dealias fraction 0.5) and agrees with the unsplit run to
+        rounding; the new checkpoints are BQCHK3."""
+        common = ["--n-steps", "2", "--dealias-fraction", "0.5"]
+        assert run_main(["resume", str(BQCHK2_FIXTURE), *common, "--out-dir", str(tmp_path / "res")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("steps=2 t_final=0.04\n")
+        unsplit = ["run", "--n", "8", "--n-steps", "4", "--dealias-fraction", "0.5", "--out-dir", str(tmp_path / "all")]
+        assert run_main(unsplit) == EXIT_OK
+        res, _ = read_checkpoint(tmp_path / "res" / "final.chk")
+        full, _ = read_checkpoint(tmp_path / "all" / "final.chk")
+        assert (tmp_path / "res" / "final.chk").read_bytes().startswith(b"BQCHK3 8 ")
+        assert res.t == full.t == 0.04
+        for a, b in zip(res.hats, full.hats):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("command", ["resume", "besov"])
+    def test_flipped_payload_byte_is_one_config_error_line(self, tmp_path, capsys, command):
+        self._run(tmp_path / "a", 2)
+        chk = tmp_path / "a" / "final.chk"
+        data = bytearray(chk.read_bytes())
+        data[-100] ^= 0x10
+        chk.write_bytes(bytes(data))
+        out = tmp_path / "x"
+        extra = ["--out-dir", str(out)] if command == "resume" else ["--s", "0.5", "--out", str(out)]
+        capsys.readouterr()
+        assert run_main([command, str(chk), *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "CRC-32" in err[0]
+        assert not out.exists()
+
+    def test_resume_takes_critical_from_the_header(self, tmp_path):
+        # alpha + beta == 1 exactly, yet the run is not critical: the flag travels in the header
+        self._run(tmp_path / "src", 2, alpha="0.9", extra=["--critical", "false", "--beta", "0.1"])
+        src = tmp_path / "src" / "final.chk"
+        assert src.read_bytes().split(b"\n", 1)[0].split()[4] == b"0"
+        assert run_main(["resume", str(src), "--n-steps", "1", "--out-dir", str(tmp_path / "res")]) == EXIT_OK
+        _, params = read_checkpoint(tmp_path / "res" / "final.chk")
+        assert params.critical is False
+
+    def test_last_step_is_clipped_onto_t_end(self, tmp_path, capsys):
+        # ten steps of dt = 0.01 sum to 0.09999999999999999: the tenth ends on t_end
+        argv = ["run", "--n", "32", "--dealias-fraction", "0.5", "--t-end", "0.1", "--out-dir", str(tmp_path / "a")]
+        assert run_main(argv) == EXIT_OK
+        assert "steps=10 t_final=0.1\n" in capsys.readouterr().out
 
 
 class TestFlagsParseLikeTheFile:
@@ -403,6 +455,12 @@ class TestCommandLineContract:
     )
     def test_parser_error_is_one_config_error_line(self, workdir, capsys, argv):
         self._assert_one_config_error(argv, workdir, capsys)
+
+    @pytest.mark.parametrize("flag, value", [("--out", "zz"), ("--dt", "0.001")])
+    def test_prefix_of_a_flag_is_no_alias(self, workdir, capsys, flag, value):
+        # --out would be --out-dir and --dt would be --dt-init if argparse matched prefixes
+        self._assert_one_config_error(["run", "--n", "16", "--n-steps", "1", flag, value], workdir, capsys)
+        assert not (workdir / "zz").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -506,10 +564,12 @@ class TestVerificationCommands:
         chk = tmp_path / "zero.chk"
         g = GridSpec(32)
         write_checkpoint(chk, SimState(constant_field(g, 0.0), constant_field(g, 0.0)), FlowParams(1.0, 1.0, 0.9, 0.1))
-        out = tmp_path / "never.csv"
-        rc = run_main([a.format(chk=chk) for a in argv] + ["--out", str(out)])
+        out = tmp_path / "never"
+        out_flag = "--out-dir" if argv[0] in ("run", "resume") else "--out"
+        rc = run_main([a.format(chk=chk) for a in argv] + [out_flag, str(out)])
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unrecognized arguments" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("s, r", [("1e308", "inf"), ("511.9", "inf"), ("300", "2")])

@@ -180,6 +180,16 @@ class TestGMonitors:
         # the monitored quantity is nonincreasing for pure dissipative vorticity
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(series, series[1:]))
 
+    @pytest.mark.parametrize("value", [1e160, np.nan])
+    def test_non_finite_dissipation_rate_raises(self, value):
+        # |c|^2 overflows, or a coefficient is NaN: the rate is no number to accumulate
+        grid = GridSpec(16)
+        hats = [np.zeros((16, 9), complex) for _ in range(2)]
+        hats[1][1, 1] = value
+        st = SimState(constant_field(grid, 0.0), constant_field(grid, 0.0), 0.0, tuple(hats))
+        with pytest.raises(ValueError, match="non-finite dissipation rate"):
+            dissipation_rates(st, PARAMS)
+
     def test_window_rejection_names_constraint(self):
         recs = []
         with pytest.raises(ValueError, match="q0"):

@@ -154,6 +154,9 @@ def test_diagnostics_match_full_plane_oracle(n, L, fraction, alpha):
             assert _close(cordoba_scale(st.theta, params.beta, gam, gam_p), scale), name
             margin = cordoba_margin(st.theta, params.beta, gam, gam_p)
             assert _close(margin, float((first - second).min()), scale), name
+            if st is states[0]:  # a stepped state: theta is the inverse transform of hats[0], as in the run loop
+                margin = cordoba_margin(st.theta, params.beta, gam, gam_p, st.hats[0])
+                assert _close(margin, float((first - second).min()), scale), name
 
         g_hat = G_hat(st, alpha)
         G = full_plane_G(st, alpha)

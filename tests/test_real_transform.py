@@ -118,38 +118,35 @@ def _count_transforms(monkeypatch, n):
 
 def test_transform_budget(monkeypatch):
     """One step plus the dissipation rates on its result: no complex
-    transform and at most 18 real n x n ones.  The step's forward
-    transforms are the ones the rates on the previous state made."""
+    transform and exactly 16 real n x n ones.  The step starts from the
+    state's coefficients and hands its own on as the new state's, so it
+    makes no forward transform of a state."""
     grid = GridSpec(32)
     params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
     state = initial_data("random-band", 0, grid)
-    dissipation_rates(state, params)
 
     counts = _count_transforms(monkeypatch, grid.n)
     new = step(state, params, StepperConfig(dt_init=0.01))
     dissipation_rates(new, params)
-    assert counts["complex"] == 0
-    assert 0 < counts["real"] <= 18
+    assert counts == {"complex": 0, "real": 16}
 
 
 def test_diagnostics_transform_budget(monkeypatch):
-    """snapshot_record plus cordoba_margin on a state whose half-plane
-    coefficients are cached (as the run loop leaves them): no complex
-    transform and at most 13 real n x n ones, as measured: 2 inverse for
-    sup|grad theta|, 1 for G, 6 for the non-empty Besov blocks of G
-    (j = -1 .. 4 at n = 64), and 2 forward plus 2 inverse for the Cordoba
-    terms."""
+    """snapshot_record plus cordoba_margin on a state's coefficients, as the
+    run loop calls them: no complex transform and at most 12 real n x n
+    ones, as measured: 2 inverse for sup|grad theta|, 1 for G, 6 for the
+    non-empty Besov blocks of G (j = -1 .. 4 at n = 64), and 1 forward plus
+    2 inverse for the Cordoba terms."""
     grid = GridSpec(64)
     params = FlowParams(1.0, 1.0, 0.95, 0.05, critical=True)
     state = step(initial_data("random-band", 0, grid), params, StepperConfig(dt_init=0.01))
-    dissipation_rates(state, params)
     gamma, gamma_prime = CONVEX_GAMMAS["square"]
 
     counts = _count_transforms(monkeypatch, grid.n)
     snapshot_record(state, params, 2.5, 0.4, 0.0, 0.0)
-    cordoba_margin(state.theta, params.beta, gamma, gamma_prime)
+    cordoba_margin(state.theta, params.beta, gamma, gamma_prime, state.hats[0])
     assert counts["complex"] == 0
-    assert 0 < counts["real"] <= 13
+    assert 0 < counts["real"] <= 12
 
 
 def test_no_complex_transform_in_the_commands(monkeypatch, tmp_path):

@@ -2,6 +2,9 @@
 scan, and checkpoint round trips."""
 
 import math
+import pathlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from bq2d.spectral import (
     PhysicalField,
     constant_field,
     coordinates,
+    dealias_mask,
     field_from_function,
     lp_norm,
     to_physical,
@@ -37,6 +41,8 @@ from bq2d.spectral import (
 )
 
 G64 = GridSpec(64)
+# written by the BQCHK2 writer: ``bq2d run --n 8 --n-steps 2 --dealias-fraction 0.5``, final.chk
+BQCHK2_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "bqchk2_n8.chk"
 PARAMS = FlowParams(nu=1.0, kappa=1.0, alpha=0.9, beta=1.0 - 0.9, critical=True)
 
 
@@ -106,6 +112,15 @@ class TestStep:
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 1.9
 
+    def test_run_clips_the_last_step_onto_t_end(self):
+        st = initial_data("random-band", 3, GridSpec(32, dealias_fraction=0.5))
+        cfg = StepperConfig(dt_init=0.01, t_end=0.1)
+        times = [s.t for s in run(st, PARAMS, cfg)]
+        assert len(times) == 10 and times[-1] == 0.1  # not 0.09999999999999999 plus an 11th step
+        # a remainder below the step floor ends the run; n_steps runs ignore t_end
+        assert list(run(SimState(st.theta, st.omega, 0.1 - 5e-13, st.hats), PARAMS, cfg)) == []
+        assert [s.t for s in run(st, PARAMS, cfg, n_steps=11)][-1] == 0.10999999999999999
+
     def test_cfl_and_underflow(self):
         st = initial_data("random-band", 3, G64, amplitude=1.0)
         cfg = StepperConfig(dt_init=1.0, cfl_number=0.4, t_end=1.0)
@@ -154,6 +169,20 @@ class TestAliasing:
 
 
 class TestInvariants:
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_hermitian_drift_stays_at_rounding(self, fraction):
+        """The coefficient state is never symmetrized: over 1000 steps, each
+        coefficient of columns m2 = 0 and n/2 stays within 1e-14 max|c| of
+        the conjugate of its mirror (-m1, m2)."""
+        grid = GridSpec(32, dealias_fraction=fraction)
+        mirror = -np.arange(grid.n) % grid.n
+        worst = 0.0
+        for st in run(initial_data("random-band", 1, grid), PARAMS, StepperConfig(dt_init=0.01), n_steps=1000):
+            for c in st.hats:
+                cols = c[:, [0, -1]]
+                worst = max(worst, np.abs(cols - np.conj(cols[mirror])).max() / np.abs(c).max())
+        assert worst <= 1e-14
+
     def test_theta_mean_conserved(self):
         st = initial_data("gaussian-bumps", 4, G64, amplitude=1.0)
         mean0 = st.theta.values.mean()
@@ -398,22 +427,27 @@ class TestWeightedProfile:
         assert sups.max() <= (2.0 * lp_norm(theta, math.inf)) ** 2 + 1e-12
 
 
+def _legacy_checkpoint(path, state, params):
+    """The BQCHK2 file of ``state``'s physical arrays, as the BQCHK2 writer made it."""
+    g = state.grid
+    fields = (g.n, *map(repr, (g.side_length, g.dealias_fraction, state.t, params.nu, params.kappa, params.alpha, params.beta)))
+    with open(path, "wb") as fh:
+        fh.write(("BQCHK2 " + " ".join(map(str, fields)) + "\n").encode("ascii"))
+        for f in (state.theta, state.omega):
+            fh.write(struct.pack("<Q", f.values.size) + f.values.astype("<f8").tobytes())
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         st = initial_data("random-band", 8, G64, amplitude=1.0)
-        st = SimState(st.theta, st.omega, t=0.123456789012345)
+        st = SimState(st.theta, st.omega, t=0.123456789012345, hats=st.hats)
         path = tmp_path / "state.chk"
         write_checkpoint(path, st, PARAMS)
         back, params = read_checkpoint(path)
-        assert np.array_equal(back.theta.values, st.theta.values)
-        assert np.array_equal(back.omega.values, st.omega.values)
+        for a, b in zip((*back.hats, back.theta.values, back.omega.values), (*st.hats, st.theta.values, st.omega.values)):
+            assert a.tobytes() == b.tobytes()
         assert back.t == st.t
-        assert (params.nu, params.kappa, params.alpha, params.beta) == (
-            PARAMS.nu,
-            PARAMS.kappa,
-            PARAMS.alpha,
-            PARAMS.beta,
-        )
+        assert params == PARAMS
         # writing the reread state reproduces the file byte for byte
         path2 = tmp_path / "state2.chk"
         write_checkpoint(path2, back, params)
@@ -421,21 +455,63 @@ class TestCheckpoint:
 
     def test_dealias_fraction_round_trip_and_version_1(self, tmp_path):
         grid = GridSpec(32, dealias_fraction=0.5)
-        st = initial_data("random-band", 8, grid)
-        path = tmp_path / "v2.chk"
-        write_checkpoint(path, st, PARAMS)
+        path = tmp_path / "v3.chk"
+        write_checkpoint(path, initial_data("random-band", 8, grid), PARAMS)
         back, _ = read_checkpoint(path)
         assert back.grid == grid
-        head, payload = path.read_bytes().split(b"\n", 1)
+        assert path.read_bytes().split()[:4] == [b"BQCHK3", b"32", repr(grid.side_length).encode(), b"0.5"]
+        # the BQCHK2 fixture's payload under a BQCHK1 header: the default fraction
+        v2, _ = read_checkpoint(BQCHK2_FIXTURE)
+        head, payload = BQCHK2_FIXTURE.read_bytes().split(b"\n", 1)
         tag, n, L, frac, *rest = head.split()
-        assert (tag, float(frac)) == (b"BQCHK2", 0.5)
         path.write_bytes(b" ".join([b"BQCHK1", n, L, *rest]) + b"\n" + payload)
         back, _ = read_checkpoint(path)
-        assert back.grid == GridSpec(32)
-        assert np.array_equal(back.theta.values, st.theta.values) and back.t == st.t
+        assert back.grid == GridSpec(8)
+        assert np.array_equal(back.theta.values, v2.theta.values) and back.t == v2.t
         path.write_bytes(b" ".join([b"BQCHK1", n, L, frac, *rest]) + b"\n" + payload)
         with pytest.raises(ValueError, match="header"):
             read_checkpoint(path)
+
+    def test_version_2_fixture_reads(self, tmp_path):
+        """The BQCHK2 file of the parent format: its arrays are the state's
+        physical arrays, their dealiased rfft2 its coefficients, and
+        critical follows alpha + beta == 1."""
+        st, params = read_checkpoint(BQCHK2_FIXTURE)
+        assert st.grid == GridSpec(8, dealias_fraction=0.5) and st.t == 0.02
+        assert params == FlowParams(1.0, 1.0, 0.9, 0.09999999999999998, critical=True)
+        for f, c in zip((st.theta, st.omega), st.hats):
+            assert np.array_equal(c, np.where(dealias_mask(st.grid), to_spectral(f).coeffs, 0.0))
+        _legacy_checkpoint(tmp_path / "again.chk", st, params)
+        assert (tmp_path / "again.chk").read_bytes() == BQCHK2_FIXTURE.read_bytes()
+
+    def test_header_carries_critical_and_checksum(self, tmp_path):
+        st = initial_data("random-band", 9, GridSpec(16))
+        path = tmp_path / "a.chk"
+        for params in (PARAMS, FlowParams(1.0, 1.0, 0.9, 0.1)):
+            write_checkpoint(path, st, params)
+            head = path.read_bytes().split(b"\n", 1)[0].split()
+            assert head[4] == (b"1" if params.critical else b"0")
+            assert read_checkpoint(path)[1] == params
+        data = path.read_bytes()
+        assert int(head[-1], 16) == zlib.crc32(data[len(data) - 2 * 16 * 16 * 9 :])
+        flipped = bytearray(data)
+        flipped[-1] ^= 1
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match="CRC-32"):
+            read_checkpoint(path)
+
+    def test_undealiased_coefficients_rejected(self, tmp_path):
+        # a payload that passes its checksum must still be a dealiased, finite state
+        g = GridSpec(16)
+        hats = [c.copy() for c in initial_data("random-band", 9, g).hats]
+        path = tmp_path / "a.chk"
+        for where, value in (((8, 0), 1.0), ((1, 1), np.nan)):
+            bad = [c.copy() for c in hats]
+            bad[1][where] = value
+            st = SimState(constant_field(g, 0.0), constant_field(g, 0.0), 0.0, tuple(bad))
+            write_checkpoint(path, st, PARAMS)
+            with pytest.raises(ValueError, match="finite and dealiased"):
+                read_checkpoint(path)
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.chk"
@@ -452,11 +528,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             read_checkpoint(path)
 
+    def test_header_grid_past_the_file_size_is_truncated(self, tmp_path):
+        # the payload size a header implies is checked against the file before a buffer is allocated
+        path = tmp_path / "huge.chk"
+        write_checkpoint(path, initial_data("random-band", 9, GridSpec(16)), PARAMS)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head.replace(b"BQCHK3 16 ", b"BQCHK3 1048576 ", 1) + b"\n" + payload)
+        with pytest.raises(ValueError, match="truncated"):
+            read_checkpoint(path)
+
     @pytest.mark.parametrize("cut", [8 * 64 * 64 + 4, 8 * 64 * 64 + 8])  # into, and all of, omega's prefix
     def test_truncated_length_prefix_rejected(self, tmp_path, cut):
         st = initial_data("random-band", 9, G64)
         path = tmp_path / "trunc.chk"
-        write_checkpoint(path, st, PARAMS)
+        _legacy_checkpoint(path, st, PARAMS)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - cut])
         with pytest.raises(ValueError, match="truncated"):
