@@ -51,6 +51,7 @@ from .spectral import (
     grad_sup,
     irfft2,
     lp_norm,
+    lp_norm_values,
     mean_free,
     perp_grad,
     rfft2,
@@ -229,7 +230,7 @@ def _difference_power_sums(vals: np.ndarray, p: int) -> tuple[np.ndarray, float]
 
 def _difference_norms(ph: PhysicalField, include: np.ndarray, p: float) -> np.ndarray:
     """||f(. + h) - f||_p at each included grid shift, in ``np.argwhere`` order."""
-    norm = lambda d: lp_norm(PhysicalField(ph.grid, d), p)
+    norm = lambda d: lp_norm_values(d, p, ph.grid.cell_weight)  # no per-shift rescan for non-finite values
     if not (math.isfinite(p) and p == int(p) and int(p) % 2 == 0):
         return shift_scan(ph.values, include, norm)
     sums, scale = _difference_power_sums(ph.values, int(p))

@@ -271,26 +271,45 @@ def _lambda(values: np.ndarray, grid: GridSpec, beta: float, coeffs: np.ndarray 
     return to_physical(fractional_laplacian(SpectralField(grid, coeffs), beta)).values
 
 
-def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime, f_hat=None):
-    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid."""
+def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime, f_hat=None, lam_f=None):
+    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid; ``lam_f`` is
+    Lambda^b f when the caller holds it."""
     if not 0.0 < beta < 2.0:
         raise ValueError("cordoba_margin requires beta in (0, 2)")
-    lam_f = _lambda(f.values, f.grid, beta, f_hat)
+    if lam_f is None:
+        lam_f = _lambda(f.values, f.grid, beta, f_hat)
     return gamma_prime(f.values) * lam_f, _lambda(np.asarray(gamma(f.values), dtype=float), f.grid, beta)
+
+
+def _margin(first: np.ndarray, second: np.ndarray) -> float:
+    return float((first - second).min())
+
+
+def _scale(first: np.ndarray, second: np.ndarray) -> float:
+    return float(np.abs(first).max() + np.abs(second).max() + 1.0)
 
 
 def cordoba_margin(f: PhysicalField, beta: float, gamma, gamma_prime, f_hat: np.ndarray | None = None) -> float:
     """min over the grid of Gamma'(f) Lambda^b f - Lambda^b Gamma(f) (>= 0
     in the continuum for convex Gamma).  ``f_hat`` are the half-plane
     coefficients of f when the caller holds them (a state's ``hats[0]``)."""
-    first, second = _cordoba_terms(f, beta, gamma, gamma_prime, f_hat)
-    return float((first - second).min())
+    return _margin(*_cordoba_terms(f, beta, gamma, gamma_prime, f_hat))
 
 
 def cordoba_scale(f: PhysicalField, beta: float, gamma, gamma_prime) -> float:
     """Magnitude reference for the margin tolerance band."""
-    first, second = _cordoba_terms(f, beta, gamma, gamma_prime)
-    return float(np.abs(first).max() + np.abs(second).max() + 1.0)
+    return _scale(*_cordoba_terms(f, beta, gamma, gamma_prime))
+
+
+def cordoba_ratios(f: PhysicalField, beta: float) -> dict[str, float]:
+    """``cordoba_margin / cordoba_scale`` of f for each Gamma of
+    ``CONVEX_GAMMAS``: one pair of terms per Gamma, one Lambda^b f for all."""
+    lam_f = _lambda(f.values, f.grid, beta)
+    ratios = {}
+    for name, (gamma, gamma_prime) in CONVEX_GAMMAS.items():
+        terms = _cordoba_terms(f, beta, gamma, gamma_prime, lam_f=lam_f)
+        ratios[name] = _margin(*terms) / _scale(*terms)
+    return ratios
 
 
 # ---------------------------------------------------------------------------

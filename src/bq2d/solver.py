@@ -24,17 +24,39 @@ dissipation rates and the Cordoba monitor read the same coefficients.
 With per-grid symbol tables, spectra are multiplied and masked in place
 only on arrays the step allocated.  Checkpoints store the coefficients
 bit for bit, which is what makes a split run equal to an unsplit one.
+
+From n = LANE_MIN_N (256) the step runs both halves of each of its four
+independent pairs at the same time (``_pair``): the two Biot-Savart
+inverses, the theta and omega advection terms (each with its products and
+two forward transforms), the predictor's two inverses and the new state's
+two.  The omega half goes to one daemon worker thread, the lane, while the
+caller runs the theta half (and then the omega half too, if the lane has
+not started it); numpy's transforms and array arithmetic release the
+interpreter lock, so the halves use two cores.  Each half is the same
+single-threaded work on the same inputs, so every output is bitwise the
+sequential one and the transform count does not change.  The first pair at
+a grid size also raises glibc's heap trim threshold (``_keep_heap``):
+without that, the two threads' heaps hand their memory back and fault it in
+again every step, which cost more than the overlap saves.  The crossover
+was measured in one process on a 2-vCPU VM, alternating sequential and
+lane runs from the same state (medians of 12 each, three sets): at n = 128
+the lane took 2.5 -> 3.5, 3.9 -> 4.1 and 3.9 -> 3.6 ms per step (faster in
+2, 1 and 10 of 12 runs), no reliable gain; at n = 256 it took 15.3 -> 12.4,
+17.4 -> 12.3 and 17.5 -> 13.1 ms (faster in 8, 11 and 11 of 12).
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import os
+import queue
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,13 +166,96 @@ class OssReport:
 
 
 # ---------------------------------------------------------------------------
+# the transform lane: the second call of an independent pair on a worker thread
+
+# smallest n whose pairs go to the lane; below it the hand-off costs more than
+# the overlap saves (measured crossover, see the module docstring)
+LANE_MIN_N = 256
+
+_lane_jobs: queue.SimpleQueue | None = None
+_lane_start = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        claim, ctx, fn, done = jobs.get()
+        if not claim.acquire(blocking=False):
+            continue  # the caller got to it first and ran it itself
+        try:
+            done.put((ctx.run(fn), None))
+        except BaseException as exc:  # handed to the caller, which raises it
+            done.put((None, exc))
+
+
+def _lane() -> queue.SimpleQueue:
+    """The lane's job queue, starting its one daemon thread on first use."""
+    global _lane_jobs
+    with _lane_start:
+        if _lane_jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="bq2d-lane", daemon=True).start()
+            _lane_jobs = jobs
+        return _lane_jobs
+
+
+def _forget_lane() -> None:
+    global _lane_jobs, _lane_start
+    _lane_jobs, _lane_start = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_lane)  # a forked child has no lane thread
+
+
+@lru_cache(maxsize=None)
+def _keep_heap(n: int) -> None:
+    """Map and free one block of 8 half-plane arrays of the grid.  glibc
+    raises its mmap threshold to the largest mapped block freed and its trim
+    threshold to twice that (mallopt(3)), so each thread's heap then keeps
+    that much free memory at its top: the step's transient arrays reuse it
+    instead of being handed back to the kernel and faulted in again every
+    step (at n = 256, about 850 minor faults a step with two threads' heaps,
+    none after).  The block's pages are never touched."""
+    np.empty(8 * n * (n // 2 + 1), complex)
+
+
+def _pair(grid: GridSpec, fa, fb):
+    """(fa(), fb()) of two independent calls.  From n = LANE_MIN_N, fb goes
+    to the lane thread (run under the caller's numpy error state) while the
+    caller runs fa; a lane that has not started fb by then leaves it to the
+    caller, so a lane slow to wake costs no more than sequential order.  Each call is the same single-threaded work on the same inputs,
+    so the results are bitwise the sequential ones.  A started fb is always
+    collected before returning or raising; when fa fails, its exception is
+    raised, as in sequential order."""
+    if grid.n < LANE_MIN_N:
+        return fa(), fb()
+    _keep_heap(grid.n)
+    # one claim and one result queue per call: whoever takes the claim runs fb,
+    # and an abandoned wait leaves no stale result behind
+    claim, done = threading.Lock(), queue.SimpleQueue()
+    (_lane_jobs if _lane_jobs is not None else _lane()).put((claim, contextvars.copy_context(), fb, done))
+    try:
+        a = fa()
+    except BaseException:
+        if not claim.acquire(blocking=False):
+            done.get()  # the lane started fb: collect it before raising
+        raise
+    if claim.acquire(blocking=False):
+        return a, fb()
+    b, exc = done.get()
+    if exc is not None:
+        raise exc
+    return a, b
+
+
+# ---------------------------------------------------------------------------
 # right-hand side, on half-plane coefficient arrays
 
 
 def _velocity(w: np.ndarray, grid: GridSpec):
     """Raw physical (u1, u2) from half-plane vorticity coefficients, for the
     step (``biot_savart`` is the diagnostics' path)."""
-    return tuple(irfft2(s * w) for s in biot_savart_symbols(grid))
+    s1, s2 = biot_savart_symbols(grid)
+    return _pair(grid, lambda: irfft2(s1 * w), lambda: irfft2(s2 * w))
 
 
 def _velocity_l2(state: SimState) -> float:
@@ -188,9 +293,11 @@ def nonstiff_rhs(state: SimState):
     u_max = max(np.abs(u[0]).max(), np.abs(u[1]).max())
     if not math.isfinite(u_max):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
-    n_theta = -_advection(u, state.theta.values, grid)
+    n_theta, adv_omega = _pair(
+        grid, lambda: -_advection(u, state.theta.values, grid), lambda: _advection(u, state.omega.values, grid)
+    )
     n_omega = derivative_symbols(grid)[0] * th_hat
-    n_omega -= _advection(u, state.omega.values, grid)
+    n_omega -= adv_omega
     if not (np.isfinite(n_theta).all() and np.isfinite(n_omega).all()):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
     return n_theta, n_omega, float(u_max)
@@ -206,9 +313,13 @@ def rhs(state: SimState, params: FlowParams):
     return SpectralField(grid, d_theta), SpectralField(grid, d_omega)
 
 
+@lru_cache(maxsize=2)
 def _integrating_factors(grid: GridSpec, params: FlowParams, dt: float):
+    """Read-only exp(-c dt |k|^g) of theta and omega; a run's dt mostly repeats."""
     e_theta = np.exp(-params.kappa * dt * kpow(grid, params.beta))
     e_omega = np.exp(-params.nu * dt * kpow(grid, params.alpha))
+    for e in (e_theta, e_omega):
+        e.flags.writeable = False
     return e_theta, e_omega
 
 
@@ -235,6 +346,11 @@ def _physical_checked(grid: GridSpec, coeffs: np.ndarray, t: float) -> PhysicalF
         raise BlowUpError(t, float(np.abs(finite).max()) if finite.size else math.inf) from None
 
 
+def _physical_pair(grid: GridSpec, th: np.ndarray, w: np.ndarray, t: float):
+    """``_physical_checked`` of theta and omega, as a lane pair."""
+    return _pair(grid, lambda: _physical_checked(grid, th, t), lambda: _physical_checked(grid, w, t))
+
+
 def step(
     state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | None = None, t_stop: float | None = None
 ) -> SimState:
@@ -259,7 +375,7 @@ def step(
     th0, w0 = state.hats
     th_pred = e_theta * (th0 + dt * n1_theta)
     w_pred = e_omega * (w0 + dt * n1_omega)
-    pred = SimState(_physical_checked(grid, th_pred, t), _physical_checked(grid, w_pred, t), t, (th_pred, w_pred))
+    pred = SimState(*_physical_pair(grid, th_pred, w_pred, t), t, (th_pred, w_pred))
     n2_theta, n2_omega, _ = nonstiff_rhs(pred)
 
     # e c0 + dt/2 (e N1 + N2), in the order of the out-of-place sum; every term is
@@ -270,8 +386,7 @@ def step(
         half += n2
         half *= 0.5 * dt
         new += half
-    theta_p = _physical_checked(grid, th_new, t)
-    omega_p = _physical_checked(grid, w_new, t)
+    theta_p, omega_p = _physical_pair(grid, th_new, w_new, t)
 
     omega_max = float(max(omega_p.values.max(), -omega_p.values.min()))
     if omega_max > OMEGA_BLOWUP_LIMIT:

@@ -363,10 +363,15 @@ def lp_norm(f: PhysicalField, p: float) -> float:
     """Discrete L^p norm with uniform quadrature weight (L/n)^2; p=inf -> sup."""
     if p < 1:
         raise ValueError("lp_norm requires p >= 1")
-    a = np.abs(f.values)
+    return lp_norm_values(f.values, p, f.grid.cell_weight)
+
+
+def lp_norm_values(values: np.ndarray, p: float, cell_weight: float) -> float:
+    """``lp_norm``'s arithmetic on a raw array, unchecked (p >= 1 assumed)."""
+    a = np.abs(values)
     if math.isinf(p):
         return float(a.max())
-    return float((np.sum(a**p) * f.grid.cell_weight) ** (1.0 / p))
+    return float((np.sum(a**p) * cell_weight) ** (1.0 / p))
 
 
 def l2_norm_spectral(fh: SpectralField) -> float:

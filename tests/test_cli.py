@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from bq2d import solver
 from bq2d.cli import (
     EXIT_ASSERTION,
     EXIT_BLOWUP,
@@ -236,6 +237,20 @@ class TestResume:
         full = (tmp_path / "full" / "final.chk").read_bytes()
         resumed = (tmp_path / "resumed" / "final.chk").read_bytes()
         assert full == resumed
+
+    def test_split_equals_unsplit_bitwise_with_the_lane(self, tmp_path):
+        # n = 256 runs the step's transform pairs on two threads
+        assert solver.LANE_MIN_N <= 256
+        common = ["--n", "256", "--seed", "1", "--dt-init", "0.01", "--diag-every", "1"]
+        for out, n_steps in (("full", 4), ("again", 4), ("half", 2)):
+            assert run_main(["run", *common, "--n-steps", str(n_steps), "--out-dir", str(tmp_path / out)]) == EXIT_OK
+        resume = ["resume", str(tmp_path / "half" / "final.chk"), "--n-steps", "2", "--diag-every", "1"]
+        assert run_main([*resume, "--out-dir", str(tmp_path / "resumed")]) == EXIT_OK
+        full = (tmp_path / "full" / "final.chk").read_bytes()
+        assert full == (tmp_path / "again" / "final.chk").read_bytes()
+        assert full == (tmp_path / "resumed" / "final.chk").read_bytes()
+        diagnostics = (tmp_path / "full" / "diagnostics.csv").read_bytes()
+        assert diagnostics == (tmp_path / "again" / "diagnostics.csv").read_bytes()
 
     def test_header_mismatch_rejected(self, tmp_path):
         self._run(tmp_path / "src", 2)

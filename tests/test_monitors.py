@@ -15,6 +15,7 @@ from bq2d.monitors import (
     check_besov_index,
     check_lq_index,
     cordoba_margin,
+    cordoba_ratios,
     cordoba_scale,
     csv_header,
     difference_lower_bound_margin,
@@ -246,6 +247,20 @@ class TestCordoba:
         f = constant_field(G64, 1.0)
         with pytest.raises(ValueError):
             cordoba_margin(f, 2.5, *CONVEX_GAMMAS["square"])
+        with pytest.raises(ValueError):
+            cordoba_ratios(f, 2.5)
+
+    def test_ratios_are_margin_over_scale_from_fewer_transforms(self, monkeypatch):
+        # one Lambda^b f (1 forward + 1 inverse) and one Lambda^b Gamma(f) per
+        # Gamma, where margin and scale each took all four transforms
+        f = random_band_field(G64, 1, 8, np.random.default_rng(2))
+        want = {name: cordoba_margin(f, 0.5, *pair) / cordoba_scale(f, 0.5, *pair) for name, pair in CONVEX_GAMMAS.items()}
+        calls = []
+        for name in ("rfft2", "irfft2"):
+            orig = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _orig=orig, **k: calls.append(1) or _orig(*a, **k))
+        assert cordoba_ratios(f, 0.5) == want
+        assert len(calls) == 2 + 2 * len(CONVEX_GAMMAS)
 
     def test_hinge_is_convex_pair(self):
         gam, gam_p = smoothed_hinge()

@@ -8,14 +8,15 @@ half-plane coefficients.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import full_plane as fp
-from bq2d import cli, kernels
+from bq2d import cli, kernels, solver
 from bq2d.monitors import CONVEX_GAMMAS, cordoba_margin, dissipation_rates, snapshot_record
-from bq2d.solver import StepperConfig, SimState, initial_data, step
+from bq2d.solver import StepperConfig, SimState, initial_data, run, step
 from bq2d.spectral import FlowParams, GridSpec, PhysicalField
 
 # ---------------------------------------------------------------------------
@@ -101,15 +102,18 @@ def test_real_step_matches_complex_oracle(n, L, fraction, alpha):
 
 def _count_transforms(monkeypatch, n):
     """Counts of complex and real n x n transforms from here on (a batched
-    call counts once per field)."""
+    call counts once per field).  The count is taken under a lock: the step's
+    transform lane calls numpy's transforms from a second thread."""
     counts = {"complex": 0, "real": 0}
+    lock = threading.Lock()
     for name, kind in (("fft2", "complex"), ("ifft2", "complex"), ("rfft2", "real"), ("irfft2", "real")):
         orig = getattr(np.fft, name)
 
         def counted(a, *args, _orig=orig, _kind=kind, **kwargs):
             out = _orig(a, *args, **kwargs)
             real_side = out if out.dtype.kind == "f" else a
-            counts[_kind] += max(1, np.size(real_side) // n**2)
+            with lock:
+                counts[_kind] += max(1, np.size(real_side) // n**2)
             return out
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -129,6 +133,19 @@ def test_transform_budget(monkeypatch):
     new = step(state, params, StepperConfig(dt_init=0.01))
     dissipation_rates(new, params)
     assert counts == {"complex": 0, "real": 16}
+
+
+def test_transform_budget_with_the_lane(monkeypatch):
+    """The same census at n = LANE_MIN_N, where half of each transform pair
+    runs on the lane thread: exactly 16 real transforms per step cycle."""
+    grid = GridSpec(solver.LANE_MIN_N)
+    params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
+    state = initial_data("random-band", 0, grid)
+
+    counts = _count_transforms(monkeypatch, grid.n)
+    for state in run(state, params, StepperConfig(dt_init=0.01), n_steps=3):
+        dissipation_rates(state, params)
+    assert counts == {"complex": 0, "real": 3 * 16}
 
 
 def test_diagnostics_transform_budget(monkeypatch):

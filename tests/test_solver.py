@@ -4,13 +4,17 @@ scan, and checkpoint round trips."""
 import math
 import pathlib
 import struct
+import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
+from bq2d import cli, solver
 from bq2d.monitors import dissipation_rates, snapshot_record
 from bq2d.solver import (
+    LANE_MIN_N,
     BlowUpError,
     SimState,
     StepperConfig,
@@ -166,6 +170,137 @@ class TestAliasing:
         assert again.omega.values.tobytes() == new.omega.values.tobytes()
         for a in (new.theta.values, new.omega.values, *new.hats):
             assert not any(np.shares_memory(a, b) for b in arrays)
+
+
+def _lane_threads():
+    return [t for t in threading.enumerate() if t.name == "bq2d-lane"]
+
+
+class TestLane:
+    """From n = LANE_MIN_N the step runs the second call of each independent
+    pair on one worker thread; every output stays bitwise the sequential one."""
+
+    GRID = GridSpec(LANE_MIN_N)
+
+    @staticmethod
+    def _sequential(monkeypatch):
+        monkeypatch.setattr(solver, "LANE_MIN_N", sys.maxsize)
+
+    @staticmethod
+    def _steps(n_steps):
+        state = initial_data("random-band", 5, GridSpec(256))
+        for state in run(state, PARAMS, StepperConfig(dt_init=0.01), n_steps=n_steps):
+            pass
+        return state
+
+    def test_lane_is_bitwise_the_sequential_step(self, monkeypatch):
+        assert LANE_MIN_N <= 256
+        lane = self._steps(10)
+        self._sequential(monkeypatch)
+        seq = self._steps(10)
+        assert lane.t == seq.t
+        for a, b in zip((*lane.hats, lane.theta.values, lane.omega.values), (*seq.hats, seq.theta.values, seq.omega.values)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_first_failure_is_raised_and_the_lane_stays_clean(self):
+        def fail(msg):
+            def f():
+                raise ValueError(msg)
+
+            return f
+
+        with pytest.raises(ValueError, match="theta"):
+            solver._pair(self.GRID, fail("theta"), fail("omega"))
+        with pytest.raises(ValueError, match="omega"):
+            solver._pair(self.GRID, lambda: 1, fail("omega"))
+        with pytest.raises(ValueError, match="theta"):
+            solver._pair(self.GRID, fail("theta"), lambda: 2)
+        assert solver._pair(self.GRID, lambda: 3, lambda: 4) == (3, 4)
+
+    def test_nonfinite_blowup_matches_the_sequential_one(self, monkeypatch):
+        # both halves of the predictor pair fail
+        state = initial_data("random-band", 5, GridSpec(256), amplitude=1e100)
+        cfg = StepperConfig(dt_init=0.01)
+        errors = []
+        for sequential in (False, True):
+            if sequential:
+                self._sequential(monkeypatch)
+            with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
+                step(state, PARAMS, cfg, dt=1e200)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert solver._pair(self.GRID, lambda: "a", lambda: "b") == ("a", "b")
+
+    def test_cli_blowup_matches_the_sequential_run(self, tmp_path, monkeypatch, capsys):
+        args = ["run", "--n", "256", "--amplitude", "2e8", "--n-steps", "5", "--dt-init", "1e-6"]
+        seen = []
+        for name in ("lane", "seq"):
+            if name == "seq":
+                self._sequential(monkeypatch)
+            out = tmp_path / name
+            rc = cli.main([*args, "--out-dir", str(out)])
+            out_text, err = (text.replace(str(out), "OUT") for text in capsys.readouterr())
+            seen.append((rc, out_text, err, (out / "post_mortem.csv").read_bytes()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == cli.EXIT_BLOWUP
+        assert solver._pair(self.GRID, lambda: 5, lambda: 6) == (5, 6)
+
+    def test_lane_runs_under_the_callers_numpy_error_state(self):
+        started = threading.Event()
+        on_lane = lambda: started.set() or (threading.current_thread().name, np.geterr()["over"])
+        with np.errstate(over="ignore"):
+            _, (name, over) = solver._pair(self.GRID, lambda: started.wait(10), on_lane)
+        assert (name, over) == ("bq2d-lane", "ignore")
+
+    def test_caller_runs_what_a_busy_lane_has_not_started(self):
+        started, release = threading.Event(), threading.Event()
+        held = []
+
+        def hold_the_lane():
+            held.append(solver._pair(self.GRID, lambda: started.wait(10), lambda: started.set() or release.wait(10)))
+
+        other = threading.Thread(target=hold_the_lane)
+        other.start()
+        try:
+            assert started.wait(10)
+            name = lambda: threading.current_thread().name
+            assert solver._pair(self.GRID, lambda: 1, name) == (1, threading.current_thread().name)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert held == [(True, True)]
+
+    def test_one_daemon_lane_thread(self):
+        self._steps(12)
+        threads = _lane_threads()
+        assert len(threads) == 1
+        assert threads[0].daemon
+
+    def test_concurrent_callers_get_their_own_results(self):
+        # more callers than cores, with frequent thread switches: each result
+        # must come back to the call that made it
+        wrong = []
+
+        def caller(k):
+            for i in range(300):
+                a, b = solver._pair(self.GRID, lambda: np.float64(k) + i, lambda: np.float64(-k) - i)
+                if (a, b) != (k + i, -k - i):
+                    wrong.append((k, i, a, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(1000 * k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(_lane_threads()) <= 1
 
 
 class TestInvariants:
