@@ -3,7 +3,8 @@ verification suites.
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment);
 every command-line flag mirrors a config key, is matched by its full name
-only, is parsed as in the file (by ``_coerce``) and wins over the file.  All
+only, is parsed as in the file (by ``_coerce``, as the type of its
+``RunConfig`` field) and wins over the file.  All
 values are validated before any file output is created; a command line that
 does not parse and an output location that cannot be created are refused
 before any computation.  Exit codes:
@@ -21,13 +22,14 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import kernels, solver
 from .lp import BesovIndex, block_norms, lr_combine
-from .spectral import FlowParams, GridSpec, dealias_mask, lp_norm
+from .spectral import FlowParams, GridSpec, dealias_mask
 from .monitors import (
     CONVEX_GAMMAS,
     check_besov_index,
@@ -117,6 +119,8 @@ class RunConfig:
     def resolve(self) -> "RunConfig":
         if self.critical and self.beta < 0:
             self.beta = 1.0 - self.alpha
+            if self.beta <= 0:
+                raise ConfigError(f"critical = true derives beta = 1 - alpha = {self.beta!r} <= 0")
         if self.beta < 0:
             raise ConfigError("beta must be given when critical = false")
         win = self._window()
@@ -142,6 +146,7 @@ class RunConfig:
             self.stepper()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        _check_addressable(self.n, self.n)
         if self.init_kind not in ("taylor-green-like", "gaussian-bumps", "random-band"):
             raise ConfigError(f"unknown init_kind {self.init_kind!r}")
         if self.diag_every < 1:
@@ -154,8 +159,10 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.cfl_number * self.grid().spacing < solver.DT_UNDERFLOW:
             raise ConfigError(f"cfl_number * side_length / n is below the step floor {solver.DT_UNDERFLOW:g}")
-        if self.oss_L > self.side_length / 2.0:
-            raise ConfigError("oss_L must not exceed side_length / 2")
+        if not 0.0 < self.oss_L <= self.side_length / 2.0:
+            raise ConfigError("oss_L must lie in (0, side_length / 2]")
+        if self.oss_delta_c <= 0.0:
+            raise ConfigError("oss_delta_c must be positive")
         win = self._window()
         if win is not None:
             try:
@@ -183,33 +190,30 @@ class RunConfig:
         return solver.StepperConfig(self.dt_init, self.cfl_number, self.t_end)
 
 
-_BOOL_KEYS = {"critical"}
-_INT_KEYS = {"n", "seed", "diag_every", "checkpoint_every", "n_steps"}
-_STR_KEYS = {"init_kind", "out_dir"}
+_KEY_TYPES = typing.get_type_hints(RunConfig)
 _FLAG_KEYS = [f.name for f in fields(RunConfig)]
 
 
 def _coerce(key: str, raw: str):
+    """``raw`` as the type ``RunConfig`` annotates ``key`` with; a key that
+    may be None also takes ``none``."""
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    kinds = typing.get_args(_KEY_TYPES[key]) or (_KEY_TYPES[key],)  # a union's members, or the one type
+    if str in kinds:
+        return raw
+    if bool in kinds:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        if key == "n_steps" and raw.lower() == "none":
-            return None
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-    if key in _STR_KEYS:
-        return raw
+    if raw.lower() == "none" and type(None) in kinds:
+        return None
+    parse, what = (int, "an integer") if int in kinds else (float, "a number")
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+        raise ConfigError(f"key {key!r}: expected {what}, got {raw!r}") from exc
 
 
 def parse_config_text(text: str) -> dict:
@@ -284,6 +288,13 @@ def _initial_monitors():
         raise ConfigError(f"the monitors overflow on the initial state: {exc}") from exc
 
 
+def _check_addressable(n: int, side: int) -> None:
+    """ConfigError unless numpy can address the half-plane coefficients of a
+    side x side grid, the largest array that a command at grid size n makes."""
+    if 16 * side * (side // 2 + 1) > np.iinfo(np.intp).max:
+        raise ConfigError(f"n={n} is too large: a {side} x {side} grid exceeds numpy's addressable size")
+
+
 def _run_loop(
     cfg: RunConfig, state: solver.SimState, params: FlowParams, out_dir: str, announce: bool = False
 ) -> int:
@@ -295,10 +306,12 @@ def _run_loop(
     gamma, gamma_p = CONVEX_GAMMAS["square"]
     worst = dict.fromkeys(("margin_maxprinciple_l2", "margin_maxprinciple_linf", "margin_energy_linear"), 0.0)
 
-    def record(st, fh=None):
-        """The snapshot record of ``st`` with its margins, written as one CSV
-        row to ``fh`` when given; updates the running worst margins."""
-        rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
+    def record(st, fh=None, rec=None):
+        """The snapshot record of ``st`` (``rec`` when the caller holds it) with
+        its margins, written as one CSV row to ``fh`` when given; updates the
+        running worst margins."""
+        if rec is None:
+            rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
         m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
         rec.margin_maxprinciple_l2, rec.margin_maxprinciple_linf = m2, minf
         rec.margin_energy_linear = energy_margin(rec, u0_l2, theta0_l2)[0]
@@ -312,11 +325,10 @@ def _run_loop(
         return rec
 
     with _initial_monitors():
-        theta0_l2 = lp_norm(state.theta, 2)
-        theta0_linf = lp_norm(state.theta, math.inf)
-        u0_l2 = solver._velocity_l2(state)
+        rec = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
+        theta0_l2, theta0_linf, u0_l2 = rec.theta_l2, rec.theta_linf, rec.u_l2
         delta_target = solver.delta_star(max(theta0_linf, 1e-300), params.beta, cfg.oss_delta_c)
-        rec = record(state)
+        record(state, rec=rec)
     if announce:
         print(
             "initial: theta_l2={!r} theta_linf={!r} grad_theta_linf={!r} u_l2={!r}".format(
@@ -379,16 +391,7 @@ def cmd_resume(args) -> int:
         state, params = solver.read_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot resume: {exc}") from exc
-    header = {
-        "n": state.grid.n,
-        "side_length": state.grid.side_length,
-        "dealias_fraction": state.grid.dealias_fraction,
-        "nu": params.nu,
-        "kappa": params.kappa,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "critical": params.critical,
-    }
+    header = {**asdict(state.grid), **asdict(params)}
     cfg = build_config(args.config, _collect_overrides(args), header)
     _check_output(cfg.out_dir, directory=True)
     grid = cfg.grid()
@@ -418,9 +421,13 @@ class _CheckTable:
         self.rows = [["check", "value", "threshold", "pass"]]
         self.ok = True
 
-    def add(self, name, value, threshold, passed) -> None:
-        self.ok = self.ok and bool(passed)
-        self.rows.append([name, repr(float(value)), repr(float(threshold)), bool(passed)])
+    def add(self, name, value, threshold, floor: bool = False) -> None:
+        """A check passes when ``value`` is at most its cap ``threshold``, or at
+        least it when the threshold is a ``floor``; NaN fails either way."""
+        value, threshold = float(value), float(threshold)
+        passed = value >= threshold if floor else value <= threshold
+        self.ok = self.ok and passed
+        self.rows.append([name, repr(value), repr(threshold), passed])
 
     def emit(self, out_path: str | None) -> int:
         """Write the table; exit 0 when every check passed, else 4."""
@@ -435,23 +442,21 @@ def cmd_kernel_verify(args) -> int:
         grid = GridSpec(n=n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_addressable(n, 4 * n)  # the 2n run's zero-padded kernel grid
     _check_output(args.out)
     checks = _CheckTable()
-    cm = np.abs(kernels.circle_mean_sigma(1.0, 64)).max()
-    checks.add("sigma_circle_mean", cm, 1e-12, cm <= 1e-12)
+    checks.add("sigma_circle_mean", np.abs(kernels.circle_mean_sigma(1.0, 64)).max(), 1e-12)
     try:
         res = kernels.quadrature_errors(beta, n)
         res2 = kernels.quadrature_errors(beta, 2 * n)
     except kernels.CalibrationError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    checks.add("v_residual_n", res["v_residual"], 1e-3, res["v_residual"] <= 1e-3)
-    checks.add("symgrad_error_n", res["symgrad_error"], 1e-2, res["symgrad_error"] <= 1e-2)
-    checks.add("v_residual_2n", res2["v_residual"], 1e-3, res2["v_residual"] <= 1e-3)
-    ratio = res["v_residual"] / max(res2["v_residual"], 1e-300)
-    checks.add("v_refinement_ratio", ratio, 2.0, ratio >= 2.0)
-    c_drift = abs(res2["C_star"] / res["C_star"] - 1.0)
-    checks.add("C_star_drift", c_drift, 0.01, c_drift <= 0.01)
+    checks.add("v_residual_n", res["v_residual"], 1e-3)
+    checks.add("symgrad_error_n", res["symgrad_error"], 1e-2)
+    checks.add("v_residual_2n", res2["v_residual"], 1e-3)
+    checks.add("v_refinement_ratio", res["v_residual"] / max(res2["v_residual"], 1e-300), 2.0, floor=True)
+    checks.add("C_star_drift", abs(res2["C_star"] / res["C_star"] - 1.0), 0.01)
 
     theta = kernels.gaussian_bump(grid)
     full = kernels.symgrad_v_quadrature(theta, kcfg, 1.0)
@@ -461,7 +466,7 @@ def cmd_kernel_verify(args) -> int:
         np.abs(near[i].values + mid[i].values + far[i].values - full[i].values).max()
         for i in range(3)
     )
-    checks.add("split_partition_identity", worst / scale, 1e-12, worst / scale <= 1e-12)
+    checks.add("split_partition_identity", worst / scale, 1e-12)
     checks.rows.append(["C_star", repr(float(res["C_star"])), "", ""])
     return checks.emit(args.out)
 
@@ -490,37 +495,36 @@ def cmd_inequality_suite(args) -> int:
     rec = snapshot_record(final, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
     m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
     band = 1e-6 * (1.0 + final.t)
-    checks.add("maxprinciple_l2", m2, -band * theta0_l2, m2 >= -band * theta0_l2)
-    checks.add("maxprinciple_linf", minf, -band * theta0_linf, minf >= -band * theta0_linf)
-    lin, _ = energy_margin(rec, u0_l2, theta0_l2)
-    checks.add("energy_linear", lin, -band * max(u0_l2, 1.0), lin >= -band * max(u0_l2, 1.0))
+    checks.add("maxprinciple_l2", m2, -band * theta0_l2, floor=True)
+    checks.add("maxprinciple_linf", minf, -band * theta0_linf, floor=True)
+    checks.add("energy_linear", energy_margin(rec, u0_l2, theta0_l2)[0], -band * max(u0_l2, 1.0), floor=True)
 
     worst = dict.fromkeys(CONVEX_GAMMAS, math.inf)
     for st in picks:
         for name, ratio in cordoba_ratios(st.theta, params.beta).items():
             worst[name] = min(worst[name], ratio)
     for name, w in worst.items():
-        checks.add(f"cordoba_{name}", w, -1e-8, w >= -1e-8)
+        checks.add(f"cordoba_{name}", w, -1e-8, floor=True)
 
     theta = picks[-1].theta
-    exact, _ = gradient_lower_bound_margin(theta, params.beta, 4.0)
     scale = max(np.abs(theta.values).max() ** 2, 1e-300)
-    checks.add("gradlower_exact_part", exact / scale, -1e-8, exact / scale >= -1e-8)
-    exact_h, _ = difference_lower_bound_margin(theta, (grid.n // 4, 0), params.beta)
-    checks.add("difflower_exact_part", exact_h / scale, -1e-8, exact_h / scale >= -1e-8)
+    exact = gradient_lower_bound_margin(theta, params.beta, 4.0)[0]
+    checks.add("gradlower_exact_part", exact / scale, -1e-8, floor=True)
+    exact = difference_lower_bound_margin(theta, (grid.n // 4, 0), params.beta)[0]
+    checks.add("difflower_exact_part", exact / scale, -1e-8, floor=True)
 
     m0 = rec0.grad_theta_linf
     if m0 > 0:
         delta = solver.delta_star(theta0_linf, params.beta, cfg.oss_delta_c)
         L = min(delta / (4.0 * m0), grid.side_length / 2.0)
-        report = solver.oss_check(final.theta, delta, L)
-        checks.add("oss_lipschitz_choice", report.delta_measured, delta, report.holds)
+        checks.add("oss_lipschitz_choice", solver.oss_check(final.theta, delta, L).delta_measured, delta)
 
     try:
         check_lq_index(params.alpha, index_window(params.alpha).q0 + 0.1)
-        checks.add("window_rejection", 0.0, 1.0, False)
+        rejected = 0.0
     except ValueError:
-        checks.add("window_rejection", 1.0, 1.0, True)
+        rejected = 1.0
+    checks.add("window_rejection", rejected, 1.0, floor=True)
     return checks.emit(args.out)
 
 
@@ -598,8 +602,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # a MemoryError: an n too large for this machine
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

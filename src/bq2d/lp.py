@@ -45,6 +45,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _read_only,
+    advection,
     dealias,
     fractional_laplacian,
     grad,
@@ -271,6 +272,17 @@ def besov_norm_fd(f, s: float, p: float, r: float, homogeneous: bool = False) ->
     return semi if homogeneous else lp_norm(ph, p) + semi
 
 
+def _inv(x: float) -> float:
+    """1/x, with 1/inf = 0."""
+    return 0.0 if math.isinf(x) else 1.0 / x
+
+
+def _check_holder(q: float, q1: float, q2: float) -> None:
+    """The Hoelder relation 1/q = 1/q1 + 1/q2 of an estimate's exponents."""
+    if abs(_inv(q) - _inv(q1) - _inv(q2)) > 1e-12:
+        raise ValueError("index constraint violated: 1/q must equal 1/q1 + 1/q2")
+
+
 def bernstein_check(fh: SpectralField, j: int, alpha: float, p: float, q: float):
     """Ratios for the fractional Bernstein inequalities on a band-j field.
 
@@ -294,9 +306,7 @@ def bernstein_check(fh: SpectralField, j: int, alpha: float, p: float, q: float)
     f_phys = to_physical(fh)
     num = lp_norm(lam, q)
     lower = num / (2.0 ** (2.0 * alpha * j) * lp_norm(f_phys, q))
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    upper = num / (2.0 ** (2.0 * alpha * j + 2.0 * j * (inv_p - inv_q)) * lp_norm(f_phys, p))
+    upper = num / (2.0 ** (2.0 * alpha * j + 2.0 * j * (_inv(p) - _inv(q))) * lp_norm(f_phys, p))
     return lower, upper
 
 
@@ -313,16 +323,11 @@ def commutator_advection(u, theta: PhysicalField, alpha: float) -> PhysicalField
     u1, u2 = u
     if u1.grid != theta.grid or u2.grid != theta.grid:
         raise ValueError("grid mismatch in commutator_advection")
+    grid, u = theta.grid, (u1.values, u2.values)
     th_hat = dealias(to_spectral(theta))
-    rth = to_physical(riesz_alpha(th_hat, alpha))
-
-    def div_product(f: PhysicalField) -> np.ndarray:
-        return grad(spectral_product(u1, f))[0].coeffs + grad(spectral_product(u2, f))[1].coeffs
-
-    adv_theta = div_product(to_physical(th_hat))
-    first = riesz_alpha(SpectralField(theta.grid, adv_theta), alpha).coeffs
-    second = div_product(rth)
-    return to_physical(mean_free(SpectralField(theta.grid, first - second)))
+    first = riesz_alpha(SpectralField(grid, advection(u, to_physical(th_hat).values, grid)), alpha).coeffs
+    second = advection(u, to_physical(riesz_alpha(th_hat, alpha)).values, grid)
+    return to_physical(mean_free(SpectralField(grid, first - second)))
 
 
 def commutator_multiplier(f: PhysicalField, g: PhysicalField, alpha: float) -> PhysicalField:
@@ -362,9 +367,7 @@ def commutator_estimate_ratio(
         raise ValueError("index constraint violated: delta must lie in (0, 1]")
     if not s + 1.0 - alpha - delta < 0.0:
         raise ValueError("index constraint violated: s + 1 - alpha - delta must be < 0")
-    inv = lambda x: 0.0 if math.isinf(x) else 1.0 / x
-    if abs(inv(q) - inv(q1) - inv(q2)) > 1e-12:
-        raise ValueError("index constraint violated: 1/q must equal 1/q1 + 1/q2")
+    _check_holder(q, q1, q2)
     comps = [commutator_multiplier(ui, theta, alpha) for ui in u]
     lhs = _component_norm([besov_norm(c, BesovIndex(s, q, r)) for c in comps])
     u_norm = _component_norm([besov_norm(ui, BesovIndex(delta, q1, math.inf)) for ui in u])
@@ -399,10 +402,8 @@ def convolution_commutator_ratio(
     |x|-weighted mollifier norm times ||f||_{Bdot^delta_{q1,r1}} ||g||_{q2}."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("index constraint violated: delta must lie in (0, 1]")
-    inv = lambda x: 0.0 if math.isinf(x) else 1.0 / x
-    if abs(inv(q) - inv(q1) - inv(q2)) > 1e-12:
-        raise ValueError("index constraint violated: 1/q must equal 1/q1 + 1/q2")
-    if abs(inv(r1) + inv(r2) - 1.0) > 1e-12:
+    _check_holder(q, q1, q2)
+    if abs(_inv(r1) + _inv(r2) - 1.0) > 1e-12:
         raise ValueError("index constraint violated: 1/r1 + 1/r2 must equal 1")
     grid = phi.grid
     fg = PhysicalField(grid, f.values * g.values)

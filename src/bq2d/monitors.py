@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -351,6 +351,23 @@ def dirichlet_form(g: np.ndarray, grid: GridSpec, beta: float, constant: float) 
     return constant * (w_total * g2 - 2.0 * g * conv_g + conv_g2)
 
 
+def _lower_bound_parts(gs, coeffs, gmag: np.ndarray, grid: GridSpec, beta: float, share: float):
+    """The lower bounds' shared core, for a g with real components ``gs``
+    (their half-plane ``coeffs``, or None to transform them) and |g| =
+    ``gmag``: the minimum of the exact part sum_i g_i Lambda^b g_i -
+    1/2 Lambda^b |g|^2, its headroom over the components' mean
+    ``dirichlet_form`` with a ``share`` of the kernel constant, and the mask
+    where both the headroom and |g| stand clear of rounding."""
+    if not 0.0 < beta < 2.0:
+        raise ValueError("requires beta in (0, 2)")
+    t1 = reduce(np.add, (g * _lambda(g, grid, beta, c) for g, c in zip(gs, coeffs)))
+    exact = t1 - 0.5 * _lambda(reduce(np.add, (g * g for g in gs)), grid, beta)
+    constant = share * frac_kernel_constant(beta)
+    headroom = exact - reduce(np.add, (dirichlet_form(g, grid, beta, constant) for g in gs)) / len(gs)
+    usable = (headroom > 1e-12 * (np.abs(exact).max() + 1e-300)) & (gmag > 1e-6 * gmag.max())
+    return float(exact.min()), headroom, usable
+
+
 def gradient_lower_bound_margin(f: PhysicalField, beta: float, q: float):
     """Constant-free part of the nonlinear gradient lower bound plus the
     measured constant of the full form.
@@ -361,32 +378,12 @@ def gradient_lower_bound_margin(f: PhysicalField, beta: float, q: float):
     constant (an implementation normalization; the measured C0 is reported,
     not asserted).
     """
-    if not 0.0 < beta < 2.0:
-        raise ValueError("requires beta in (0, 2)")
-    grid = f.grid
-    fh = to_spectral(f)
-    g1h, g2h = grad(fh)
-    g1 = to_physical(g1h).values
-    g2 = to_physical(g2h).values
-    t1 = (
-        g1 * to_physical(fractional_laplacian(g1h, beta)).values
-        + g2 * to_physical(fractional_laplacian(g2h, beta)).values
-    )
-    t2 = 0.5 * _lambda(g1 * g1 + g2 * g2, grid, beta)
-    exact = t1 - t2
-    exact_min = float(exact.min())
-
-    c_half = 0.5 * frac_kernel_constant(beta)
-    d_form = 0.5 * (
-        dirichlet_form(g1, grid, beta, c_half) + dirichlet_form(g2, grid, beta, c_half)
-    )
-    gnorm = np.hypot(g1, g2)
+    g1h, g2h = grad(to_spectral(f))
+    gs = (to_physical(g1h).values, to_physical(g2h).values)
+    gnorm = np.hypot(*gs)
+    exact_min, headroom, usable = _lower_bound_parts(gs, (g1h.coeffs, g2h.coeffs), gnorm, f.grid, beta, 0.5)
     power = 2.0 + beta * q / (q + 2.0)
     fq = lp_norm(f, q)
-    headroom = exact - d_form
-    usable = (headroom > 1e-12 * (np.abs(exact).max() + 1e-300)) & (
-        gnorm > 1e-6 * gnorm.max()
-    )
     if fq == 0.0 or not np.any(usable):
         return exact_min, float("nan")
     ratio = gnorm[usable] ** power / (fq ** (beta * q / (q + 2.0)) * headroom[usable])
@@ -400,29 +397,17 @@ def difference_lower_bound_margin(theta: PhysicalField, h: tuple[int, int], beta
     taken with a quarter of the kernel constant, and the measured constant
     of |g|^{2+beta} / (||theta||_inf^b |h|^b) is reported.
     """
-    if not 0.0 < beta < 2.0:
-        raise ValueError("requires beta in (0, 2)")
     grid = theta.grid
     i, j = h
-    if i == 0 and j == 0:
-        return 0.0, 0.0
     g = np.roll(theta.values, (-i, -j), axis=(0, 1)) - theta.values
-    t1 = g * _lambda(g, grid, beta)
-    t2 = 0.5 * _lambda(g * g, grid, beta)
-    exact = t1 - t2
-    exact_min = float(exact.min())
-
-    c_quarter = 0.25 * frac_kernel_constant(beta)
-    d_form = dirichlet_form(g, grid, beta, c_quarter)
-    hx = grid.spacing * math.hypot(i, j)
+    gmag = np.abs(g)
+    exact_min, headroom, usable = _lower_bound_parts((g,), (None,), gmag, grid, beta, 0.25)
+    if i == 0 and j == 0:  # only after the core has checked beta
+        return 0.0, 0.0
     theta_sup = float(np.abs(theta.values).max())
     if theta_sup == 0.0:
         return exact_min, 0.0
-    headroom = exact - d_form
-    gmag = np.abs(g)
-    usable = (headroom > 1e-12 * (np.abs(exact).max() + 1e-300)) & (gmag > 1e-6 * gmag.max())
     if not np.any(usable):
         return exact_min, float("nan")
-    num = headroom[usable] * theta_sup**beta * hx**beta
-    measured = float((num / gmag[usable] ** (2.0 + beta)).min())
-    return exact_min, measured
+    num = headroom[usable] * theta_sup**beta * (grid.spacing * math.hypot(i, j)) ** beta
+    return exact_min, float((num / gmag[usable] ** (2.0 + beta)).min())

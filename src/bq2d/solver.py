@@ -65,6 +65,7 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
+    advection,
     biot_savart,
     biot_savart_symbols,
     derivative_symbols,
@@ -263,22 +264,6 @@ def _velocity_l2(state: SimState) -> float:
     return math.hypot(*(l2_norm_spectral(c) for c in biot_savart(state.omega_hat)))
 
 
-def _advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Divergence-form transport, half-plane coefficients of i k . (u f)^
-    (dealiased).
-
-    Works on raw arrays (no field validation) so an overflowing state
-    surfaces as a blow-up diagnostic in the caller, not a type error.
-    """
-    ik1, ik2 = derivative_symbols(grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p1, p2 = rfft2(u[0] * f), rfft2(u[1] * f)
-        p1 *= ik1
-        p1 += np.multiply(p2, ik2, out=p2)
-    p1[~dealias_mask(grid)] = 0.0
-    return p1
-
-
 def nonstiff_rhs(state: SimState):
     """Explicitly integrated tendencies (transport + buoyancy) and max |u|.
 
@@ -294,7 +279,7 @@ def nonstiff_rhs(state: SimState):
     if not math.isfinite(u_max):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
     n_theta, adv_omega = _pair(
-        grid, lambda: -_advection(u, state.theta.values, grid), lambda: _advection(u, state.omega.values, grid)
+        grid, lambda: -advection(u, state.theta.values, grid), lambda: advection(u, state.omega.values, grid)
     )
     n_omega = derivative_symbols(grid)[0] * th_hat
     n_omega -= adv_omega
@@ -379,7 +364,7 @@ def step(
     n2_theta, n2_omega, _ = nonstiff_rhs(pred)
 
     # e c0 + dt/2 (e N1 + N2), in the order of the out-of-place sum; every term is
-    # dealiased already: th0, w0 by construction, N1 and N2 by _advection
+    # dealiased already: th0, w0 by construction, N1 and N2 by advection
     for new, e, n1, n2, c0 in ((th_new, e_theta, n1_theta, n2_theta, th0), (w_new, e_omega, n1_omega, n2_omega, w0)):
         np.multiply(e, c0, out=new)
         half = e * n1
@@ -446,11 +431,11 @@ def g_equation_residual(states, params: FlowParams) -> float:
 
     th_hat, w_hat = s1.hats
     u = _velocity(w_hat, grid)
-    adv = _advection(u, irfft2(g1), grid)
+    adv = advection(u, irfft2(g1), grid)
     diss = params.nu * kpow(grid, alpha) * g1
 
-    comm = riesz_alpha(SpectralField(grid, _advection(u, s1.theta.values, grid)), alpha).coeffs
-    comm -= _advection(u, to_physical(riesz_alpha(s1.theta_hat, alpha)).values, grid)
+    comm = riesz_alpha(SpectralField(grid, advection(u, s1.theta.values, grid)), alpha).coeffs
+    comm -= advection(u, to_physical(riesz_alpha(s1.theta_hat, alpha)).values, grid)
     d1_theta = derivative_symbols(grid)[0] * th_hat
     forcing = (1.0 - params.nu + params.kappa * kpow(grid, beta - alpha)) * d1_theta
 

@@ -355,6 +355,22 @@ def spectral_product(a: PhysicalField, b: PhysicalField) -> SpectralField:
     return dealias(to_spectral(PhysicalField(a.grid, a.values * b.values)))
 
 
+def advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Divergence-form transport of the real array f by the velocity arrays
+    u: the dealiased half-plane coefficients of i k . (u f)^.
+
+    Works on raw arrays (no field validation) so an overflowing state
+    surfaces as a blow-up diagnostic in the caller, not a type error.
+    """
+    ik1, ik2 = derivative_symbols(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1, p2 = rfft2(u[0] * f), rfft2(u[1] * f)
+        p1 *= ik1
+        p1 += np.multiply(p2, ik2, out=p2)
+    p1[~dealias_mask(grid)] = 0.0
+    return p1
+
+
 # ---------------------------------------------------------------------------
 # norms
 

@@ -1,9 +1,11 @@
 """Command-line interface: config parsing, runs, resume determinism, and the
 verification subcommands."""
 
+import dataclasses
 import pathlib
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -15,11 +17,15 @@ from bq2d.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    RunConfig,
+    _CheckTable,
+    _coerce,
     build_config,
     main,
     parse_config_text,
 )
 from bq2d.solver import read_checkpoint
+from bq2d.spectral import FlowParams, GridSpec
 
 # written by the BQCHK2 writer: ``bq2d run --n 8 --n-steps 2 --dealias-fraction 0.5``, final.chk
 BQCHK2_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "bqchk2_n8.chk"
@@ -67,6 +73,29 @@ class TestConfigParsing:
         monkeypatch.setenv("BQ2D_OUT_DIR", str(tmp_path / "env_out"))
         cfg = build_config(None, {"n": 32})
         assert cfg.out_dir == str(tmp_path / "env_out")
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, "-1.0"), (float("inf"), "-inf"), (1.0, "0.0")])
+    def test_derived_beta_not_positive_names_the_critical_relation(self, alpha, beta):
+        with pytest.raises(ConfigError) as info:
+            build_config(None, {"alpha": alpha, "n": 32})
+        assert str(info.value) == f"critical = true derives beta = 1 - alpha = {beta} <= 0"
+
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_coerce_returns_the_annotated_type(self, field):
+        kind = typing.get_type_hints(RunConfig)[field.name]
+        value = _coerce(field.name, {bool: " yes ", str: " random-band "}.get(kind, " 3 "))
+        assert type(value) in (typing.get_args(kind) or (kind,))
+        if type(None) in typing.get_args(kind):
+            assert _coerce(field.name, "None") is None
+        elif kind is not str:
+            with pytest.raises(ConfigError):
+                _coerce(field.name, "none")
+
+    def test_checkpoint_header_fields_are_config_keys(self):
+        # cmd_resume's header is asdict(grid) | asdict(params): it must name only config keys
+        keys = [f.name for f in dataclasses.fields(RunConfig)]
+        for spec in (GridSpec, FlowParams):
+            assert all(f.name in keys for f in dataclasses.fields(spec)), spec
 
 
 class TestRunCommand:
@@ -494,6 +523,40 @@ class TestCommandLineContract:
     def test_unwritable_output_is_one_config_error_line(self, workdir, capsys, argv):
         self._assert_one_config_error(argv, workdir, capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "16", "--oss-L", "-1"],
+            ["run", "--n", "16", "--oss-delta-c", "0"],
+            ["run", "--n", "16", "--alpha", "2"],
+            ["run", "--n", "16", "--alpha", "inf"],
+        ],
+    )
+    def test_refused_value_is_one_config_error_line(self, workdir, capsys, argv):
+        self._assert_one_config_error(argv, workdir, capsys)
+
+    # numpy refuses arrays this large when they are requested: nothing is allocated
+    @pytest.mark.parametrize("n", [2**31, 2**40])
+    @pytest.mark.parametrize(
+        "command", [["run"], ["inequality-suite"], ["kernel-verify", "--beta", "0.5"]], ids=lambda c: c[0]
+    )
+    def test_unaddressable_n_is_one_config_error_line(self, workdir, capsys, command, n):
+        self._assert_one_config_error([*command, "--n", str(n)], workdir, capsys)
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 6.94 EiB for an array", ""])
+    @pytest.mark.parametrize(
+        "argv", [["run", "--n", "16", "--out-dir", "out"], ["kernel-verify", "--beta", "0.5", "--out", "kv.csv"]]
+    )
+    def test_memory_error_is_one_config_error_line(self, workdir, capsys, monkeypatch, argv, message):
+        from bq2d import kernels
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(solver, "initial_data", out_of_memory)
+        monkeypatch.setattr(kernels, "quadrature_errors", out_of_memory)
+        self._assert_one_config_error(argv, workdir, capsys)
+
 
 class TestDeterminism:
     def test_repeated_runs_bitwise_identical_csv(self, tmp_path, cli_env):
@@ -532,6 +595,18 @@ class TestVerificationCommands:
         assert rc == EXIT_OK
         text = out.read_text()
         assert "v_residual_n" in text and "C_star" in text
+
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_check_passes_on_its_threshold_and_fails_nan(self, tmp_path, floor):
+        checks = _CheckTable()
+        checks.add("at_threshold", 1.0, 1.0, floor=floor)
+        checks.add("past_threshold", 2.0 if floor else 0.5, 1.0, floor=floor)
+        assert checks.ok
+        checks.add("wrong_side", 0.5 if floor else 2.0, 1.0, floor=floor)
+        checks.add("nan", float("nan"), 1.0, floor=floor)
+        assert [row[3] for row in checks.rows[1:]] == [True, True, False, False]
+        assert checks.emit(str(tmp_path / "t.csv")) == EXIT_ASSERTION
+        assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "nan,nan,1.0,False"
 
     def test_kernel_verify_underresolved_fails(self, tmp_path):
         out = tmp_path / "kv64.csv"
