@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -57,10 +58,11 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Subparsers share the class; a prefix of a flag is no alias of it."""
+    """Subparsers share the class; a flag's prefix is no alias; -1e300 and -inf are values."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I)
 
     def error(self, message):  # a bad command line is bad input too
         raise ConfigError(message)
@@ -93,7 +95,7 @@ class RunConfig:
     nu: float = 1.0
     kappa: float = 1.0
     alpha: float = 0.9
-    beta: float = -1.0  # -1 means: derive from the critical relation
+    beta: float | None = None  # None: derive from the critical relation
     critical: bool = True
     dt_init: float = 0.01
     cfl_number: float = 0.4
@@ -105,8 +107,8 @@ class RunConfig:
     diag_every: int = 10
     checkpoint_every: int = 0
     out_dir: str = "bq2d_out"
-    monitor_q: float = -1.0  # -1 means: pick inside the admissible window
-    monitor_s: float = -1.0
+    monitor_q: float | None = None  # None: pick inside the admissible window
+    monitor_s: float | None = None
     oss_delta_c: float = 1.0
     oss_L: float = 0.2
 
@@ -117,21 +119,21 @@ class RunConfig:
             return None  # monitors fall back to plain norms outside (4/5, 1)
 
     def resolve(self) -> "RunConfig":
-        if self.critical and self.beta < 0:
+        if self.critical and self.beta is None:
             self.beta = 1.0 - self.alpha
             if self.beta <= 0:
                 raise ConfigError(f"critical = true derives beta = 1 - alpha = {self.beta!r} <= 0")
-        if self.beta < 0:
+        if self.beta is None:
             raise ConfigError("beta must be given when critical = false")
         win = self._window()
-        if self.monitor_q < 0:
+        if self.monitor_q is None:
             if win is None:
                 self.monitor_q = 3.0
             else:
                 # inside the Besov index window when it is nonempty, else the L^q one
                 lo = win.q_low_sqdef if win.q_low_sqdef < win.q0 else 2.0
                 self.monitor_q = 0.5 * (lo + win.q0)
-        if self.monitor_s < 0:
+        if self.monitor_s is None:
             self.monitor_s = win.s_max if win is not None else 0.5
         return self
 
@@ -397,7 +399,7 @@ def cmd_resume(args) -> int:
     grid = cfg.grid()
     if grid != state.grid:  # a flag changed the side length or the dealias fraction
         keep = dealias_mask(grid)
-        state = solver.SimState.from_hats(grid, tuple(np.where(keep, c, 0.0) for c in state.hats), state.t)
+        state = solver.SimState(grid, tuple(np.where(keep, c, 0.0) for c in state.hats), state.t)
     return _run_loop(cfg, state, cfg.flow_params(), cfg.out_dir)
 
 

@@ -25,6 +25,9 @@ B = 4 eps log2(n^2) sum_m C(p, m) sqrt(sum f^(2m) * sum f^(2(p-m)))
 ``spectral.shift_scan``, also the one path for odd, non-integer and
 infinite p; the norm matches the per-shift loop to rounding.
 
+The commutators [R_alpha, P] f share one routine on coefficients,
+``riesz_commutator``, which ``solver.g_equation_residual`` calls too.
+
 Measured-constant protocol: ratio checks for estimates whose constants
 are not pinned down return the raw LHS/RHS quotient; harnesses assert
 stability of ensemble maxima across resolutions, never a specific value.
@@ -314,6 +317,14 @@ def bernstein_check(fh: SpectralField, j: int, alpha: float, p: float, q: float)
 # commutators
 
 
+def riesz_commutator(apply, f_hat: SpectralField, alpha: float) -> np.ndarray:
+    """[R_alpha, P] f = R_alpha P f - P R_alpha f on half-plane coefficients,
+    with f the inverse transform of ``f_hat`` and ``apply`` taking a
+    physical field to the dealiased coefficients of P of it."""
+    first = riesz_alpha(SpectralField(f_hat.grid, apply(to_physical(f_hat))), alpha).coeffs
+    return first - apply(to_physical(riesz_alpha(f_hat, alpha)))
+
+
 def commutator_advection(u, theta: PhysicalField, alpha: float) -> PhysicalField:
     """[R_alpha, u.grad] theta with divergence-form dealiased products.
 
@@ -324,20 +335,16 @@ def commutator_advection(u, theta: PhysicalField, alpha: float) -> PhysicalField
     if u1.grid != theta.grid or u2.grid != theta.grid:
         raise ValueError("grid mismatch in commutator_advection")
     grid, u = theta.grid, (u1.values, u2.values)
-    th_hat = dealias(to_spectral(theta))
-    first = riesz_alpha(SpectralField(grid, advection(u, to_physical(th_hat).values, grid)), alpha).coeffs
-    second = advection(u, to_physical(riesz_alpha(th_hat, alpha)).values, grid)
-    return to_physical(mean_free(SpectralField(grid, first - second)))
+    comm = riesz_commutator(lambda f: advection(u, f.values, grid), dealias(to_spectral(theta)), alpha)
+    return to_physical(mean_free(SpectralField(grid, comm)))
 
 
 def commutator_multiplier(f: PhysicalField, g: PhysicalField, alpha: float) -> PhysicalField:
     """[R_alpha, f] g = R_alpha(f g) - f R_alpha(g), dealiased products."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch in commutator_multiplier")
-    g_hat = dealias(to_spectral(g))
-    first = riesz_alpha(spectral_product(f, to_physical(g_hat)), alpha)
-    second = spectral_product(f, to_physical(riesz_alpha(g_hat, alpha)))
-    return to_physical(mean_free(SpectralField(f.grid, first.coeffs - second.coeffs)))
+    comm = riesz_commutator(lambda h: spectral_product(f, h).coeffs, dealias(to_spectral(g)), alpha)
+    return to_physical(mean_free(SpectralField(f.grid, comm)))
 
 
 def _component_norm(components: list[float]) -> float:

@@ -14,10 +14,11 @@ the real fields with the symbol tables of ``spectral``; the diagnostics
 (``G_hat``, ``initial_report``) take the same coefficients through the
 spectral operators.
 
-The canonical prognostic state is the pair of dealiased half-plane
-coefficient arrays ``SimState.hats``; the physical collocation arrays are
-their inverse transforms.  A step advances the coefficients and hands its
-result on as the next state's ``hats``, so it costs 16 real n x n
+The prognostic state is the pair of dealiased half-plane coefficient
+arrays ``SimState.hats``, the one thing a state is made from; its physical
+collocation arrays are their inverse transforms, made at first use.  A step
+advances the coefficients and hands its result on as the next state's
+``hats``, with the inverses it has made, so it costs 16 real n x n
 transforms: per stage 2 inverse for the velocity and 4 forward for the
 products, and 2 inverse each for the predictor and the new state.  The
 dissipation rates and the Cordoba monitor read the same coefficients.
@@ -60,6 +61,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .lp import riesz_commutator
 from .spectral import (
     FlowParams,
     GridSpec,
@@ -101,34 +103,28 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Prognostic state at time t.
+    """Prognostic state at time t: ``hats``, the read-only dealiased
+    half-plane coefficients of (theta, omega), which the step advances,
+    checkpoints store and the diagnostics read.  ``theta`` / ``omega`` are
+    their inverse transforms, made at first use (a step hands on the ones it
+    made); ``theta_hat`` / ``omega_hat`` wrap the ``hats`` as
+    ``SpectralField``s.  Treat states as immutable snapshots."""
 
-    ``hats`` are the dealiased half-plane coefficients of (theta, omega),
-    read-only: the canonical state, which the step advances, checkpoints
-    store and the diagnostics read.  ``theta`` / ``omega`` are their
-    inverse transforms, except in a state built from physical arrays
-    alone, whose ``hats`` are then their dealiased ``rfft2``.
-    ``theta_hat`` / ``omega_hat`` wrap the ``hats`` as ``SpectralField``s.
-    Treat states as immutable snapshots.
-    """
-
-    theta: PhysicalField
-    omega: PhysicalField
+    grid: GridSpec
+    hats: tuple[np.ndarray, np.ndarray]
     t: float = 0.0
-    hats: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.hats is None:
-            self.hats = rfft2(self.theta.values), rfft2(self.omega.values)
-            for c in self.hats:
-                c[~dealias_mask(self.grid)] = 0.0
         for c in self.hats:
             c.flags.writeable = False
 
-    @classmethod
-    def from_hats(cls, grid: GridSpec, hats, t: float) -> SimState:
-        """The state whose canonical coefficients are ``hats`` (dealiased)."""
-        return cls(PhysicalField(grid, irfft2(hats[0])), PhysicalField(grid, irfft2(hats[1])), t, hats)
+    @cached_property
+    def theta(self) -> PhysicalField:
+        return PhysicalField(self.grid, irfft2(self.hats[0]))
+
+    @cached_property
+    def omega(self) -> PhysicalField:
+        return PhysicalField(self.grid, irfft2(self.hats[1]))
 
     @cached_property
     def theta_hat(self) -> SpectralField:
@@ -137,10 +133,6 @@ class SimState:
     @cached_property
     def omega_hat(self) -> SpectralField:
         return SpectralField(self.grid, self.hats[1])
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.theta.grid
 
 
 @dataclass(frozen=True)
@@ -360,7 +352,8 @@ def step(
     th0, w0 = state.hats
     th_pred = e_theta * (th0 + dt * n1_theta)
     w_pred = e_omega * (w0 + dt * n1_omega)
-    pred = SimState(*_physical_pair(grid, th_pred, w_pred, t), t, (th_pred, w_pred))
+    pred = SimState(grid, (th_pred, w_pred), t)
+    pred.theta, pred.omega = _physical_pair(grid, th_pred, w_pred, t)
     n2_theta, n2_omega, _ = nonstiff_rhs(pred)
 
     # e c0 + dt/2 (e N1 + N2), in the order of the out-of-place sum; every term is
@@ -371,12 +364,13 @@ def step(
         half += n2
         half *= 0.5 * dt
         new += half
-    theta_p, omega_p = _physical_pair(grid, th_new, w_new, t)
+    out = SimState(grid, (th_new, w_new), t)
+    out.theta, out.omega = _physical_pair(grid, th_new, w_new, t)
 
-    omega_max = float(max(omega_p.values.max(), -omega_p.values.min()))
+    omega_max = float(max(out.omega.values.max(), -out.omega.values.min()))
     if omega_max > OMEGA_BLOWUP_LIMIT:
         raise BlowUpError(t, omega_max)
-    return SimState(theta_p, omega_p, t, (th_new, w_new))
+    return out
 
 
 def run(state: SimState, params: FlowParams, cfg: StepperConfig, n_steps: int | None = None):
@@ -397,9 +391,7 @@ def run(state: SimState, params: FlowParams, cfg: StepperConfig, n_steps: int | 
 
 def G_hat(state: SimState, alpha: float) -> SpectralField:
     """Half-plane coefficients of G = omega - R_alpha theta."""
-    return SpectralField(
-        state.grid, state.omega_hat.coeffs - riesz_alpha(state.theta_hat, alpha).coeffs
-    )
+    return SpectralField(state.grid, state.omega_hat.coeffs - riesz_alpha(state.theta_hat, alpha).coeffs)
 
 
 def compute_G(state: SimState, alpha: float) -> PhysicalField:
@@ -434,8 +426,7 @@ def g_equation_residual(states, params: FlowParams) -> float:
     adv = advection(u, irfft2(g1), grid)
     diss = params.nu * kpow(grid, alpha) * g1
 
-    comm = riesz_alpha(SpectralField(grid, advection(u, s1.theta.values, grid)), alpha).coeffs
-    comm -= advection(u, to_physical(riesz_alpha(s1.theta_hat, alpha)).values, grid)
+    comm = riesz_commutator(lambda f: advection(u, f.values, grid), s1.theta_hat, alpha)
     d1_theta = derivative_symbols(grid)[0] * th_hat
     forcing = (1.0 - params.nu + params.kappa * kpow(grid, beta - alpha)) * d1_theta
 
@@ -477,7 +468,7 @@ def initial_data(kind: str, seed: int, grid: GridSpec, amplitude: float = 1.0) -
         raise ValueError(f"unknown initial data kind {kind!r}")
     th_hat = dealias(to_spectral(theta))
     w_hat = mean_free(dealias(to_spectral(omega)))  # vorticity is mean-free
-    return SimState(to_physical(th_hat), to_physical(w_hat), 0.0, (th_hat.coeffs, w_hat.coeffs))
+    return SimState(grid, (th_hat.coeffs, w_hat.coeffs), 0.0)
 
 
 def initial_report(state: SimState) -> dict:
@@ -612,8 +603,8 @@ def _read_exactly(fh, size: int) -> bytes:
 def read_checkpoint(path):
     """(state, params) of a checkpoint; ValueError for a file that is not a
     whole, intact one.  A ``BQCHK3`` state has the stored coefficients; one
-    from ``BQCHK2`` or ``BQCHK1`` has the stored physical arrays, with their
-    dealiased ``rfft2`` as coefficients, and is critical when alpha + beta == 1."""
+    from ``BQCHK2`` or ``BQCHK1`` has the dealiased ``rfft2`` of the stored
+    physical arrays, and is critical when alpha + beta == 1."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         tag = header[0] if header else None
@@ -637,16 +628,15 @@ def read_checkpoint(path):
                 payload.append(_read_exactly(fh, 8 * length))
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
+    keep = dealias_mask(grid)
     if tag == "BQCHK3":
         if zlib.crc32(payload[0]) != crc:
             raise ValueError(f"checkpoint payload of {path} fails its CRC-32 check")
         hats = tuple(np.frombuffer(payload[0], dtype="<c16").reshape(2, n, n // 2 + 1).astype(complex))
-        if not all(np.isfinite(c).all() and not c[~dealias_mask(grid)].any() for c in hats):
-            raise ValueError(f"checkpoint coefficients of {path} are not finite and dealiased")
-        state = SimState.from_hats(grid, hats, t)
     else:
         critical = alpha + beta == 1.0
-        arrays = (np.frombuffer(raw, dtype="<f8").reshape(n, n).astype(float) for raw in payload)
-        state = SimState(*(PhysicalField(grid, a) for a in arrays), t=t)
+        hats = tuple(np.where(keep, rfft2(np.frombuffer(raw, dtype="<f8").reshape(n, n)), 0.0) for raw in payload)
+    if not all(np.isfinite(c).all() and not c[~keep].any() for c in hats):
+        raise ValueError(f"checkpoint coefficients of {path} are not finite and dealiased")
     params = FlowParams(nu=nu, kappa=kappa, alpha=alpha, beta=beta, critical=critical)
-    return state, params
+    return SimState(grid, hats, t), params

@@ -16,6 +16,7 @@ from bq2d.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    _FLAG_KEYS,
     ConfigError,
     RunConfig,
     _CheckTable,
@@ -26,6 +27,7 @@ from bq2d.cli import (
 )
 from bq2d.solver import read_checkpoint
 from bq2d.spectral import FlowParams, GridSpec
+from states import state_of
 
 # written by the BQCHK2 writer: ``bq2d run --n 8 --n-steps 2 --dealias-fraction 0.5``, final.chk
 BQCHK2_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "bqchk2_n8.chk"
@@ -79,6 +81,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             build_config(None, {"alpha": alpha, "n": 32})
         assert str(info.value) == f"critical = true derives beta = 1 - alpha = {beta} <= 0"
+
+    def test_none_derives_the_derived_keys(self, tmp_path):
+        path = tmp_path / "none.cfg"
+        path.write_text("beta = none\nmonitor_q = none\nmonitor_s = none\n")
+        cfg = build_config(str(path), {"alpha": 0.9, "n": 32})
+        assert cfg.beta == 1.0 - 0.9 and cfg == build_config(None, {"alpha": 0.9, "n": 32})
 
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
     def test_coerce_returns_the_annotated_type(self, field):
@@ -457,7 +465,7 @@ class TestCommandLineContract:
         from bq2d.spectral import FlowParams, GridSpec, constant_field
 
         g = GridSpec(32)
-        zero = solver.SimState(constant_field(g, 0.0), constant_field(g, 0.0))
+        zero = state_of(constant_field(g, 0.0), constant_field(g, 0.0))
         solver.write_checkpoint(tmp_path / "CHK", zero, FlowParams(1.0, 1.0, 0.9, 0.1))
         (tmp_path / "afile").write_text("")
         monkeypatch.chdir(tmp_path)
@@ -475,7 +483,8 @@ class TestCommandLineContract:
             monkeypatch.setattr(module, name, computed)
         return tmp_path
 
-    def _assert_one_config_error(self, argv, workdir, capsys):
+    def _assert_one_config_error(self, argv, workdir, capsys) -> str:
+        """The one ``config error:`` line of ``argv``."""
         before = sorted(p.name for p in workdir.iterdir())
         assert run_main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -484,6 +493,7 @@ class TestCommandLineContract:
         assert captured.out == ""
         assert sorted(p.name for p in workdir.iterdir()) == before
         assert (workdir / "afile").read_text() == ""
+        return err[0]
 
     @pytest.mark.parametrize(
         "argv",
@@ -534,6 +544,52 @@ class TestCommandLineContract:
     )
     def test_refused_value_is_one_config_error_line(self, workdir, capsys, argv):
         self._assert_one_config_error(argv, workdir, capsys)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # a negative derived key is a value, refused by its own range check
+            (["--beta", "-0.5"], "beta must lie in (0, 1]"),
+            (["--critical", "false", "--beta", "-0.5"], "beta must lie in (0, 1]"),
+            (["--monitor-q", "-5"], "q=-5.0 outside the L^q window"),
+            (["--monitor-s", "-3"], "monitor_s=-3.0 violates 0 < s"),
+            # negative numbers in exponent form are values too
+            (["--oss-L", "-1e-3"], "oss_L must lie in (0, side_length / 2]"),
+            (["--monitor-q", "-1e300"], "q=-1e+300 outside the L^q window"),
+            (["--n", "-1e3"], "key 'n': expected an integer, got '-1e3'"),
+        ],
+    )
+    def test_negative_value_gets_its_own_message(self, workdir, capsys, flags, message):
+        err = self._assert_one_config_error(["run", "--n", "16", "--n-steps", "1", *flags], workdir, capsys)
+        assert err.startswith(f"config error: {message}"), err
+
+    _CONFIG_NUMBERS = ["--" + key.replace("_", "-") for key in _FLAG_KEYS if type(_coerce(key, "1")) in (int, float)]
+
+    @pytest.mark.parametrize("value", ["-1e300", "-2.5E-3", "-.5e+1", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", flag] for flag in _CONFIG_NUMBERS]
+        + [["resume", "CHK", flag] for flag in _CONFIG_NUMBERS]
+        + [["inequality-suite", flag] for flag in _CONFIG_NUMBERS]
+        + [["kernel-verify", "--n", "16", "--beta"], ["kernel-verify", "--beta", "0.5", "--n"]]
+        + [["besov", "CHK", "--s"], ["besov", "CHK", "--s", "0.5", "--p"], ["besov", "CHK", "--s", "0.5", "--r"]],
+        ids=" ".join,
+    )
+    def test_negative_number_in_exponent_form_is_a_value(self, workdir, capsys, monkeypatch, argv, value):
+        # argparse by itself reads only -N and -N.N as numbers: the rest were "expected one argument"
+        from bq2d import cli
+
+        seen = {}
+        for name in ("cmd_run", "cmd_resume", "cmd_kernel_verify", "cmd_inequality_suite", "cmd_besov"):
+            monkeypatch.setattr(cli, name, lambda args: seen.update(vars(args)) or EXIT_OK)
+        key = argv[-1].removeprefix("--").replace("-", "_")
+        if argv[-1] == "--n" and argv[0] == "kernel-verify":  # an int flag: the value reaches int()
+            err = self._assert_one_config_error([*argv, value], workdir, capsys)
+            assert err == f"config error: argument --n: invalid int value: '{value}'"
+        else:
+            assert run_main([*argv, value]) == EXIT_OK
+            # a config flag's raw text goes to _coerce; the other commands' flags are typed float
+            assert seen[key] == (float(value) if argv[0] in ("kernel-verify", "besov") else value)
 
     # numpy refuses arrays this large when they are requested: nothing is allocated
     @pytest.mark.parametrize("n", [2**31, 2**40])
@@ -615,11 +671,11 @@ class TestVerificationCommands:
         assert "False" in out.read_text()
 
     def test_besov_zero_field_table(self, tmp_path, capsys):
-        from bq2d.solver import SimState, write_checkpoint
+        from bq2d.solver import write_checkpoint
         from bq2d.spectral import FlowParams, GridSpec, constant_field
 
         g = GridSpec(32)
-        st = SimState(constant_field(g, 0.0), constant_field(g, 0.0), 0.0)
+        st = state_of(constant_field(g, 0.0), constant_field(g, 0.0))
         path = tmp_path / "zero.chk"
         write_checkpoint(path, st, FlowParams(1.0, 1.0, 0.9, 0.1))
         rc = run_main(["besov", str(path), "--s", "0.5"])
@@ -648,12 +704,12 @@ class TestVerificationCommands:
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
-        from bq2d.solver import SimState, write_checkpoint
+        from bq2d.solver import write_checkpoint
         from bq2d.spectral import FlowParams, GridSpec, constant_field
 
         chk = tmp_path / "zero.chk"
         g = GridSpec(32)
-        write_checkpoint(chk, SimState(constant_field(g, 0.0), constant_field(g, 0.0)), FlowParams(1.0, 1.0, 0.9, 0.1))
+        write_checkpoint(chk, state_of(constant_field(g, 0.0), constant_field(g, 0.0)), FlowParams(1.0, 1.0, 0.9, 0.1))
         out = tmp_path / "never"
         out_flag = "--out-dir" if argv[0] in ("run", "resume") else "--out"
         rc = run_main([a.format(chk=chk) for a in argv] + [out_flag, str(out)])
@@ -662,9 +718,9 @@ class TestVerificationCommands:
         assert err.startswith("config error:") and "unrecognized arguments" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("s, r", [("1e308", "inf"), ("511.9", "inf"), ("300", "2")])
+    @pytest.mark.parametrize("s, r", [("1e308", "inf"), ("-1e300", "inf"), ("511.9", "inf"), ("300", "2")])
     def test_besov_overflow_is_config_error(self, tmp_path, capsys, s, r):
-        # 2^(j s) past the float range, a weighted block norm past it, and an l^r sum past it
+        # 2^(j s) past the float range (at j = -1 for s < 0), a weighted block norm past it, and an l^r sum past it
         from bq2d.solver import initial_data, write_checkpoint
         from bq2d.spectral import FlowParams, GridSpec
 
@@ -673,7 +729,8 @@ class TestVerificationCommands:
         assert run_main(["besov", str(chk), "--s", "0.5", "--r", r]) == EXIT_OK
         capsys.readouterr()
         assert run_main(["besov", str(chk), "--s", s, "--r", r, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "overflows" in err
         assert not out.exists()
 
     def test_inequality_suite_passes(self, tmp_path):

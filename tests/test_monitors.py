@@ -38,6 +38,7 @@ from bq2d.spectral import (
     lp_norm,
     random_band_field,
 )
+from states import state_of
 
 G64 = GridSpec(64)
 PARAMS = FlowParams(1.0, 1.0, 0.9, 1.0 - 0.9, critical=True)
@@ -104,10 +105,9 @@ class TestGlobalBoundMargins:
     def test_pure_diffusion_margin_increases(self):
         grid = GridSpec(64)
         params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
-        st = SimState(
+        st = state_of(
             field_from_function(grid, lambda x1, x2: np.sin(x1) + 0.5 * np.sin(3 * x2)),
             constant_field(grid, 0.0),
-            0.0,
         )
         # no flow ever develops from theta alone? buoyancy feeds omega, so
         # freeze transport by zeroing omega each step
@@ -116,7 +116,7 @@ class TestGlobalBoundMargins:
         cur = st
         for _ in range(10):
             cur = step(cur, params, StepperConfig(dt_init=0.02, t_end=1.0), dt=0.02)
-            cur = SimState(cur.theta, constant_field(grid, 0.0), cur.t)
+            cur = state_of(cur.theta, constant_field(grid, 0.0), cur.t)
             margins.append(t0_l2 - lp_norm(cur.theta, 2))
         assert all(b > a for a, b in zip(margins, margins[1:]))
         assert margins[0] > 0
@@ -139,7 +139,7 @@ class TestGlobalBoundMargins:
         grid = GridSpec(64)
         params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
         st = initial_data("random-band", 3, grid)
-        st = SimState(constant_field(grid, 0.0), st.omega, 0.0)
+        st = state_of(constant_field(grid, 0.0), st.omega)
         rec0 = snapshot_record(st, params, 2.3, 0.5, 0.0, 0.0)
         last = st
         for last in run(st, params, StepperConfig(dt_init=0.02, t_end=0.3)):
@@ -157,7 +157,7 @@ class TestGlobalBoundMargins:
 class TestGMonitors:
     def test_zero_data_series(self):
         grid = GridSpec(64)
-        st = SimState(constant_field(grid, 0.0), constant_field(grid, 0.0), 0.0)
+        st = state_of(constant_field(grid, 0.0), constant_field(grid, 0.0))
         recs = [snapshot_record(st, PARAMS, 2.3, 0.5, 0.0, 0.0)]
         assert G_l2_monitor(recs, 0.9)[0] == 0.0
         assert G_lq_monitor(recs, 0.9, 2.3)[0] == 0.0
@@ -166,7 +166,7 @@ class TestGMonitors:
         grid = GridSpec(64)
         params = PARAMS
         st = initial_data("random-band", 4, grid)
-        st = SimState(constant_field(grid, 0.0), st.omega, 0.0)
+        st = state_of(constant_field(grid, 0.0), st.omega)
         recs = []
         diss = 0.0
         prev_rate = dissipation_rates(st, params)[1]
@@ -187,7 +187,7 @@ class TestGMonitors:
         grid = GridSpec(16)
         hats = [np.zeros((16, 9), complex) for _ in range(2)]
         hats[1][1, 1] = value
-        st = SimState(constant_field(grid, 0.0), constant_field(grid, 0.0), 0.0, tuple(hats))
+        st = SimState(grid, tuple(hats))
         with pytest.raises(ValueError, match="non-finite dissipation rate"):
             dissipation_rates(st, PARAMS)
 
@@ -200,22 +200,20 @@ class TestGMonitors:
 
     def test_grad_theta_monitor_zero_data(self):
         grid = GridSpec(64)
-        st = SimState(constant_field(grid, 0.0), constant_field(grid, 0.0), 0.0)
+        st = state_of(constant_field(grid, 0.0), constant_field(grid, 0.0))
         series = grad_theta_monitor([st], PARAMS)
         assert series == [(0.0, 0.0)]
 
     def test_grad_theta_monitor_pure_decay(self):
         grid = GridSpec(64)
         params = FlowParams(1.0, 1.0, 0.9, 0.5, critical=False)
-        st = SimState(
-            field_from_function(grid, lambda x1, x2: np.sin(x1)), constant_field(grid, 0.0), 0.0
-        )
+        st = state_of(field_from_function(grid, lambda x1, x2: np.sin(x1)), constant_field(grid, 0.0))
         # freeze omega to keep the flow at zero: theta decays by e^{-t} exactly
         states = [st]
         cur = st
         for _ in range(5):
             cur = step(cur, params, StepperConfig(dt_init=0.05, t_end=1.0), dt=0.05)
-            cur = SimState(cur.theta, constant_field(grid, 0.0), cur.t)
+            cur = state_of(cur.theta, constant_field(grid, 0.0), cur.t)
             states.append(cur)
         series = grad_theta_monitor(states, params)
         for st_i, (gmax, mtilde) in zip(states, series):

@@ -25,8 +25,9 @@ from bq2d.monitors import (
     index_window,
     snapshot_record,
 )
-from bq2d.solver import G_hat, SimState, StepperConfig, initial_data, initial_report, step
+from bq2d.solver import G_hat, StepperConfig, initial_data, initial_report, step
 from bq2d.spectral import FlowParams, GridSpec, PhysicalField, lp_norm
+from states import state_of
 
 # ---------------------------------------------------------------------------
 # the oracle: the full-plane diagnostics
@@ -126,7 +127,7 @@ def _states(n, L, fraction, alpha):
     for _ in range(5):
         stepped = step(stepped, params, StepperConfig(dt_init=0.01), dt=0.01)
     rng = np.random.default_rng(n)
-    noise = SimState(*(PhysicalField(grid, rng.standard_normal((n, n))) for _ in range(2)), t=0.0)
+    noise = state_of(*(PhysicalField(grid, rng.standard_normal((n, n))) for _ in range(2)))
     return params, (stepped, noise)
 
 

@@ -16,8 +16,9 @@ import pytest
 import full_plane as fp
 from bq2d import cli, kernels, solver
 from bq2d.monitors import CONVEX_GAMMAS, cordoba_margin, dissipation_rates, snapshot_record
-from bq2d.solver import StepperConfig, SimState, initial_data, run, step
+from bq2d.solver import StepperConfig, initial_data, run, step
 from bq2d.spectral import FlowParams, GridSpec, PhysicalField
+from states import state_of
 
 # ---------------------------------------------------------------------------
 # the oracle: the complex-transform step and full-plane rates
@@ -54,9 +55,7 @@ def complex_step(state, params, dt):
     n2_theta, n2_omega, _, _ = _complex_nonstiff_rhs(_physical(grid, th_pred), _physical(grid, w_pred))
     th_new = e_theta * th0 + 0.5 * dt * (e_theta * n1_theta + n2_theta)
     w_new = e_omega * w0 + 0.5 * dt * (e_omega * n1_omega + n2_omega)
-    return SimState(
-        _physical(grid, fp.dealias(grid, th_new)), _physical(grid, fp.dealias(grid, w_new)), state.t + dt
-    )
+    return state_of(_physical(grid, fp.dealias(grid, th_new)), _physical(grid, fp.dealias(grid, w_new)), state.t + dt)
 
 
 def full_plane_rates(state, params):
@@ -124,10 +123,13 @@ def test_transform_budget(monkeypatch):
     """One step plus the dissipation rates on its result: no complex
     transform and exactly 16 real n x n ones.  The step starts from the
     state's coefficients and hands its own on as the new state's, so it
-    makes no forward transform of a state."""
+    makes no forward transform of a state.  A fresh state makes its
+    physical arrays at first use, in the run loop its first record: that is
+    done here before counting."""
     grid = GridSpec(32)
     params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
     state = initial_data("random-band", 0, grid)
+    state.theta, state.omega
 
     counts = _count_transforms(monkeypatch, grid.n)
     new = step(state, params, StepperConfig(dt_init=0.01))
@@ -141,6 +143,7 @@ def test_transform_budget_with_the_lane(monkeypatch):
     grid = GridSpec(solver.LANE_MIN_N)
     params = FlowParams(1.0, 1.0, 0.9, 0.1, critical=True)
     state = initial_data("random-band", 0, grid)
+    state.theta, state.omega
 
     counts = _count_transforms(monkeypatch, grid.n)
     for state in run(state, params, StepperConfig(dt_init=0.01), n_steps=3):

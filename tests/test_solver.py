@@ -39,10 +39,12 @@ from bq2d.spectral import (
     coordinates,
     dealias_mask,
     field_from_function,
+    irfft2,
     lp_norm,
     to_physical,
     to_spectral,
 )
+from states import state_of
 
 G64 = GridSpec(64)
 # written by the BQCHK2 writer: ``bq2d run --n 8 --n-steps 2 --dealias-fraction 0.5``, final.chk
@@ -53,7 +55,7 @@ PARAMS = FlowParams(nu=1.0, kappa=1.0, alpha=0.9, beta=1.0 - 0.9, critical=True)
 def make_state(grid, theta_fn=None, omega_fn=None):
     theta = field_from_function(grid, theta_fn) if theta_fn else constant_field(grid, 0.0)
     omega = field_from_function(grid, omega_fn) if omega_fn else constant_field(grid, 0.0)
-    return SimState(theta, omega, 0.0)
+    return state_of(theta, omega)
 
 
 class TestRhs:
@@ -122,7 +124,7 @@ class TestStep:
         times = [s.t for s in run(st, PARAMS, cfg)]
         assert len(times) == 10 and times[-1] == 0.1  # not 0.09999999999999999 plus an 11th step
         # a remainder below the step floor ends the run; n_steps runs ignore t_end
-        assert list(run(SimState(st.theta, st.omega, 0.1 - 5e-13, st.hats), PARAMS, cfg)) == []
+        assert list(run(SimState(st.grid, st.hats, 0.1 - 5e-13), PARAMS, cfg)) == []
         assert [s.t for s in run(st, PARAMS, cfg, n_steps=11)][-1] == 0.10999999999999999
 
     def test_cfl_and_underflow(self):
@@ -135,14 +137,14 @@ class TestStep:
 
     def test_blowup_detection(self):
         big = PhysicalField(G64, np.full((64, 64), 2e8))
-        st = SimState(constant_field(G64, 0.0), big, 0.0)
+        st = state_of(constant_field(G64, 0.0), big)
         with pytest.raises(BlowUpError):
             step(st, PARAMS, StepperConfig(dt_init=1e-6, t_end=1.0), dt=1e-6)
 
     def test_overflow_reports_blowup_not_type_error(self):
         # non-finite intermediates must surface as the blow-up diagnostic
         huge = PhysicalField(G64, np.full((64, 64), 1e200))
-        st = SimState(huge, huge, 0.0)
+        st = state_of(huge, huge)
         with pytest.raises(BlowUpError) as err:
             step(st, PARAMS, StepperConfig(dt_init=1e-6, t_end=1.0), dt=1e-6)
         assert err.value.t == 1e-6 or err.value.t == 0.0
@@ -404,12 +406,12 @@ class TestComputeG:
 class TestGEquationResidual:
     def test_zero_state(self):
         s = make_state(G64)
-        states = [SimState(s.theta, s.omega, t) for t in (0.0, 0.01, 0.02)]
+        states = [SimState(s.grid, s.hats, t) for t in (0.0, 0.01, 0.02)]
         assert g_equation_residual(states, PARAMS) == 0.0
 
     def test_requires_uniform_spacing(self):
         s = make_state(G64, omega_fn=lambda x1, x2: np.sin(x1))
-        states = [SimState(s.theta, s.omega, t) for t in (0.0, 0.01, 0.03)]
+        states = [SimState(s.grid, s.hats, t) for t in (0.0, 0.01, 0.03)]
         with pytest.raises(ValueError, match="spacing"):
             g_equation_residual(states, PARAMS)
 
@@ -572,10 +574,52 @@ def _legacy_checkpoint(path, state, params):
             fh.write(struct.pack("<Q", f.values.size) + f.values.astype("<f8").tobytes())
 
 
+def _assert_physical_is_inverse(st):
+    """theta and omega are bitwise the inverse transforms of the state's coefficients."""
+    for f, c in zip((st.theta, st.omega), st.hats):
+        assert f.values.tobytes() == irfft2(c).tobytes()
+
+
+class TestStateInvariant:
+    """However a state is made, its physical arrays are its coefficients' inverse transforms."""
+
+    @pytest.mark.parametrize("kind", ["random-band", "gaussian-bumps", "taylor-green-like"])
+    def test_initial_data(self, kind):
+        _assert_physical_is_inverse(initial_data(kind, 3, GridSpec(32)))
+
+    @pytest.mark.parametrize("n", [32, LANE_MIN_N])
+    def test_stepped(self, n):
+        st = initial_data("random-band", 3, GridSpec(n))
+        for _ in range(2):
+            st = step(st, PARAMS, StepperConfig(dt_init=0.01), dt=0.01)
+            _assert_physical_is_inverse(st)
+
+    @pytest.mark.parametrize("tag", [b"BQCHK3", b"BQCHK2", b"BQCHK1"])
+    def test_read_checkpoint(self, tmp_path, tag):
+        path = tmp_path / "a.chk"
+        if tag == b"BQCHK3":
+            write_checkpoint(path, step(initial_data("random-band", 3, GridSpec(16)), PARAMS, StepperConfig(0.01)), PARAMS)
+        else:
+            head, payload = BQCHK2_FIXTURE.read_bytes().split(b"\n", 1)
+            _, n, L, frac, *rest = head.split()
+            fields = [n, L, frac, *rest] if tag == b"BQCHK2" else [n, L, *rest]  # BQCHK1 has no dealias fraction
+            path.write_bytes(b" ".join([tag, *fields]) + b"\n" + payload)
+        _assert_physical_is_inverse(read_checkpoint(path)[0])
+
+    def test_resume_with_another_dealias_fraction(self, tmp_path, monkeypatch):
+        chk = tmp_path / "a.chk"
+        write_checkpoint(chk, initial_data("random-band", 3, GridSpec(16)), PARAMS)
+        resumed = []
+        monkeypatch.setattr(cli, "_run_loop", lambda cfg, state, *args: resumed.append(state) or 0)
+        assert cli.main(["resume", str(chk), "--dealias-fraction", "0.5", "--out-dir", str(tmp_path / "out")]) == 0
+        assert resumed[0].grid == GridSpec(16, dealias_fraction=0.5)
+        _assert_physical_is_inverse(resumed[0])
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         st = initial_data("random-band", 8, G64, amplitude=1.0)
-        st = SimState(st.theta, st.omega, t=0.123456789012345, hats=st.hats)
+        st = SimState(st.grid, st.hats, t=0.123456789012345)
         path = tmp_path / "state.chk"
         write_checkpoint(path, st, PARAMS)
         back, params = read_checkpoint(path)
@@ -607,17 +651,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="header"):
             read_checkpoint(path)
 
-    def test_version_2_fixture_reads(self, tmp_path):
-        """The BQCHK2 file of the parent format: its arrays are the state's
-        physical arrays, their dealiased rfft2 its coefficients, and
+    def test_version_2_fixture_reads(self):
+        """The BQCHK2 file of the parent format: its physical arrays are
+        decoded to their dealiased rfft2, the state's coefficients, and
         critical follows alpha + beta == 1."""
         st, params = read_checkpoint(BQCHK2_FIXTURE)
         assert st.grid == GridSpec(8, dealias_fraction=0.5) and st.t == 0.02
         assert params == FlowParams(1.0, 1.0, 0.9, 0.09999999999999998, critical=True)
-        for f, c in zip((st.theta, st.omega), st.hats):
-            assert np.array_equal(c, np.where(dealias_mask(st.grid), to_spectral(f).coeffs, 0.0))
-        _legacy_checkpoint(tmp_path / "again.chk", st, params)
-        assert (tmp_path / "again.chk").read_bytes() == BQCHK2_FIXTURE.read_bytes()
+        payload = BQCHK2_FIXTURE.read_bytes().split(b"\n", 1)[1]
+        for i, c in enumerate(st.hats):
+            raw = payload[i * (8 + 8 * 64) :][: 8 + 8 * 64]
+            assert struct.unpack("<Q", raw[:8]) == (64,)
+            values = np.frombuffer(raw[8:], dtype="<f8").reshape(8, 8)
+            assert c.tobytes() == np.where(dealias_mask(st.grid), np.fft.rfft2(values, norm="forward"), 0.0).tobytes()
 
     def test_header_carries_critical_and_checksum(self, tmp_path):
         st = initial_data("random-band", 9, GridSpec(16))
@@ -643,7 +689,7 @@ class TestCheckpoint:
         for where, value in (((8, 0), 1.0), ((1, 1), np.nan)):
             bad = [c.copy() for c in hats]
             bad[1][where] = value
-            st = SimState(constant_field(g, 0.0), constant_field(g, 0.0), 0.0, tuple(bad))
+            st = SimState(g, tuple(bad))
             write_checkpoint(path, st, PARAMS)
             with pytest.raises(ValueError, match="finite and dealiased"):
                 read_checkpoint(path)
