@@ -537,13 +537,11 @@ def cmd_besov(args) -> int:
         state, params = solver.read_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if args.field == "theta":
-        fh = state.theta_hat
-    elif args.field == "omega":
-        fh = state.omega_hat
-    else:  # argparse limits --field to theta, omega and G
-        fh = solver.G_hat(state, params.alpha)
     try:
+        if args.field == "G":
+            fh = solver.G_hat(state, params.alpha)
+        else:  # argparse limits --field to theta, omega and G
+            fh = state.theta_hat if args.field == "theta" else state.omega_hat
         norms = block_norms(fh, index)
         total = lr_combine([v for _, v in norms], index.r)  # besov_norm's total, from the same norms
     except ValueError as exc:

@@ -167,7 +167,8 @@ def _weighted_norm(j: int, coeffs: np.ndarray, grid: GridSpec, idx: BesovIndex) 
     if not np.any(coeffs):
         return 0.0
     try:
-        value = 2.0 ** (j * idx.s) * lp_norm(PhysicalField(grid, irfft2(coeffs)), idx.p)
+        with np.errstate(over="ignore"):  # an overflow is the ValueError below, with no warning ahead of it
+            value = 2.0 ** (j * idx.s) * lp_norm(PhysicalField(grid, irfft2(coeffs)), idx.p)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

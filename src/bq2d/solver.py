@@ -53,10 +53,9 @@ import contextvars
 import math
 import os
 import queue
-import struct
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -215,8 +214,9 @@ def _pair(grid: GridSpec, fa, fb):
     """(fa(), fb()) of two independent calls.  From n = LANE_MIN_N, fb goes
     to the lane thread (run under the caller's numpy error state) while the
     caller runs fa; a lane that has not started fb by then leaves it to the
-    caller, so a lane slow to wake costs no more than sequential order.  Each call is the same single-threaded work on the same inputs,
-    so the results are bitwise the sequential ones.  A started fb is always
+    caller, so a lane slow to wake costs no more than sequential order.
+    Each call is the same single-threaded work on the same inputs, so the
+    results are bitwise the sequential ones.  A started fb is always
     collected before returning or raising; when fa fails, its exception is
     raised, as in sequential order."""
     if grid.n < LANE_MIN_N:
@@ -552,31 +552,32 @@ def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
 # ---------------------------------------------------------------------------
 # checkpoint format: one text header line, then the payload
 #
-#   BQCHK3 n L dealias_fraction critical t nu kappa alpha beta crc32
-#
-# ``critical`` is 0 or 1 and ``crc32`` the zlib.crc32 of the payload in hex;
-# the payload is the two half-plane coefficient arrays (theta^, omega^), each
-# n x (n/2+1) little-endian complex128.  BQCHK2 (no critical flag, no
-# checksum) and BQCHK1 (no dealias fraction either) hold the physical arrays
-# instead, each a little-endian uint64 length and n x n float64 values.
+# HEADER_FIELDS states each format's header tokens after its tag; the writer
+# and the reader both take them from it.  A format without ``dealias_fraction``
+# has GridSpec's default, one without ``critical`` (0 or 1) has alpha + beta
+# == 1.  The BQCHK3 payload is (theta^, omega^), each n x (n/2+1) little-endian
+# complex128, and ``crc32`` its zlib.crc32 in hex; BQCHK2 and BQCHK1 hold the
+# physical arrays, each a little-endian uint64 length and n x n float64 values.
+
+HEADER_FIELDS = {
+    "BQCHK3": ("n", "side_length", "dealias_fraction", "critical", "t", "nu", "kappa", "alpha", "beta", "crc32"),
+    "BQCHK2": ("n", "side_length", "dealias_fraction", "t", "nu", "kappa", "alpha", "beta"),
+    "BQCHK1": ("n", "side_length", "t", "nu", "kappa", "alpha", "beta"),
+}
+_PARSERS = {"n": int, "critical": {"0": False, "1": True}.__getitem__, "crc32": lambda s: int(s, 16)}
+
+
+def _from_header(cls, header: dict):
+    """``cls`` of the header's values of its fields, the defaults for the rest."""
+    return cls(**{f.name: header[f.name] for f in fields(cls) if f.name in header})
 
 
 def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
-    grid = state.grid
     payload = [np.ascontiguousarray(c, dtype="<c16") for c in state.hats]
     crc = zlib.crc32(payload[1], zlib.crc32(payload[0]))  # over the buffers, no copy
-    header = "BQCHK3 {n} {L} {frac} {critical:d} {t} {nu} {kappa} {alpha} {beta} {crc:08x}\n".format(
-        n=grid.n,
-        L=repr(grid.side_length),
-        frac=repr(grid.dealias_fraction),
-        critical=params.critical,
-        t=repr(state.t),
-        nu=repr(params.nu),
-        kappa=repr(params.kappa),
-        alpha=repr(params.alpha),
-        beta=repr(params.beta),
-        crc=crc,
-    )
+    values = {**asdict(state.grid), **asdict(params), "t": state.t, "crc32": f"{crc:08x}"}
+    values["critical"] = int(params.critical)  # 0 or 1; a float's str is its round-trip repr
+    header = " ".join(["BQCHK3", *(str(values[key]) for key in HEADER_FIELDS["BQCHK3"])]) + "\n"
     # written beside the target and renamed over it, so a killed run never
     # leaves a torn checkpoint behind
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -592,51 +593,38 @@ def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
         raise
 
 
-def _read_exactly(fh, size: int) -> bytes:
-    """``size`` bytes of ``fh``, checked against what the file holds before
-    any buffer is allocated."""
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError("truncated checkpoint payload")
-    return fh.read(size)
-
-
 def read_checkpoint(path):
     """(state, params) of a checkpoint; ValueError for a file that is not a
-    whole, intact one.  A ``BQCHK3`` state has the stored coefficients; one
-    from ``BQCHK2`` or ``BQCHK1`` has the dealiased ``rfft2`` of the stored
-    physical arrays, and is critical when alpha + beta == 1."""
+    whole, intact one.  A BQCHK3 state has the stored coefficients, a BQCHK2
+    or BQCHK1 one the dealiased ``rfft2`` of the stored physical arrays."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        tag = header[0] if header else None
-        if tag == "BQCHK1":
-            header[3:3] = [repr(2.0 / 3.0)]  # BQCHK1 has no dealias fraction: the default
-        if tag == "BQCHK3" and len(header) == 11 and header[4] in ("0", "1"):
-            critical, crc = header.pop(4) == "1", int(header.pop(), 16)
-        elif tag not in ("BQCHK1", "BQCHK2") or len(header) != 9:
-            raise ValueError(f"corrupt checkpoint header in {path}")
-        n = int(header[1])
-        L, frac, t, nu, kappa, alpha, beta = (float(x) for x in header[2:])
-        grid = GridSpec(n=n, side_length=L, dealias_fraction=frac)
-        if tag == "BQCHK3":
-            payload = [_read_exactly(fh, 32 * n * (n // 2 + 1))]
-        else:
-            payload = []
-            for _ in range(2):
-                (length,) = struct.unpack("<Q", _read_exactly(fh, 8))
-                if length != n * n:
-                    raise ValueError("checkpoint array length does not match grid")
-                payload.append(_read_exactly(fh, 8 * length))
+        try:
+            tag, *tokens = fh.readline().decode("ascii").split()
+            header = {key: _PARSERS.get(key, float)(tok) for key, tok in zip(HEADER_FIELDS[tag], tokens, strict=True)}
+            if not all(math.isfinite(v) for v in header.values() if isinstance(v, float)):
+                raise ValueError
+        except (ValueError, KeyError):
+            raise ValueError(f"corrupt checkpoint header in {path}") from None
+        header.setdefault("critical", header["alpha"] + header["beta"] == 1.0)
+        grid = _from_header(GridSpec, header)
+        n = grid.n
+        # one sized read, checked against the file before its buffer is allocated
+        size = 32 * n * (n // 2 + 1) if tag == "BQCHK3" else 16 * (1 + n * n)
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError("truncated checkpoint payload")
+        payload = fh.read(size)
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
     keep = dealias_mask(grid)
     if tag == "BQCHK3":
-        if zlib.crc32(payload[0]) != crc:
+        if zlib.crc32(payload) != header["crc32"]:
             raise ValueError(f"checkpoint payload of {path} fails its CRC-32 check")
-        hats = tuple(np.frombuffer(payload[0], dtype="<c16").reshape(2, n, n // 2 + 1).astype(complex))
+        hats = tuple(np.frombuffer(payload, dtype="<c16").reshape(2, n, n // 2 + 1).astype(complex))
     else:
-        critical = alpha + beta == 1.0
-        hats = tuple(np.where(keep, rfft2(np.frombuffer(raw, dtype="<f8").reshape(n, n)), 0.0) for raw in payload)
+        arrays = np.frombuffer(payload, dtype=[("length", "<u8"), ("values", "<f8", (n, n))])
+        if (arrays["length"] != n * n).any():
+            raise ValueError("checkpoint array length does not match grid")
+        hats = tuple(np.where(keep, rfft2(values), 0.0) for values in arrays["values"])
     if not all(np.isfinite(c).all() and not c[~keep].any() for c in hats):
         raise ValueError(f"checkpoint coefficients of {path} are not finite and dealiased")
-    params = FlowParams(nu=nu, kappa=kappa, alpha=alpha, beta=beta, critical=critical)
-    return SimState(grid, hats, t), params
+    return SimState(grid, hats, header["t"]), _from_header(FlowParams, header)

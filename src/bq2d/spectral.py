@@ -59,8 +59,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid needs n >= 8 and even, got n={self.n}")
-        if not self.side_length > 0:
-            raise ValueError("side_length must be positive")
+        if not (0.0 < self.side_length < math.inf and math.isfinite(self.n * TWO_PI / self.side_length)):
+            raise ValueError("side_length must be positive and finite, with a finite wavenumber 2 pi n / side_length")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError("dealias_fraction must lie in (0, 1]")
 

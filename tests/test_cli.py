@@ -2,6 +2,7 @@
 verification subcommands."""
 
 import dataclasses
+import math
 import pathlib
 import subprocess
 import sys
@@ -423,6 +424,35 @@ class TestResume:
         assert "steps=10 t_final=0.1\n" in capsys.readouterr().out
 
 
+class TestHeaderValues:
+    """A checkpoint header value that is not finite, or a side length whose
+    wavenumbers overflow, is refused on read: one config error line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["resume", "besov"])
+    @pytest.mark.parametrize("index, token", [(5, b"nan"), (5, b"inf"), (2, b"inf"), (2, b"1e-308")])
+    def test_is_one_config_error_line(self, tmp_path, capsys, command, index, token):
+        # index 5 is t, index 2 the side length; resume ran to t_final=nan or inf,
+        # and besov --field G raised on a side length of inf or 1e-308
+        assert run_main(["run", "--n", "16", "--n-steps", "2", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+        head, payload = (tmp_path / "a" / "final.chk").read_bytes().split(b"\n", 1)
+        tokens = head.split()
+        tokens[index] = token
+        chk = tmp_path / "edited.chk"
+        chk.write_bytes(b" ".join(tokens) + b"\n" + payload)
+        out = tmp_path / "x"
+        if command == "resume":
+            argv = ["resume", str(chk), "--n-steps", "2", "--out-dir", str(out)]
+        else:
+            argv = ["besov", str(chk), "--s", "0.5", "--field", "G", "--out", str(out)]
+        capsys.readouterr()
+        assert run_main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestFlagsParseLikeTheFile:
     """Every config flag goes through the config file's parser."""
 
@@ -591,6 +621,23 @@ class TestCommandLineContract:
             # a config flag's raw text goes to _coerce; the other commands' flags are typed float
             assert seen[key] == (float(value) if argv[0] in ("kernel-verify", "besov") else value)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--critical", "false"], "beta must be given when critical = false"),
+            (["--init-kind", "bogus"], "unknown init_kind 'bogus'"),
+            (["--diag-every", "0"], "diag_every must be >= 1"),
+            (["--checkpoint-every", "-1"], "checkpoint_every must be >= 0"),
+            (["--n-steps", "0"], "n_steps must be >= 1"),
+            # outside the index window (alpha <= 4/5) the monitors need only q >= 1 and s > 0
+            (["--alpha", "0.5", "--monitor-q", "0.5"], "monitor indices must satisfy q >= 1 and s > 0"),
+            (["--config", "missing.cfg"], "cannot read config file"),
+        ],
+    )
+    def test_refused_run_config_gets_its_own_message(self, workdir, capsys, flags, message):
+        err = self._assert_one_config_error(["run", "--n", "16", *flags], workdir, capsys)
+        assert err.startswith(f"config error: {message}"), err
+
     # numpy refuses arrays this large when they are requested: nothing is allocated
     @pytest.mark.parametrize("n", [2**31, 2**40])
     @pytest.mark.parametrize(
@@ -753,3 +800,49 @@ class TestVerificationCommands:
         assert rc == EXIT_OK
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         assert all(r[-1] == "True" for r in rows)
+
+
+    def test_kernel_calibration_failure_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        from bq2d import kernels
+
+        def uncalibrated(*args, **kwargs):
+            raise kernels.CalibrationError("no C_beta")
+
+        monkeypatch.setattr(kernels, "quadrature_errors", uncalibrated)
+        out = tmp_path / "kv.csv"
+        assert run_main(["kernel-verify", "--beta", "0.5", "--n", "16", "--out", str(out)]) == EXIT_ASSERTION
+        assert capsys.readouterr().err.splitlines() == ["assertion failure: no C_beta"]
+        assert not out.exists()
+
+    def test_inequality_suite_blowup_is_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "iq.csv"
+        argv = ["inequality-suite", "--n", "32", "--amplitude", "2e8", "--n-steps", "3", "--out", str(out)]
+        assert run_main(argv) == EXIT_BLOWUP
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("blow-up abort:"), err
+        assert not out.exists()
+
+    def test_besov_omega_table(self, tmp_path):
+        from bq2d.lp import BesovIndex, block_norms
+        from bq2d.solver import initial_data, write_checkpoint
+
+        chk, out = tmp_path / "band.chk", tmp_path / "omega.csv"
+        state = initial_data("random-band", 0, GridSpec(32))
+        write_checkpoint(chk, state, FlowParams(1.0, 1.0, 0.9, 0.1))
+        assert run_main(["besov", str(chk), "--s", "0.5", "--field", "omega", "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+        want = block_norms(state.omega_hat, BesovIndex(0.5, 2.0, math.inf))
+        assert rows == [[str(j), repr(float(v))] for j, v in want]
+
+    def test_besov_of_huge_coefficients_is_one_config_error_line(self, tmp_path, capsys):
+        # a finite state whose block norms overflow: the overflow is reported
+        # once, with no numpy warning ahead of the config error line
+        from bq2d.solver import SimState, initial_data, write_checkpoint
+
+        chk, out = tmp_path / "huge.chk", tmp_path / "never.csv"
+        state = initial_data("random-band", 0, GridSpec(16))
+        write_checkpoint(chk, SimState(state.grid, tuple(1e300 * c for c in state.hats)), FlowParams(1.0, 1.0, 0.9, 0.1))
+        assert run_main(["besov", str(chk), "--s", "0.5", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "overflows" in err[0], err
+        assert not out.exists()

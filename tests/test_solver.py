@@ -219,6 +219,20 @@ class TestLane:
             solver._pair(self.GRID, fail("theta"), lambda: 2)
         assert solver._pair(self.GRID, lambda: 3, lambda: 4) == (3, 4)
 
+    def test_failure_on_the_lane_is_raised_and_the_lane_serves_the_next_pair(self):
+        # fa holds the caller until the lane has started fb, so fb raises on the lane thread
+        started = threading.Event()
+
+        def fail_on_the_lane():
+            started.set()
+            raise ValueError(threading.current_thread().name)
+
+        with pytest.raises(ValueError, match="^bq2d-lane$"):
+            solver._pair(self.GRID, lambda: started.wait(10), fail_on_the_lane)
+        started.clear()
+        on_lane = lambda: started.set() or threading.current_thread().name
+        assert solver._pair(self.GRID, lambda: started.wait(10), on_lane) == (True, "bq2d-lane")
+
     def test_nonfinite_blowup_matches_the_sequential_one(self, monkeypatch):
         # both halves of the predictor pair fail
         state = initial_data("random-band", 5, GridSpec(256), amplitude=1e100)
@@ -726,6 +740,17 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - cut])
         with pytest.raises(ValueError, match="truncated"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("offset", [0, 8 + 8 * 64])  # theta's length prefix, omega's
+    def test_legacy_length_prefix_must_match_the_grid(self, tmp_path, offset):
+        head, payload = BQCHK2_FIXTURE.read_bytes().split(b"\n", 1)
+        assert struct.unpack_from("<Q", payload, offset) == (64,)
+        bad = bytearray(payload)
+        struct.pack_into("<Q", bad, offset, 63)
+        path = tmp_path / "a.chk"
+        path.write_bytes(head + b"\n" + bytes(bad))
+        with pytest.raises(ValueError, match="array length does not match grid"):
             read_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

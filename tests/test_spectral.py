@@ -60,6 +60,16 @@ class TestGridAndFields:
         with pytest.raises(ValueError):
             GridSpec(16, dealias_fraction=0.0)
 
+    @pytest.mark.parametrize("side_length", [0.0, -0.0, math.inf, math.nan, 1e-308, 16 * math.pi / 1.7e308])
+    def test_side_length_with_wavenumbers_past_the_float_range_rejected(self, side_length):
+        # 2 pi n / side_length must be finite: the grid's wavevectors would otherwise be inf or nan
+        with pytest.raises(ValueError, match="side_length"):
+            GridSpec(16, side_length=side_length)
+
+    def test_tiny_side_length_with_finite_wavenumbers_accepted(self):
+        k1, k2, kmag = wavevectors(GridSpec(16, side_length=1e-300))
+        assert all(np.isfinite(k).all() for k in (k1, k2, kmag))
+
     def test_nonfinite_rejected(self):
         bad = np.zeros((16, 16))
         bad[3, 4] = np.nan
