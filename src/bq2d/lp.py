@@ -14,6 +14,16 @@ The inhomogeneous low block j = -1 collects every mode with |k| < 1
 norms drop the mean mode only, which is exact for side_length <= 4*pi
 (every other mode has |k| >= 1/2); larger tori are refused.
 
+For r = inf on sharp blocks, ``besov_norm`` transforms only the bands that
+can hold the sup.  By Hoelder between sup|f| <= S1 = sum |c| and Parseval,
+||f||_2^2 <= |T| S2 with S2 = sum |c|^2 (sums over the full-plane modes),
+2^{js} ||Delta_j f||_p <= 2^{js} |T|^{1/p} S1^a S2^{(1-a)/2}, a = max(0, 1 - 2/p).
+Bands go in falling order of that bound until the next one, times 1 + 1e-9
+for rounding, is below the largest exact value: the max is bitwise
+``block_norms``'.  No lower bound is used: Parseval's fails on bands of
+rounding noise, whose non-Hermitian part in columns 0 and n/2 the inverse
+transform drops.
+
 Finite-difference Besov norms (``besov_norm_fd``) sum ||f(. + h) - f||_p
 over every grid shift h.  For even integer p the power sum
 S_p(h) = sum_x (f(x+h) - f(x))^p expands binomially into the
@@ -36,7 +46,9 @@ Every recorded regression value names its block variant.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,12 +104,6 @@ class BesovIndex:
             raise ValueError(f"Besov index r must be > 0, got r={self.r}")
 
 
-def max_band_index(grid: GridSpec) -> int:
-    _, _, kmag = wavevectors(grid)
-    kmax = float(kmag.max())
-    return int(math.floor(math.log2(kmax)))
-
-
 @lru_cache(maxsize=64)
 def _band_indices(grid: GridSpec) -> np.ndarray:
     """Integer band index per mode: floor(log2 |k|), and -1 for |k| < 1."""
@@ -106,6 +112,11 @@ def _band_indices(grid: GridSpec) -> np.ndarray:
     unit = kmag >= 1.0
     idx[unit] = np.floor(np.log2(kmag[unit])).astype(int)
     return _read_only(idx)
+
+
+def max_band_index(grid: GridSpec) -> int:
+    """The largest band index of the grid's modes; -1 on a torus whose every |k| < 1."""
+    return int(_band_indices(grid).max())
 
 
 def _smooth_step(r: np.ndarray) -> np.ndarray:
@@ -162,10 +173,18 @@ def _band_flat_indices(grid: GridSpec) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple((j, _read_only(np.flatnonzero(flat == j))) for j in range(-1, max_band_index(grid) + 1))
 
 
+_BOUND_MARGIN = 1.0 + 1e-9  # the rounding allowance of a band bound (module docstring)
+
+
 def _weighted_norm(j: int, coeffs: np.ndarray, grid: GridSpec, idx: BesovIndex) -> float:
-    """2^{js} ||f||_p of one block's coefficients: 0.0 untransformed if empty, ValueError on overflow."""
+    """2^{js} ||f||_p of one block's coefficients: 0.0 untransformed if empty;
+    ValueError if it overflows, or if the quadrature weight (L/n)^2 is 0, which
+    would make the norm of a nonzero block 0.  (A field too small for |f|^p,
+    which a decaying run can reach, still reads 0.)"""
     if not np.any(coeffs):
         return 0.0
+    if grid.cell_weight == 0.0:
+        raise ValueError(f"||Delta_j f||_p of a nonzero block underflows to 0 at j={j}: (L/n)^2 is 0")
     try:
         with np.errstate(over="ignore"):  # an overflow is the ValueError below, with no warning ahead of it
             value = 2.0 ** (j * idx.s) * lp_norm(PhysicalField(grid, irfft2(coeffs)), idx.p)
@@ -176,30 +195,68 @@ def _weighted_norm(j: int, coeffs: np.ndarray, grid: GridSpec, idx: BesovIndex) 
     return value
 
 
-def block_norms(fh: SpectralField, idx: BesovIndex, smooth: bool = False) -> list[tuple[int, float]]:
-    """(j, 2^{js} ||Delta_j f||_p) for every block of ``dyadic_blocks``: the one
-    per-band routine of ``besov_norm`` and ``bq2d besov``.  Each sharp band is
-    scattered from its cached indices into one zeroed buffer, zeroed again after."""
-    if smooth:
-        return [(b.j, _weighted_norm(b.j, b.band.coeffs, fh.grid, idx)) for b in dyadic_blocks(fh, smooth=True)]
+def _sharp_norms(fh: SpectralField, idx: BesovIndex, bands) -> Iterator[tuple[int, float]]:
+    """(j, 2^{js} ||Delta_j f||_p) of the sharp ``bands``, (j, flat indices) pairs, lazily
+    in their order; each is scattered into one zeroed buffer, zeroed again after."""
     buf = np.zeros_like(fh.coeffs, order="C")
     flat, buf_flat = fh.coeffs.ravel(), buf.reshape(-1)
-    out = []
-    for j, ind in _band_flat_indices(fh.grid):
+    for j, ind in bands:
         buf_flat[ind] = flat[ind]
-        out.append((j, _weighted_norm(j, buf, fh.grid, idx)))
+        yield j, _weighted_norm(j, buf, fh.grid, idx)
         buf_flat[ind] = 0.0
-    return out
+
+
+def block_norms(fh: SpectralField, idx: BesovIndex, smooth: bool = False) -> list[tuple[int, float]]:
+    """(j, 2^{js} ||Delta_j f||_p) for every block of ``dyadic_blocks``: the
+    per-band routine of ``besov_norm`` and ``bq2d besov``."""
+    if smooth:
+        return [(b.j, _weighted_norm(b.j, b.band.coeffs, fh.grid, idx)) for b in dyadic_blocks(fh, smooth=True)]
+    return list(_sharp_norms(fh, idx, _band_flat_indices(fh.grid)))
+
+
+def _band_bounds(fh: SpectralField, idx: BesovIndex) -> np.ndarray:
+    """Upper bounds on 2^{js} ||Delta_j f||_p of the sharp bands (module docstring); columns
+    0 and n/2 count once and the others twice, as in ``half_plane_sum``."""
+    grid = fh.grid
+    mag = np.abs(fh.coeffs)
+    mirror = np.full(mag.shape[1], 2.0)
+    mirror[[0, -1]] = 1.0
+    bins = _band_indices(grid).ravel() + 1  # band j in bin j + 1, one bin per band of _band_flat_indices
+    a = max(0.0, 1.0 - 2.0 * _inv(idx.p))
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound past the float range sends besov_norm to j order
+        s1 = np.bincount(bins, (mag * mirror).ravel())
+        s2 = np.bincount(bins, (mag * mag * mirror).ravel())
+        weight = 2.0 ** (np.arange(-1, len(s1) - 1) * idx.s) * np.float64(grid.side_length) ** (2.0 * _inv(idx.p))
+        return weight * s1**a * s2 ** ((1.0 - a) / 2.0)
+
+
+def _sharp_sup(fh: SpectralField, idx: BesovIndex) -> float:
+    """sup_j 2^{js} ||Delta_j f||_p of the sharp bands whose bound can reach the largest
+    exact value so far; ValueError if a bound is not finite or a transformed block raises it."""
+    bounds = _band_bounds(fh, idx)
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError("a band bound is past the float range")
+    bands = _band_flat_indices(fh.grid)
+    best = 0.0
+    # the filter reads ``best`` as each band is drawn; bounds fall, so it stops at the first failure
+    order = (bands[i] for i in np.argsort(-bounds, kind="stable") if bounds[i] * _BOUND_MARGIN >= best)
+    for _, value in _sharp_norms(fh, idx, order):
+        best = max(best, value)
+    return best
 
 
 def besov_norm(f, idx: BesovIndex, smooth: bool = False) -> float:
     """Block Besov norm ||2^{js} ||Delta_j f||_p||_{l^r}; ``f`` is a physical
-    field or its coefficients."""
+    field or its coefficients.  For r = inf on sharp blocks, a band ruled out by its bound is
+    not transformed, so it raises nothing; any other ValueError names the lowest j."""
     fh = f if isinstance(f, SpectralField) else to_spectral(f)
     if idx.homogeneous:
         if fh.grid.side_length > 2.0 * TWO_PI:
             raise ValueError("homogeneous Besov norms need side_length <= 4 pi, where every nonzero |k| >= 1/2")
         fh = mean_free(fh)
+    if math.isinf(idx.r) and not smooth:
+        with contextlib.suppress(ValueError):
+            return _sharp_sup(fh, idx)
     return lr_combine([v for _, v in block_norms(fh, idx, smooth)], idx.r)
 
 

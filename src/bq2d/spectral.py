@@ -384,10 +384,10 @@ def lp_norm(f: PhysicalField, p: float) -> float:
 
 def lp_norm_values(values: np.ndarray, p: float, cell_weight: float) -> float:
     """``lp_norm``'s arithmetic on a raw array, unchecked (p >= 1 assumed)."""
-    a = np.abs(values)
+    a = np.abs(values)  # a fresh array, so the power is taken in place
     if math.isinf(p):
         return float(a.max())
-    return float((np.sum(a**p) * cell_weight) ** (1.0 / p))
+    return float((np.sum(np.power(a, p, out=a)) * cell_weight) ** (1.0 / p))
 
 
 def l2_norm_spectral(fh: SpectralField) -> float:

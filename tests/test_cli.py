@@ -846,3 +846,17 @@ class TestVerificationCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and "overflows" in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("side_length", [1e-300, 1e-200])
+    def test_besov_of_a_tiny_torus_is_one_config_error_line(self, tmp_path, capsys, side_length):
+        # (L/n)^2 underflows to 0, so every block norm would read 0: refused, not an all-zero table
+        from bq2d.solver import SimState, initial_data, write_checkpoint
+
+        chk, out = tmp_path / "tiny.chk", tmp_path / "never.csv"
+        hats = initial_data("random-band", 0, GridSpec(16)).hats
+        write_checkpoint(chk, SimState(GridSpec(16, side_length=side_length), hats), FlowParams(1.0, 1.0, 0.9, 0.1))
+        for field in ("theta", "G"):
+            assert run_main(["besov", str(chk), "--s", "0.5", "--field", field, "--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:") and "underflows to 0" in err[0], err
+            assert not out.exists()

@@ -7,7 +7,10 @@ import pytest
 
 import full_plane as fp
 from bq2d.lp import (
+    _BOUND_MARGIN,
     BesovIndex,
+    _band_bounds,
+    _band_indices,
     bernstein_check,
     besov_norm,
     besov_norm_fd,
@@ -179,6 +182,15 @@ class TestBlockNorms:
                 want.append((b.j, value))
             assert block_norms(fh, idx) == want
 
+    @pytest.mark.parametrize("L", [1000.0, 6283185307179586.0])
+    def test_a_torus_whose_every_mode_is_below_one_is_block_minus_one(self, L):
+        # every |k| < 1, so floor(log2 max|k|) < -1: the one block is j = -1
+        grid = GridSpec(16, side_length=L)
+        fh = SpectralField(grid, random_band_spectral(GridSpec(16), 0.0, 6.0, np.random.default_rng(0)).coeffs)
+        want = 2.0**-0.5 * lp_norm(to_physical(fh), 2.0)
+        assert block_norms(fh, BesovIndex(0.5, 2.0, 2.0)) == [(-1, want)]
+        assert besov_norm(fh, BesovIndex(0.5, 2.0, math.inf)) == besov_norm(fh, BesovIndex(0.5, 2.0, 2.0)) == want
+
     def test_empty_blocks_are_not_transformed(self, monkeypatch):
         coeffs = np.zeros((G.n, G.n // 2 + 1), dtype=complex)
         coeffs[0, 1] = coeffs[0, 8] = 0.5  # cos(x2) + cos(8 x2): bands 0 and 3 only
@@ -189,6 +201,65 @@ class TestBlockNorms:
         norms = block_norms(fh, BesovIndex(1.0, 2, 1))
         assert [j for j, v in norms if v != 0.0] == [0, 3] and len(calls) == 2
         assert all(v == 0.0 for j, v in norms if j not in (0, 3))
+
+
+class TestPrunedSup:
+    """``besov_norm`` with r = inf on sharp blocks transforms only the bands
+    whose bound can reach the sup; the oracle is the max over ``block_norms``."""
+
+    @pytest.mark.parametrize("q", [2.2941, 2.732, 1.0, 2.0, math.inf])
+    def test_noise_level_band_of_G_at_t0(self, monkeypatch, q):
+        # band 0 of G = omega - R_a theta is rounding noise at t = 0, where a
+        # Parseval lower bound exceeds the exact value
+        from bq2d.solver import G_hat, initial_data
+
+        g = G_hat(initial_data("random-band", 0, GridSpec(128)), 0.95)
+        idx = BesovIndex(0.85, q, math.inf)
+        norms = block_norms(g, idx)
+        assert norms[1][0] == 0 and 0.0 < norms[1][1] < 1e-15
+        bounds = _band_bounds(g, idx)
+        assert all(b * _BOUND_MARGIN >= v for b, (_, v) in zip(bounds, norms))
+        calls = []
+        irfft2 = np.fft.irfft2
+        monkeypatch.setattr(np.fft, "irfft2", lambda *a, **k: calls.append(1) or irfft2(*a, **k))
+        assert besov_norm(g, idx) == lr_combine([v for _, v in norms], math.inf)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["huge", "nan bound"])
+    def test_overflow_names_the_lowest_band(self, case):
+        # a bound that is not finite sends besov_norm to the pass in j order,
+        # which raises with block_norms' message: coefficients scaled by
+        # 1e300, or band 0 beside a mean of 1e200, whose bound at s = 1100
+        # is 2^(-1100) * inf = nan (a nan bound would sort last and be skipped)
+        fh = random_band_spectral(G, 0.0, 20.0, np.random.default_rng(3))
+        if case == "huge":
+            fh, idx = SpectralField(G, 1e300 * fh.coeffs), BesovIndex(0.5, 2.732, math.inf)
+        else:
+            coeffs = np.where(_band_indices(G) == 0, fh.coeffs, 0.0)
+            coeffs[0, 0] = 1e200
+            fh, idx = SpectralField(G, coeffs), BesovIndex(1100.0, 2.732, math.inf)
+        with pytest.raises(ValueError, match="overflows at j=") as want:
+            block_norms(fh, idx)
+        with pytest.raises(ValueError) as got:
+            besov_norm(fh, idx)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("L", [1e-300, 1e-200])
+    def test_a_torus_whose_quadrature_weight_is_zero_is_refused(self, L):
+        # (L/n)^2 underflows to 0, so every block norm would read 0
+        grid = GridSpec(16, side_length=L)
+        fh = SpectralField(grid, random_band_spectral(GridSpec(16), 0.0, 6.0, np.random.default_rng(0)).coeffs)
+        for r in (math.inf, 2.0):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                besov_norm(fh, BesovIndex(0.5, 2.0, r))
+
+    def test_a_field_too_small_for_its_power_reads_zero(self):
+        # |f|^p underflows, as on a run that decays for long enough: a record
+        # taken mid-run must not raise, so such a block reads 0
+        fh = random_band_spectral(G, 0.0, 20.0, np.random.default_rng(3))
+        tiny = SpectralField(G, 1e-130 * fh.coeffs)
+        idx = BesovIndex(0.5, 2.732, math.inf)
+        assert besov_norm(tiny, idx) == lr_combine([v for _, v in block_norms(tiny, idx)], math.inf) == 0.0
 
 
 def coordinates_x1():

@@ -153,10 +153,10 @@ def test_transform_budget_with_the_lane(monkeypatch):
 
 def test_diagnostics_transform_budget(monkeypatch):
     """snapshot_record plus cordoba_margin on a state's coefficients, as the
-    run loop calls them: no complex transform and at most 12 real n x n
-    ones, as measured: 2 inverse for sup|grad theta|, 1 for G, 6 for the
-    non-empty Besov blocks of G (j = -1 .. 4 at n = 64), and 1 forward plus
-    2 inverse for the Cordoba terms."""
+    run loop calls them: no complex transform and exactly 7 real n x n ones,
+    2 inverse for sup|grad theta|, 1 for G, 1 for the one Besov block of G
+    whose bound can reach the sup (of the 6 non-empty ones at n = 64), and
+    1 forward plus 2 inverse for the Cordoba terms."""
     grid = GridSpec(64)
     params = FlowParams(1.0, 1.0, 0.95, 0.05, critical=True)
     state = step(initial_data("random-band", 0, grid), params, StepperConfig(dt_init=0.01))
@@ -166,7 +166,7 @@ def test_diagnostics_transform_budget(monkeypatch):
     snapshot_record(state, params, 2.5, 0.4, 0.0, 0.0)
     cordoba_margin(state.theta, params.beta, gamma, gamma_prime, state.hats[0])
     assert counts["complex"] == 0
-    assert 0 < counts["real"] <= 12
+    assert counts["real"] == 7
 
 
 def test_no_complex_transform_in_the_commands(monkeypatch, tmp_path):
