@@ -7,17 +7,7 @@ The time stepper treats the fractional dissipation exactly through an
 integrating factor, so the linear part of the flow is machine-precision.
 """
 
-import math
-
-import numpy as np
-
-from bq2d.monitors import (
-    dissipation_rates,
-    energy_margin,
-    index_window,
-    max_principle_margins,
-    snapshot_record,
-)
+from bq2d.monitors import bound_margins, dissipation_rates, index_window, snapshot_record
 from bq2d.solver import StepperConfig, initial_data, run
 from bq2d.spectral import FlowParams, GridSpec
 
@@ -50,12 +40,11 @@ for cur in run(state, params, cfg):
     count += 1
     if count % 20 == 0 or cur.t >= cfg.t_end:
         rec = snapshot_record(cur, params, q, s, diss_u, diss_G)
-        _, minf = max_principle_margins(rec, rec0.theta_l2, rec0.theta_linf)
-        lin, _ = energy_margin(rec, rec0.u_l2, rec0.theta_l2)
+        bound_margins(rec, rec0)
         print(
             f"{rec.t:6.2f} {rec.theta_l2:10.5f} {rec.theta_linf:10.5f} "
             f"{rec.u_l2:8.4f} {rec.G_l2:8.4f} {rec.G_lq:8.4f} {rec.G_besov:8.4f} "
-            f"{minf:10.2e} {lin:10.2e}"
+            f"{rec.margin_maxprinciple_linf:10.2e} {rec.margin_energy_linear:10.2e}"
         )
 
 print("\nnonnegative margins = the bounds held along the trajectory;")

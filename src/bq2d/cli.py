@@ -33,6 +33,7 @@ from .lp import BesovIndex, block_norms, lr_combine
 from .spectral import FlowParams, GridSpec, dealias_mask
 from .monitors import (
     CONVEX_GAMMAS,
+    bound_margins,
     check_besov_index,
     check_lq_index,
     cordoba_margin,
@@ -40,10 +41,8 @@ from .monitors import (
     csv_header,
     difference_lower_bound_margin,
     dissipation_rates,
-    energy_margin,
     gradient_lower_bound_margin,
     index_window,
-    max_principle_margins,
     snapshot_record,
 )
 
@@ -314,9 +313,7 @@ def _run_loop(
         running worst margins."""
         if rec is None:
             rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-        m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
-        rec.margin_maxprinciple_l2, rec.margin_maxprinciple_linf = m2, minf
-        rec.margin_energy_linear = energy_margin(rec, u0_l2, theta0_l2)[0]
+        bound_margins(rec, initial)
         rec.cordoba_min = cordoba_margin(st.theta, params.beta, gamma, gamma_p, st.hats[0])
         rec.oss_delta_measured = solver.oss_check(st.theta, delta_target, cfg.oss_L).delta_measured
         for key in worst:
@@ -327,9 +324,8 @@ def _run_loop(
         return rec
 
     with _initial_monitors():
-        rec = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-        theta0_l2, theta0_linf, u0_l2 = rec.theta_l2, rec.theta_linf, rec.u_l2
-        delta_target = solver.delta_star(max(theta0_linf, 1e-300), params.beta, cfg.oss_delta_c)
+        initial = rec = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
+        delta_target = solver.delta_star(max(rec.theta_linf, 1e-300), params.beta, cfg.oss_delta_c)
         record(state, rec=rec)
     if announce:
         print(
@@ -481,7 +477,8 @@ def cmd_inequality_suite(args) -> int:
     state = solver.initial_data(cfg.init_kind, cfg.seed, grid, cfg.amplitude)
     with _initial_monitors():
         rec0 = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
-    theta0_l2, theta0_linf, u0_l2 = rec0.theta_l2, rec0.theta_linf, rec0.u_l2
+        m0 = rec0.grad_theta_linf
+        delta = solver.delta_star(rec0.theta_linf, params.beta, cfg.oss_delta_c) if m0 > 0 else 0.0
 
     snapshots = [state]
     try:
@@ -495,11 +492,11 @@ def cmd_inequality_suite(args) -> int:
     checks = _CheckTable()
     final = snapshots[-1]
     rec = snapshot_record(final, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
-    m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
+    bound_margins(rec, rec0)
     band = 1e-6 * (1.0 + final.t)
-    checks.add("maxprinciple_l2", m2, -band * theta0_l2, floor=True)
-    checks.add("maxprinciple_linf", minf, -band * theta0_linf, floor=True)
-    checks.add("energy_linear", energy_margin(rec, u0_l2, theta0_l2)[0], -band * max(u0_l2, 1.0), floor=True)
+    checks.add("maxprinciple_l2", rec.margin_maxprinciple_l2, -band * rec0.theta_l2, floor=True)
+    checks.add("maxprinciple_linf", rec.margin_maxprinciple_linf, -band * rec0.theta_linf, floor=True)
+    checks.add("energy_linear", rec.margin_energy_linear, -band * max(rec0.u_l2, 1.0), floor=True)
 
     worst = dict.fromkeys(CONVEX_GAMMAS, math.inf)
     for st in picks:
@@ -515,9 +512,7 @@ def cmd_inequality_suite(args) -> int:
     exact = difference_lower_bound_margin(theta, (grid.n // 4, 0), params.beta)[0]
     checks.add("difflower_exact_part", exact / scale, -1e-8, floor=True)
 
-    m0 = rec0.grad_theta_linf
     if m0 > 0:
-        delta = solver.delta_star(theta0_linf, params.beta, cfg.oss_delta_c)
         L = min(delta / (4.0 * m0), grid.side_length / 2.0)
         checks.add("oss_lipschitz_choice", solver.oss_check(final.theta, delta, L).delta_measured, delta)
 

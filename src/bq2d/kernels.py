@@ -330,10 +330,10 @@ def calibrate_C_beta(beta: float, n: int, residual_tol: float = 1e-3, bump: str 
     return c_star, resid
 
 
-def quadrature_errors(beta: float, n: int, bump: str = "oracle") -> dict:
+def quadrature_errors(beta: float, n: int) -> dict:
     """Oracle comparison on the calibration bump: relative L2 errors of the
     calibrated quadrature velocity and symmetric gradient."""
-    c_star, resid, theta, (v1h, v2h) = _fit(beta, n, bump)
+    c_star, resid, theta, (v1h, v2h) = _fit(beta, n, "oracle")
     s11, s12, s22 = symgrad_v_quadrature(theta, KernelConfig(beta=beta), c_star)
     sp11 = to_physical(grad(v1h)[0]).values
     sp22 = to_physical(grad(v2h)[1]).values

@@ -18,6 +18,8 @@ For r = inf on sharp blocks, ``besov_norm`` transforms only the bands that
 can hold the sup.  By Hoelder between sup|f| <= S1 = sum |c| and Parseval,
 ||f||_2^2 <= |T| S2 with S2 = sum |c|^2 (sums over the full-plane modes),
 2^{js} ||Delta_j f||_p <= 2^{js} |T|^{1/p} S1^a S2^{(1-a)/2}, a = max(0, 1 - 2/p).
+A band whose S2 is below 2^-970, where the squares may have underflowed,
+takes the looser S1 alone (S2 <= S1^2).
 Bands go in falling order of that bound until the next one, times 1 + 1e-9
 for rounding, is below the largest exact value: the max is bitwise
 ``block_norms``'.  No lower bound is used: Parseval's fails on bands of
@@ -174,13 +176,14 @@ def _band_flat_indices(grid: GridSpec) -> tuple[tuple[int, np.ndarray], ...]:
 
 
 _BOUND_MARGIN = 1.0 + 1e-9  # the rounding allowance of a band bound (module docstring)
+_SQUARES_FLOOR = np.finfo(float).tiny / np.finfo(float).eps  # 2^-970: below it, S2's underflow can pass rounding
 
 
 def _weighted_norm(j: int, coeffs: np.ndarray, grid: GridSpec, idx: BesovIndex) -> float:
     """2^{js} ||f||_p of one block's coefficients: 0.0 untransformed if empty;
     ValueError if it overflows, or if the quadrature weight (L/n)^2 is 0, which
-    would make the norm of a nonzero block 0.  (A field too small for |f|^p,
-    which a decaying run can reach, still reads 0.)"""
+    would make the norm of a nonzero block 0.  A block too small for |f|^p
+    still gets its norm (``spectral.lp_norm_values``)."""
     if not np.any(coeffs):
         return 0.0
     if grid.cell_weight == 0.0:
@@ -227,7 +230,7 @@ def _band_bounds(fh: SpectralField, idx: BesovIndex) -> np.ndarray:
         s1 = np.bincount(bins, (mag * mirror).ravel())
         s2 = np.bincount(bins, (mag * mag * mirror).ravel())
         weight = 2.0 ** (np.arange(-1, len(s1) - 1) * idx.s) * np.float64(grid.side_length) ** (2.0 * _inv(idx.p))
-        return weight * s1**a * s2 ** ((1.0 - a) / 2.0)
+        return weight * np.where(s2 < _SQUARES_FLOOR, s1, s1**a * s2 ** ((1.0 - a) / 2.0))
 
 
 def _sharp_sup(fh: SpectralField, idx: BesovIndex) -> float:

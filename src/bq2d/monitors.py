@@ -24,7 +24,6 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
-    biot_savart,
     fractional_laplacian,
     grad,
     grad_sup,
@@ -100,7 +99,8 @@ def check_besov_index(alpha: float, s: float, q: float) -> None:
 @dataclass(slots=True)
 class DiagnosticsRecord:
     """One row of ``diagnostics.csv``: the fields, in order, are its columns.
-    The margins are left at 0.0 by ``snapshot_record`` and set by the run loop."""
+    The margins are left at 0.0 by ``snapshot_record``; ``bound_margins`` and the
+    run loop set them."""
 
     t: float
     theta_l2: float
@@ -189,55 +189,14 @@ def dissipation_rates(state: SimState, params: FlowParams) -> tuple[float, float
 # global-bound margins
 
 
-def max_principle_margins(record: DiagnosticsRecord, theta0_l2: float, theta0_linf: float):
-    """(||theta0||_p - ||theta(t)||_p) for p = 2, inf; negative means violation."""
-    return theta0_l2 - record.theta_l2, theta0_linf - record.theta_linf
-
-
-def energy_margin(record: DiagnosticsRecord, u0_l2: float, theta0_l2: float):
-    """Margins of the velocity growth bounds.
-
-    Returns (linear, squared) where linear is the standard estimate
-    ||u(t)||_2 <= ||u0||_2 + t ||theta0||_2 and squared is the cruder
-    (||u0||^2 + t ||theta0||^2)^2 form reported side by side (the squared
-    form fails at t=0 whenever ||u0|| < 1, so only the linear margin is
-    asserted).
-    """
-    linear = u0_l2 + record.t * theta0_l2 - record.u_l2
-    squared = (u0_l2**2 + record.t * theta0_l2**2) ** 2 - (
-        record.u_l2**2 + record.diss_u_accum
-    )
-    return linear, squared
-
-
-def G_l2_monitor(records, alpha: float) -> np.ndarray:
-    """Series ||G(t)||_2^2 + int_0^t ||Lambda^{a/2} G||_2^2 from records."""
-    if not 0.8 < alpha < 1.0:
-        raise ValueError("the L^2 monitor for G requires alpha in (4/5, 1)")
-    return np.array([r.G_l2**2 + r.diss_G_accum for r in records])
-
-
-def G_lq_monitor(records, alpha: float, q: float) -> np.ndarray:
-    check_lq_index(alpha, q)
-    return np.array([r.G_lq for r in records])
-
-
-def G_besov_monitor(records, alpha: float, s: float, q: float) -> np.ndarray:
-    check_besov_index(alpha, s, q)
-    return np.array([r.G_besov for r in records])
-
-
-def grad_theta_monitor(states, params: FlowParams):
-    """Per-snapshot (||grad theta||_inf, ||grad u_tilde||_inf) with
-    u_tilde = perp_grad Delta^{-1} G, the regular velocity part."""
-    out = []
-    for st in states:
-        m = 0.0
-        for comp in biot_savart(G_hat(st, params.alpha)):
-            for d in grad(comp):
-                m = max(m, float(np.abs(to_physical(d).values).max()))
-        out.append((grad_sup(st.theta_hat), m))
-    return out
+def bound_margins(record: DiagnosticsRecord, initial: DiagnosticsRecord) -> None:
+    """Set the record's ``margin_*`` fields against the ``initial`` record
+    (bound minus measured value; negative means violation): the maximum
+    principle ||theta(t)||_p <= ||theta0||_p for p = 2, inf, and the energy
+    bound ||u(t)||_2 <= ||u0||_2 + t ||theta0||_2."""
+    record.margin_maxprinciple_l2 = initial.theta_l2 - record.theta_l2
+    record.margin_maxprinciple_linf = initial.theta_linf - record.theta_linf
+    record.margin_energy_linear = initial.u_l2 + record.t * initial.theta_l2 - record.u_l2
 
 
 # ---------------------------------------------------------------------------

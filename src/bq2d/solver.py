@@ -517,10 +517,16 @@ def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
 
 
 def delta_star(theta0_sup: float, beta: float, C_user: float) -> float:
-    """Shock threshold C * ||theta0||_inf^{-2 beta / (2 - beta)}."""
+    """Shock threshold C * ||theta0||_inf^{-2 beta / (2 - beta)}; ValueError past the float range."""
     if theta0_sup <= 0:
         raise ValueError("theta0_sup must be positive")
-    return C_user * theta0_sup ** (-2.0 * beta / (2.0 - beta))
+    try:
+        delta = C_user * theta0_sup ** (-2.0 * beta / (2.0 - beta))
+    except OverflowError:
+        delta = math.inf
+    if not math.isfinite(delta):
+        raise ValueError(f"the shock threshold overflows at ||theta0||_inf = {theta0_sup!r}")
+    return delta
 
 
 def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):

@@ -37,6 +37,7 @@ All operations are pure: fields in, fresh fields out.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +62,8 @@ class GridSpec:
             raise ValueError(f"grid needs n >= 8 and even, got n={self.n}")
         if not (0.0 < self.side_length < math.inf and math.isfinite(self.n * TWO_PI / self.side_length)):
             raise ValueError("side_length must be positive and finite, with a finite wavenumber 2 pi n / side_length")
+        if not math.isfinite(self.spacing * self.spacing):
+            raise ValueError("side_length must give a finite quadrature weight (side_length / n)^2")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError("dealias_fraction must lie in (0, 1]")
 
@@ -383,11 +386,16 @@ def lp_norm(f: PhysicalField, p: float) -> float:
 
 
 def lp_norm_values(values: np.ndarray, p: float, cell_weight: float) -> float:
-    """``lp_norm``'s arithmetic on a raw array, unchecked (p >= 1 assumed)."""
+    """``lp_norm``'s arithmetic on a raw array, unchecked (p >= 1 assumed).
+    A sum of |f|^p below the smallest normal float, where the powers underflow,
+    is taken again on |f| / max|f| and scaled back."""
     a = np.abs(values)  # a fresh array, so the power is taken in place
     if math.isinf(p):
         return float(a.max())
-    return float((np.sum(np.power(a, p, out=a)) * cell_weight) ** (1.0 / p))
+    total = np.sum(np.power(a, p, out=a))
+    if total < sys.float_info.min and (peak := np.abs(values).max()) > 0.0:
+        return float(peak * (np.sum(np.power(np.abs(values) / peak, p)) * cell_weight) ** (1.0 / p))
+    return float((total * cell_weight) ** (1.0 / p))
 
 
 def l2_norm_spectral(fh: SpectralField) -> float:

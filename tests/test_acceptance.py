@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,15 +26,14 @@ from bq2d.lp import (
 from bq2d.monitors import (
     ALPHA_STAR,
     CONVEX_GAMMAS,
+    bound_margins,
     check_lq_index,
     cordoba_margin,
     cordoba_scale,
     difference_lower_bound_margin,
-    energy_margin,
     fractional_laplacian,
     gradient_lower_bound_margin,
     index_window,
-    max_principle_margins,
 )
 from bq2d.solver import StepperConfig, delta_star, g_equation_residual, oss_check, step
 from bq2d.spectral import (
@@ -238,16 +238,13 @@ def test_criterion_5_lower_bounds(reference_runs):
 def test_criterion_6_reference_margins(reference_runs):
     assert reference_runs["build_seconds"] < 360.0  # < 2 min per run
     for alpha, (snapshots, records, params) in reference_runs["runs"].items():
-        theta0_l2 = records[0].theta_l2
-        theta0_linf = records[0].theta_linf
-        u0_l2 = records[0].u_l2
-        for rec in records:
+        rec0 = records[0]
+        for rec in map(replace, records):  # copies: every test shares the reference records
             band = 1e-6 * (1.0 + rec.t)
-            m2, minf = max_principle_margins(rec, theta0_l2, theta0_linf)
-            assert m2 >= -band * theta0_l2, alpha
-            assert minf >= -band * theta0_linf, alpha
-            lin, _ = energy_margin(rec, u0_l2, theta0_l2)
-            assert lin >= -band * max(u0_l2, 1.0), alpha
+            bound_margins(rec, rec0)
+            assert rec.margin_maxprinciple_l2 >= -band * rec0.theta_l2, alpha
+            assert rec.margin_maxprinciple_linf >= -band * rec0.theta_linf, alpha
+            assert rec.margin_energy_linear >= -band * max(rec0.u_l2, 1.0), alpha
 
 
 @criterion(7, "combined-quantity evolution residual converges at order >= 1.9", 120.0)

@@ -29,16 +29,18 @@ def _state(n, seed, steps):
     return state
 
 
-def _field(n, seed, steps, which):
+def _field(n, seed, steps, which, scale):
     """theta, omega or G of a random-band state after ``steps`` steps, or raw
-    complex normals whose columns 0 and n/2 are not Hermitian."""
+    complex normals whose columns 0 and n/2 are not Hermitian, times ``scale``."""
     state = _state(n, seed, steps)
     if which == "G":
-        return G_hat(state, ALPHA)
-    if which == "raw":
+        coeffs = G_hat(state, ALPHA).coeffs
+    elif which == "raw":
         rng, shape = np.random.default_rng(seed), state.hats[0].shape
-        return SpectralField(state.grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return state.theta_hat if which == "theta" else state.omega_hat
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:
+        coeffs = state.hats[0 if which == "theta" else 1]
+    return SpectralField(state.grid, scale * coeffs)
 
 
 cases = dict(
@@ -52,14 +54,16 @@ cases = dict(
     ),
     s=st.floats(-1.0, 1.0, allow_nan=False),
     homogeneous=st.booleans(),
+    # down to fields whose |f|^q and |c|^2 underflow
+    scale=st.one_of(st.just(1.0), st.integers(-300, -100).map(lambda e: 10.0**e)),
 )
 settings = hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @hypothesis.given(**cases)
 @settings
-def test_pruned_sup_is_the_max_over_every_block(n, seed, steps, which, q, s, homogeneous):
-    fh = _field(n, seed, steps, which)
+def test_pruned_sup_is_the_max_over_every_block(n, seed, steps, which, q, s, homogeneous, scale):
+    fh = _field(n, seed, steps, which, scale)
     idx = BesovIndex(s, q, math.inf, homogeneous)
     blocks = block_norms(mean_free(fh) if homogeneous else fh, idx)
     assert besov_norm(fh, idx) == lr_combine([v for _, v in blocks], math.inf)
@@ -67,9 +71,9 @@ def test_pruned_sup_is_the_max_over_every_block(n, seed, steps, which, q, s, hom
 
 @hypothesis.given(**cases)
 @settings
-def test_every_band_bound_holds(n, seed, steps, which, q, s, homogeneous):
+def test_every_band_bound_holds(n, seed, steps, which, q, s, homogeneous, scale):
     # up to the rounding margin the stopping rule allows for
-    fh = _field(n, seed, steps, which)
+    fh = _field(n, seed, steps, which, scale)
     fh = mean_free(fh) if homogeneous else fh
     idx = BesovIndex(s, q, math.inf)
     bounds = _band_bounds(fh, idx)

@@ -192,21 +192,23 @@ class TestRunCommand:
         assert "theta_l2" in post
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("amplitude, code", [("1e200", EXIT_CONFIG), ("1e100", EXIT_CONFIG), ("1e60", EXIT_BLOWUP)])
+    @pytest.mark.parametrize("amplitude, code", [("1e200", EXIT_CONFIG), ("1e100", EXIT_BLOWUP), ("1e60", EXIT_BLOWUP)])
     def test_huge_amplitude_is_config_error_or_blowup(self, tmp_path, capsys, amplitude, code):
         # monitors that overflow on the initial state stop the run before any
         # output; a velocity no time step resolves is a blow-up at t = 0
         out = tmp_path / "huge"
         rc = run_main(["run", "--n", "16", "--amplitude", amplitude, "--t-end", "0.01", "--out-dir", str(out)])
         assert rc == code
+        err = capsys.readouterr().err
         if code == EXIT_CONFIG:
-            assert capsys.readouterr().err.startswith("config error:")
+            assert err.startswith("config error:")
             assert not out.exists()
         else:
+            assert err.startswith("blow-up abort:") and err.count("\n") == 1
             assert (out / "post_mortem.csv").read_text().startswith("# blow-up at t=0.0 ")
 
     @pytest.mark.parametrize(
-        "command, amplitude", [("run", "1e200"), ("run", "1e100"), ("inequality-suite", "1e200")]
+        "command, amplitude", [("run", "1e200"), ("run", "1e150"), ("inequality-suite", "1e200")]
     )
     def test_overflow_config_error_is_alone_on_stderr(self, tmp_path, cli_env, command, amplitude):
         # pytest captures numpy's overflow warnings, so only a child interpreter shows the stderr a user sees
@@ -218,6 +220,25 @@ class TestRunCommand:
         assert r.stderr.startswith("config error: the monitors overflow on the initial state:")
         assert r.stderr.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["run", "--side-length", "1e300", "--out-dir"], "finite quadrature weight (side_length / n)^2"),
+            (["run", "--amplitude", "1e-300", "--critical", "false", "--beta", "0.9", "--out-dir"], "shock threshold"),
+            (["inequality-suite", "--amplitude", "1e-155", "--critical", "false", "--beta", "1", "--out"], "shock threshold"),
+        ],
+    )
+    def test_overflow_names_its_cause(self, tmp_path, cli_env, argv, cause):
+        # the two run cases once printed only the raw OverflowError tuple
+        # (34, 'Numerical result out of range'), the suite a traceback
+        out = tmp_path / "o"
+        command, *flags = argv
+        cmd = [sys.executable, "-m", "bq2d.cli", command, "--n", "16", *flags, str(out)]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == EXIT_CONFIG
+        assert r.stderr.startswith("config error:") and cause in r.stderr and r.stderr.count("\n") == 1, r.stderr
+        assert r.stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("n_steps, rows", [(5, 4), (4, 3)])
     def test_final_row_written_once(self, tmp_path, n_steps, rows):
@@ -426,10 +447,11 @@ class TestResume:
 
 class TestHeaderValues:
     """A checkpoint header value that is not finite, or a side length whose
-    wavenumbers overflow, is refused on read: one config error line, exit 2."""
+    wavenumbers or quadrature weight overflow, is refused on read: one config
+    error line, exit 2."""
 
     @pytest.mark.parametrize("command", ["resume", "besov"])
-    @pytest.mark.parametrize("index, token", [(5, b"nan"), (5, b"inf"), (2, b"inf"), (2, b"1e-308")])
+    @pytest.mark.parametrize("index, token", [(5, b"nan"), (5, b"inf"), (2, b"inf"), (2, b"1e-308"), (2, b"1e300")])
     def test_is_one_config_error_line(self, tmp_path, capsys, command, index, token):
         # index 5 is t, index 2 the side length; resume ran to t_final=nan or inf,
         # and besov --field G raised on a side length of inf or 1e-308
@@ -449,6 +471,8 @@ class TestHeaderValues:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), captured.err
+        if token == b"1e300":  # (L/n)^2 overflows, which once raised a bare OverflowError in besov
+            assert "quadrature weight" in err[0], err
         assert captured.out == ""
         assert not out.exists()
 

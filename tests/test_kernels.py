@@ -359,7 +359,6 @@ class TestCalibration:
             warnings.simplefilter("ignore")
             assert res["C_star"] == calibrate_C_beta(0.5, n, residual_tol=math.inf)[0]
 
-    @pytest.mark.parametrize("fn", [calibrate_C_beta, quadrature_errors])
-    def test_unknown_bump_rejected(self, fn):
+    def test_unknown_bump_rejected(self):
         with pytest.raises(ValueError, match="bump must be 'oracle' or 'gauss', got 'orcale'"):
-            fn(0.5, 32, bump="orcale")
+            calibrate_C_beta(0.5, 32, bump="orcale")

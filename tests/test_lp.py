@@ -253,13 +253,28 @@ class TestPrunedSup:
             with pytest.raises(ValueError, match="underflows to 0"):
                 besov_norm(fh, BesovIndex(0.5, 2.0, r))
 
-    def test_a_field_too_small_for_its_power_reads_zero(self):
-        # |f|^p underflows, as on a run that decays for long enough: a record
-        # taken mid-run must not raise, so such a block reads 0
+    @pytest.mark.parametrize("scale", [1e-130, 1e-170])
+    def test_a_field_too_small_for_its_power_gets_its_norm(self, scale):
+        # |f|^p underflows, as on a run that decays for long enough; from 1e-154
+        # |c|^2 underflows too, and the band bounds fall back to sum |c|
         fh = random_band_spectral(G, 0.0, 20.0, np.random.default_rng(3))
-        tiny = SpectralField(G, 1e-130 * fh.coeffs)
+        tiny = SpectralField(G, scale * fh.coeffs)
         idx = BesovIndex(0.5, 2.732, math.inf)
-        assert besov_norm(tiny, idx) == lr_combine([v for _, v in block_norms(tiny, idx)], math.inf) == 0.0
+        got = besov_norm(tiny, idx)
+        assert got == lr_combine([v for _, v in block_norms(tiny, idx)], math.inf)
+        assert abs(got - scale * besov_norm(fh, idx)) <= 1e-12 * scale * besov_norm(fh, idx)
+
+    def test_a_band_whose_squares_underflow_keeps_an_upper_bound(self):
+        # band 4 at 1e-170 beside band 0 at 1: its sum of |c|^2 underflows to 0,
+        # yet at s = 150 it holds the sup, so its bound must not read 0
+        fh = random_band_spectral(G, 0.0, 20.0, np.random.default_rng(3))
+        idx = _band_indices(G)
+        coeffs = np.where(idx == 0, fh.coeffs, 0.0) + np.where(idx == 4, 1e-170 * fh.coeffs, 0.0)
+        fh, index = SpectralField(G, coeffs), BesovIndex(150.0, 2.732, math.inf)
+        norms = block_norms(fh, index)
+        assert max(norms, key=lambda jv: jv[1])[0] == 4
+        assert all(b * _BOUND_MARGIN >= v for b, (_, v) in zip(_band_bounds(fh, index), norms))
+        assert besov_norm(fh, index) == lr_combine([v for _, v in norms], math.inf)
 
 
 def coordinates_x1():

@@ -2,10 +2,9 @@
 replaced.
 
 ``snapshot_record``, ``initial_report``, ``cordoba_margin`` /
-``cordoba_scale``, ``besov_norm`` and ``grad_theta_monitor`` on full-plane
-fft2 coefficients are written out here as the oracle, on the tables and
-operators of ``full_plane``; the package runs them on rfft2 half-plane
-coefficients.  The dealias_fraction = 1 cases keep content on the Nyquist
+``cordoba_scale`` and ``besov_norm`` on full-plane fft2 coefficients are
+written out here as the oracle, on the tables and operators of
+``full_plane``; the package runs them on rfft2 half-plane coefficients.  The dealias_fraction = 1 cases keep content on the Nyquist
 lines, where the odd symbols must drop out exactly as the full plane's
 ``.real`` drops them.
 """
@@ -21,7 +20,6 @@ from bq2d.monitors import (
     CONVEX_GAMMAS,
     cordoba_margin,
     cordoba_scale,
-    grad_theta_monitor,
     index_window,
     snapshot_record,
 )
@@ -93,25 +91,6 @@ def full_plane_cordoba_terms(f, beta, gamma, gamma_prime):
     return gamma_prime(f.values) * lam(f.values), lam(np.asarray(gamma(f.values), dtype=float))
 
 
-def full_plane_grad_theta_monitor(states, params):
-    """The full-plane monitor on the real fields G and u_tilde.  Each
-    intermediate goes through ``hermitian_symmetrize``: without it the full
-    plane keeps, at dealias_fraction = 1, Nyquist-line parts of the symbol
-    products (R_alpha's anti-Hermitian row, d_2 d_2 / |k|^2 on the Nyquist
-    column) that are no part of the grid fields G and u_tilde."""
-    out = []
-    for st in states:
-        grid = st.grid
-        th_hat, w_hat = _full_hats(st)
-        g_hat = fp.hermitian_symmetrize(w_hat - fp.riesz_alpha(grid, th_hat, params.alpha))
-        m = 0.0
-        for comp in fp.biot_savart(grid, g_hat):
-            for d in fp.grad(grid, fp.hermitian_symmetrize(comp)):
-                m = max(m, float(np.abs(fp.to_physical(d)).max()))
-        out.append((full_plane_grad_sup(grid, th_hat), m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -168,10 +147,4 @@ def test_diagnostics_match_full_plane_oracle(n, L, fraction, alpha):
             assert _close(besov_norm(G, index), want)
         index = BesovIndex(s, q, 2.0)
         assert _close(besov_norm(g_hat, index, smooth=True), full_plane_besov(G, s, q, 2.0, smooth=True))
-
-    got = grad_theta_monitor(states, params)
-    want = full_plane_grad_theta_monitor(states, params)
-    for pair_got, pair_want in zip(got, want):
-        for a, b in zip(pair_got, pair_want):
-            assert _close(a, b)
 

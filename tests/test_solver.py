@@ -560,6 +560,12 @@ class TestDeltaStar:
         factor = delta_star(2.0, beta, 1.0) / delta_star(1.0, beta, 1.0)
         assert abs(factor - 2.0 ** (-2 * beta / (2 - beta))) <= 1e-12
 
+    @pytest.mark.parametrize("sup, C", [(1e-300, 1.0), (1e-10, 1e300)])
+    def test_past_the_float_range_is_named(self, sup, C):
+        # the power raises OverflowError, or the product is inf
+        with pytest.raises(ValueError, match="shock threshold"):
+            delta_star(sup, 0.9, C)
+
 
 class TestWeightedProfile:
     def test_constant_is_zero(self):

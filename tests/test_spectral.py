@@ -66,6 +66,12 @@ class TestGridAndFields:
         with pytest.raises(ValueError, match="side_length"):
             GridSpec(16, side_length=side_length)
 
+    @pytest.mark.parametrize("side_length", [1e300, 1e170])
+    def test_side_length_whose_quadrature_weight_overflows_rejected(self, side_length):
+        # (L/n)^2 past the float range once raised a bare OverflowError from cell_weight
+        with pytest.raises(ValueError, match="quadrature weight"):
+            GridSpec(16, side_length=side_length)
+
     def test_tiny_side_length_with_finite_wavenumbers_accepted(self):
         k1, k2, kmag = wavevectors(GridSpec(16, side_length=1e-300))
         assert all(np.isfinite(k).all() for k in (k1, k2, kmag))
@@ -274,6 +280,14 @@ class TestDealiasGradNorms:
 
     def test_lp_norm_sup(self):
         assert lp_norm(constant_field(G16, 3.0), math.inf) == 3.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5441176470588234, 4.0])
+    @pytest.mark.parametrize("scale", [1e-130, 1e-200, 1e-300])
+    def test_lp_norm_of_a_field_too_small_for_its_power(self, p, scale):
+        # |f|^p underflows: the sum is taken again on |f| / max|f|
+        f = random_band_field(G32, 1, 8, np.random.default_rng(5))
+        got = lp_norm(PhysicalField(G32, scale * f.values), p)
+        assert abs(got - scale * lp_norm(f, p)) <= 1e-12 * scale * lp_norm(f, p)
 
     def test_lp_norm_rejects_small_p(self):
         with pytest.raises(ValueError):
