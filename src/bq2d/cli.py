@@ -8,9 +8,10 @@ only, is parsed as in the file (by ``_coerce``, as the type of its
 values are validated before any file output is created; a command line that
 does not parse and an output location that cannot be created are refused
 before any computation.  Exit codes:
-0 success, 2 config error, 3 blow-up abort, 4 assertion failure inside a
-verification suite.  A command reports bad input by raising ``ConfigError``;
-``main`` alone turns it into the ``config error:`` line and exit 2.  The
+0 success, 2 config error, 3 blow-up abort (or a monitor that fails on a
+stepped state), 4 assertion failure inside a verification suite.  A
+command reports bad input by raising ``ConfigError``; ``main`` alone turns
+it into the ``config error:`` line and exit 2.  The
 only environment variable honored is ``BQ2D_OUT_DIR``, which overrides the
 output directory.
 """
@@ -301,7 +302,10 @@ def _run_loop(
 ) -> int:
     """Step, monitor and checkpoint from ``state``; with ``announce``, first
     print the ``initial:`` line from the starting snapshot record.  That
-    record and its margins are taken before any output."""
+    record and its margins are taken before any output.  A blow-up is exit 3
+    with the last finite state's record in ``post_mortem.csv``; so is a
+    monitor that fails on a stepped state (a ValueError or ArithmeticError),
+    with the last good record."""
     stepper = cfg.stepper()
     diss_u = diss_G = 0.0
     gamma, gamma_p = CONVEX_GAMMAS["square"]
@@ -327,6 +331,7 @@ def _run_loop(
         initial = rec = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
         delta_target = solver.delta_star(max(rec.theta_linf, 1e-300), params.beta, cfg.oss_delta_c)
         record(state, rec=rec)
+        rate_u, rate_G = dissipation_rates(state, params)
     if announce:
         print(
             "initial: theta_l2={!r} theta_linf={!r} grad_theta_linf={!r} u_l2={!r}".format(
@@ -334,7 +339,6 @@ def _run_loop(
             )
         )
     os.makedirs(out_dir, exist_ok=True)
-    rate_u, rate_G = dissipation_rates(state, params)
 
     step_count = 0
     cur = state
@@ -365,6 +369,13 @@ def _run_loop(
             fh.write(csv_header() + "\n")
             record(cur, fh)  # the last finite state
         print(f"blow-up abort: {exc} (post-mortem: {post})", file=sys.stderr)
+        return EXIT_BLOWUP
+    except (ValueError, ArithmeticError) as exc:  # a monitor that fails on a stepped state
+        post = os.path.join(out_dir, "post_mortem.csv")
+        with open(post, "w") as fh:
+            fh.write(f"# monitor error at t={cur.t!r}: {exc!r}\n")
+            fh.write(csv_header() + "\n" + rec.csv_row() + "\n")  # the last good record
+        print(f"monitor abort at t={cur.t!r}: {exc!r} (post-mortem: {post})", file=sys.stderr)
         return EXIT_BLOWUP
     solver.write_checkpoint(os.path.join(out_dir, "final.chk"), cur, params)
     print(f"steps={step_count} t_final={_float_fmt(cur.t)}")

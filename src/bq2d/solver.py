@@ -27,23 +27,36 @@ only on arrays the step allocated.  Checkpoints store the coefficients
 bit for bit, which is what makes a split run equal to an unsplit one.
 
 From n = LANE_MIN_N (256) the step runs both halves of each of its four
-independent pairs at the same time (``_pair``): the two Biot-Savart
-inverses, the theta and omega advection terms (each with its products and
-two forward transforms), the predictor's two inverses and the new state's
-two.  The omega half goes to one daemon worker thread, the lane, while the
-caller runs the theta half (and then the omega half too, if the lane has
-not started it); numpy's transforms and array arithmetic release the
-interpreter lock, so the halves use two cores.  Each half is the same
-single-threaded work on the same inputs, so every output is bitwise the
-sequential one and the transform count does not change.  The first pair at
-a grid size also raises glibc's heap trim threshold (``_keep_heap``):
+independent pairs at the same time (``_pair``), and each half carries the
+arithmetic of its field with it:
+
+- velocity: the inverse transform of one Biot-Savart component and its
+  max |u_i|;
+- advection: for theta, -div(u theta) (products and two forward
+  transforms) and whether it is finite; for omega, d1 theta^ - div(u omega)
+  in that order, and whether it is finite;
+- predictor: e (c0 + dt N1) and its checked inverse;
+- new state: the corrector sum e c0 + dt/2 (e N1 + N2) and its checked
+  inverse, and for omega its max |omega|.
+
+The predictor and the new state go into arrays that the caller allocated
+before the pairs, so they stay on the caller's heap.  The caller keeps the
+time-step choice and every blow-up decision, in the sequential order.  The
+omega half goes to one daemon worker thread, the
+lane, while the caller runs the theta half (and then the omega half too, if
+the lane has not started it); numpy's transforms and array arithmetic
+release the interpreter lock, so the halves use two cores.  Each half is the
+same single-threaded work on the same inputs, so every output is bitwise
+the sequential one and the step still makes 16 transforms.  The first pair
+at a grid size also raises glibc's heap trim threshold (``_keep_heap``):
 without that, the two threads' heaps hand their memory back and fault it in
 again every step, which cost more than the overlap saves.  The crossover
-was measured in one process on a 2-vCPU VM, alternating sequential and
-lane runs from the same state (medians of 12 each, three sets): at n = 128
-the lane took 2.5 -> 3.5, 3.9 -> 4.1 and 3.9 -> 3.6 ms per step (faster in
-2, 1 and 10 of 12 runs), no reliable gain; at n = 256 it took 15.3 -> 12.4,
-17.4 -> 12.3 and 17.5 -> 13.1 ms (faster in 8, 11 and 11 of 12).
+was measured in one process on a 2-vCPU VM, alternating sequential and lane
+steps from the same state (medians of 12 each, three sets): at n = 128 the
+lane took 2.21 -> 2.34, 2.95 -> 2.20 and 3.06 -> 2.20 ms per step (faster in
+4, 9 and 12 of 12; a second run read 3, 4 and 7 of 12), no reliable gain;
+at n = 256 it took 11.1 -> 6.3, 11.2 -> 6.1 and 11.1 -> 7.0 ms (faster in
+12, 12 and 11 of 12).
 """
 
 from __future__ import annotations
@@ -244,11 +257,22 @@ def _pair(grid: GridSpec, fa, fb):
 # right-hand side, on half-plane coefficient arrays
 
 
+def _sup_abs(d: np.ndarray) -> float:
+    """max |d|, without an |d| temporary."""
+    return max(d.max(), -d.min())
+
+
 def _velocity(w: np.ndarray, grid: GridSpec):
     """Raw physical (u1, u2) from half-plane vorticity coefficients, for the
-    step (``biot_savart`` is the diagnostics' path)."""
+    step (``biot_savart`` is the diagnostics' path), with max |u| of each."""
     s1, s2 = biot_savart_symbols(grid)
-    return _pair(grid, lambda: irfft2(s1 * w), lambda: irfft2(s2 * w))
+
+    def half(s):
+        u = irfft2(s * w)
+        return u, _sup_abs(u)
+
+    (u1, max1), (u2, max2) = _pair(grid, lambda: half(s1), lambda: half(s2))
+    return (u1, u2), max(max1, max2)
 
 
 def _velocity_l2(state: SimState) -> float:
@@ -266,16 +290,21 @@ def nonstiff_rhs(state: SimState):
     """
     grid = state.grid
     th_hat, w_hat = state.hats
-    u = _velocity(w_hat, grid)
-    u_max = max(np.abs(u[0]).max(), np.abs(u[1]).max())
+    u, u_max = _velocity(w_hat, grid)
     if not math.isfinite(u_max):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
-    n_theta, adv_omega = _pair(
-        grid, lambda: -advection(u, state.theta.values, grid), lambda: advection(u, state.omega.values, grid)
-    )
-    n_omega = derivative_symbols(grid)[0] * th_hat
-    n_omega -= adv_omega
-    if not (np.isfinite(n_theta).all() and np.isfinite(n_omega).all()):
+
+    def theta_half():
+        n_theta = -advection(u, state.theta.values, grid)
+        return n_theta, np.isfinite(n_theta).all()
+
+    def omega_half():
+        n_omega = derivative_symbols(grid)[0] * th_hat
+        n_omega -= advection(u, state.omega.values, grid)
+        return n_omega, np.isfinite(n_omega).all()
+
+    (n_theta, finite_theta), (n_omega, finite_omega) = _pair(grid, theta_half, omega_half)
+    if not (finite_theta and finite_omega):
         raise BlowUpError(state.t, float(np.abs(state.omega.values).max()))
     return n_theta, n_omega, float(u_max)
 
@@ -323,11 +352,6 @@ def _physical_checked(grid: GridSpec, coeffs: np.ndarray, t: float) -> PhysicalF
         raise BlowUpError(t, float(np.abs(finite).max()) if finite.size else math.inf) from None
 
 
-def _physical_pair(grid: GridSpec, th: np.ndarray, w: np.ndarray, t: float):
-    """``_physical_checked`` of theta and omega, as a lane pair."""
-    return _pair(grid, lambda: _physical_checked(grid, th, t), lambda: _physical_checked(grid, w, t))
-
-
 def step(
     state: SimState, params: FlowParams, cfg: StepperConfig, dt: float | None = None, t_stop: float | None = None
 ) -> SimState:
@@ -336,8 +360,8 @@ def step(
     DT_UNDERFLOW, is clipped to end on it."""
     grid = state.grid
     # the new coefficient arrays come first, ahead of every temporary, and the corrector
-    # sums into them with one temporary: each state then takes the place of the one freed
-    # before it, so glibc does not regrow and trim the heap (page faults) every step
+    # sums into them in place: each state then takes the place of the one freed before
+    # it, so glibc does not regrow and trim the heap (page faults) every step
     th_new, w_new = (np.empty_like(c) for c in state.hats)
     n1_theta, n1_omega, u_max = nonstiff_rhs(state)
     if dt is None:
@@ -348,26 +372,44 @@ def step(
     if t_stop is not None and t != t_stop and t_stop - t < DT_UNDERFLOW:
         dt, t = t_stop - state.t, t_stop
     e_theta, e_omega = _integrating_factors(grid, params, dt)
-
     th0, w0 = state.hats
-    th_pred = e_theta * (th0 + dt * n1_theta)
-    w_pred = e_omega * (w0 + dt * n1_omega)
+
+    th_pred, w_pred = (np.empty_like(c) for c in state.hats)  # on the caller's heap, as th_new, w_new
+
+    def predictor(pred, e, c0, n1):
+        """e (c0 + dt N1) into ``pred``, in the order of the out-of-place product, and its checked inverse."""
+        np.multiply(dt, n1, out=pred)
+        np.add(c0, pred, out=pred)
+        np.multiply(e, pred, out=pred)
+        return _physical_checked(grid, pred, t)
+
+    theta, omega = _pair(
+        grid, lambda: predictor(th_pred, e_theta, th0, n1_theta), lambda: predictor(w_pred, e_omega, w0, n1_omega)
+    )
     pred = SimState(grid, (th_pred, w_pred), t)
-    pred.theta, pred.omega = _physical_pair(grid, th_pred, w_pred, t)
+    pred.theta, pred.omega = theta, omega
     n2_theta, n2_omega, _ = nonstiff_rhs(pred)
 
-    # e c0 + dt/2 (e N1 + N2), in the order of the out-of-place sum; every term is
-    # dealiased already: th0, w0 by construction, N1 and N2 by advection
-    for new, e, n1, n2, c0 in ((th_new, e_theta, n1_theta, n2_theta, th0), (w_new, e_omega, n1_omega, n2_omega, w0)):
+    def corrector(new, e, c0, n1, n2):
+        """e c0 + dt/2 (e N1 + N2) into ``new``, in the order of the out-of-place sum
+        (every term is dealiased already: c0 by construction, N1 and N2 by
+        advection), and its checked inverse."""
         np.multiply(e, c0, out=new)
-        half = e * n1
+        half = np.multiply(e, n1, out=n1)  # N1 is spent: its buffer takes the bracket
         half += n2
         half *= 0.5 * dt
         new += half
-    out = SimState(grid, (th_new, w_new), t)
-    out.theta, out.omega = _physical_pair(grid, th_new, w_new, t)
+        return _physical_checked(grid, new, t)
 
-    omega_max = float(max(out.omega.values.max(), -out.omega.values.min()))
+    def omega_corrector():
+        omega = corrector(w_new, e_omega, w0, n1_omega, n2_omega)
+        return omega, float(_sup_abs(omega.values))
+
+    theta, (omega, omega_max) = _pair(
+        grid, lambda: corrector(th_new, e_theta, th0, n1_theta, n2_theta), omega_corrector
+    )
+    out = SimState(grid, (th_new, w_new), t)
+    out.theta, out.omega = theta, omega
     if omega_max > OMEGA_BLOWUP_LIMIT:
         raise BlowUpError(t, omega_max)
     return out
@@ -422,7 +464,7 @@ def g_equation_residual(states, params: FlowParams) -> float:
     dt_g = (compute_G(s2, alpha).values - compute_G(s0, alpha).values) / (dt1 + dt2)
 
     th_hat, w_hat = s1.hats
-    u = _velocity(w_hat, grid)
+    u, _ = _velocity(w_hat, grid)
     adv = advection(u, irfft2(g1), grid)
     diss = params.nu * kpow(grid, alpha) * g1
 
@@ -494,25 +536,67 @@ def _one_of_each_pair(grid: GridSpec) -> np.ndarray:
     return positive[:, None] | ((idx == 0)[:, None] & positive[None, :]) | (own[:, None] & own[None, :])
 
 
-def _sup_abs(d: np.ndarray) -> float:
-    """max |d|, without an |d| temporary."""
-    return max(d.max(), -d.min())
+def _shift_columns(src: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """out[:, c] = src[:, (c + s) % n], as two column-block copies."""
+    n = src.shape[1]
+    s %= n
+    out[:, : n - s] = src[:, s:]
+    out[:, n - s :] = src[:, :s]
+    return out
+
+
+def _disk_dilation(values: np.ndarray, disk: np.ndarray) -> np.ndarray:
+    """max of values(x + h) over the grid shifts h set in ``disk`` (indexed as
+    ``shift_norms``), a set whose column 0 and each row of m shifts are the
+    cyclic intervals of signed offsets [-(m - 1) // 2, m // 2].
+
+    The disk's rows are gathered from one roll of ``values`` by row slices;
+    the column interval of each distinct m is a running maximum over columns,
+    built by doubling from column-block copies into reused buffers.  Every
+    step takes a max, so the result is bitwise that of any other order."""
+    n = len(values)
+    widths = np.count_nonzero(disk, axis=1)
+    rows = int(widths[0])  # the disk's column 0 has as many shifts as its row 0
+    top = (rows - 1) // 2
+    power = np.roll(values, top, axis=0)  # row x + k of it is row x + k - top of values
+    length = 1  # power[:, c] is the max of the rolled values over columns c .. c + length - 1
+    shifted, window = np.empty_like(values), np.empty_like(values)
+    out = np.full_like(values, -np.inf)
+    m_done = 0
+    for k in sorted(range(rows), key=lambda k: widths[(k - top) % n]):
+        m = int(widths[(k - top) % n])
+        if m != m_done:
+            while 2 * length <= m:
+                np.maximum(power, _shift_columns(power, length, shifted), out=power)
+                length *= 2
+            np.maximum(power, _shift_columns(power, m - length, shifted), out=shifted)
+            _shift_columns(shifted, -((m - 1) // 2), window)
+            m_done = m
+        np.maximum(out[: n - k], window[k:], out=out[: n - k])
+        np.maximum(out[n - k :], window[:k], out=out[n - k :])
+    return out
 
 
 def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
-    """Exhaustive oscillation scan: max over grid shifts |h| < L of
-    sup_x |theta(x+h) - theta(x)|.
+    """Oscillation over the disk |h| < L: max over grid shifts of
+    sup_x |theta(x+h) - theta(x)|, taken as
+    max_x (max_{|h| < L} theta(x+h) - theta(x)).
 
-    The values at -h are those at h with the sign flipped, so one shift of
-    each pair is scanned (``_one_of_each_pair``; a shift that is its own
-    mirror is never shorter than L).
+    The two agree bit for bit: the disk holds -h with h, and the difference
+    at -h is the one at h with the sign flipped, so the max of |d| is the
+    max of d; rounding a - b is monotone in a, so the max over h of the
+    rounded differences is the rounded difference of the max over h.  The
+    disk's rows and columns are intervals of shifts (|h| grows with each
+    offset), so the max over h is ``_disk_dilation``'s.
     """
     grid = theta.grid
     if L > grid.side_length / 2.0:
         raise ValueError("L must not exceed half the domain size")
-    tnorm = shift_norms(grid)
-    sups = shift_scan(theta.values, _one_of_each_pair(grid) & (tnorm > 0) & (tnorm < L), _sup_abs)
-    measured = float(sups.max(initial=0.0))
+    disk = shift_norms(grid) < L
+    measured = 0.0
+    if np.count_nonzero(disk) > 1:  # a shift besides h = 0
+        spread = _disk_dilation(theta.values, disk)
+        measured = max(0.0, float(np.subtract(spread, theta.values, out=spread).max()))
     return OssReport(delta_measured=measured, delta_target=delta, L=L, holds=measured <= delta)
 
 
@@ -536,9 +620,9 @@ def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
 
     sup_x (delta_h theta)^2 is bitwise the same at h and -h (the difference
     at -h is the one at h, negated and moved), so one shift of each pair is
-    scanned (``_one_of_each_pair``, as in ``oss_check``) and mirrored to the
-    other.  The scan is ``shift_scan``'s.  max |d| squared equals max d^2
-    bit for bit, because rounding x^2 is monotone in |x|.
+    scanned (``_one_of_each_pair``) and mirrored to the other.  The scan is
+    ``shift_scan``'s.  max |d| squared equals max d^2 bit for bit, because
+    rounding x^2 is monotone in |x|.
     """
     grid = theta.grid
     tnorm = shift_norms(grid)

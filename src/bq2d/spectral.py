@@ -335,9 +335,15 @@ def perp_grad(fh: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 
 def grad_sup(fh: SpectralField) -> float:
-    """sup over the grid of |grad f|."""
+    """sup over the grid of |grad f|.  A max of |grad f|^2 below the smallest
+    normal float, where the squares underflow, is taken again on
+    grad f / max|d_i f| and scaled back."""
     g1, g2 = (to_physical(g).values for g in grad(fh))
-    return math.sqrt(float((g1 * g1 + g2 * g2).max()))
+    top = float((g1 * g1 + g2 * g2).max())
+    if top < sys.float_info.min and (peak := max(np.abs(g1).max(), np.abs(g2).max())) > 0.0:
+        g1, g2 = g1 / peak, g2 / peak
+        return float(peak * math.sqrt(float((g1 * g1 + g2 * g2).max())))
+    return math.sqrt(top)
 
 
 def dealias(fh: SpectralField) -> SpectralField:
@@ -399,8 +405,13 @@ def lp_norm_values(values: np.ndarray, p: float, cell_weight: float) -> float:
 
 
 def l2_norm_spectral(fh: SpectralField) -> float:
-    """L^2 norm via Parseval: L * sqrt(sum |c|^2)."""
-    return float(fh.grid.side_length * math.sqrt(half_plane_sum(np.abs(fh.coeffs) ** 2)))
+    """L^2 norm via Parseval: L * sqrt(sum |c|^2).  A sum below the smallest
+    normal float, where the squares underflow, is taken again on
+    c / max|c| and scaled back."""
+    total = half_plane_sum(np.abs(fh.coeffs) ** 2)
+    if total < sys.float_info.min and (peak := np.abs(fh.coeffs).max()) > 0.0:
+        return float(fh.grid.side_length * peak * math.sqrt(half_plane_sum((np.abs(fh.coeffs) / peak) ** 2)))
+    return float(fh.grid.side_length * math.sqrt(total))
 
 
 def sobolev_norm(fh: SpectralField, s: float, homogeneous: bool = True) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, runs, resume determinism, and the
 verification subcommands."""
 
+import csv
 import dataclasses
 import math
 import pathlib
@@ -11,7 +12,7 @@ import typing
 import numpy as np
 import pytest
 
-from bq2d import solver
+from bq2d import cli, solver
 from bq2d.cli import (
     EXIT_ASSERTION,
     EXIT_BLOWUP,
@@ -258,6 +259,55 @@ class TestRunCommand:
         )
         assert run_main(["run", "--config", str(cfgfile)]) == EXIT_OK
         assert (tmp_path / "from_file" / "diagnostics.csv").exists()
+
+
+    def test_tiny_fields_keep_their_velocity_and_gradient(self, tmp_path):
+        # their squares underflow; the l2 norm and the gradient sup rescale by the peak
+        rows = {}
+        for amplitude in ("1e-130", "1e-170"):
+            out = tmp_path / amplitude
+            assert run_main(["run", "--n", "16", "--amplitude", amplitude, "--n-steps", "1", "--out-dir", str(out)]) == EXIT_OK
+            rows[amplitude] = list(csv.DictReader((out / "diagnostics.csv").open()))
+        assert len(rows["1e-170"]) == 2
+        for big, tiny in zip(rows["1e-130"], rows["1e-170"]):
+            for key in ("theta_l2", "u_l2", "grad_theta_linf"):
+                want = 1e-40 * float(big[key])
+                assert abs(float(tiny[key]) - want) <= 1e-12 * want, key
+
+
+class TestMonitorError:
+    """A monitor that fails on a stepped state: exit 3, one stderr line naming
+    the error, and the last good record in ``post_mortem.csv``."""
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_exit_3_with_the_last_good_record(self, tmp_path, monkeypatch, capsys, command):
+        args = ["--n", "16", "--n-steps", "6", "--dt-init", "0.01", "--diag-every", "1"]
+        argv = ["run"]
+        if command == "resume":
+            assert run_main(["run", *args, "--out-dir", str(tmp_path / "first")]) == EXIT_OK
+            argv = ["resume", str(tmp_path / "first" / "final.chk")]
+        calls = []
+        cordoba_margin = cli.cordoba_margin
+
+        def fails_on_the_fourth_record(*a, **k):  # the initial record and steps 1 and 2 pass
+            calls.append(1)
+            if len(calls) == 4:
+                raise OverflowError("cordoba margin overflows")
+            return cordoba_margin(*a, **k)
+
+        monkeypatch.setattr(cli, "cordoba_margin", fails_on_the_fourth_record)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_main([*argv, *args, "--out-dir", str(out)]) == EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert err.startswith("monitor abort at t=") and err.count("\n") == 1
+        assert "OverflowError('cordoba margin overflows')" in err and str(out / "post_mortem.csv") in err
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        post = (out / "post_mortem.csv").read_text().splitlines()
+        assert len(rows) == 4 and post[1:] == [rows[0], rows[-1]]
+        failed_at = float(post[0].removeprefix("# monitor error at t=").split(":")[0])
+        assert failed_at > float(rows[-1].split(",")[0]) and f"t={failed_at!r}:" in err
+        assert not (out / "final.chk").exists()
 
 
 class TestResume:

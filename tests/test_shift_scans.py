@@ -4,7 +4,9 @@
 (FFT correlations for even p, with a direct fallback) and
 ``solver.oss_weighted_profile`` (one shift of each +-h pair, mirrored) are
 checked against the plain loops over every grid shift, written out here as
-the oracles."""
+the oracles.  ``solver.oss_check``, a dilation of theta by the disk of
+shifts, is checked against the scan of one shift of each pair by
+``shift_scan``."""
 
 import itertools
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from bq2d.lp import besov_norm_fd
-from bq2d.solver import _one_of_each_pair, initial_data, oss_check, oss_weighted_profile
+from bq2d.solver import _one_of_each_pair, _sup_abs, initial_data, oss_check, oss_weighted_profile
 from bq2d.spectral import GridSpec, PhysicalField, constant_field, field_from_function, shift_norms, shift_scan
 
 P_VALUES = (1.0, 2.0, 3.0, 4.0, 6.0, math.inf)
@@ -142,6 +144,72 @@ class TestWeightedProfile:
         radii, sups = oss_weighted_profile(theta, 0.1, 1.0)
         want_radii, want_sups = loop_weighted_profile(theta, 0.1, 1.0)
         assert np.array_equal(radii, want_radii) and np.array_equal(sups, want_sups)
+
+
+def scan_oss(theta, L):
+    """max over one shift of each pair +-h, 0 < |h| < L, of sup_x |theta(x + h) - theta(x)|."""
+    tnorm = shift_norms(theta.grid)
+    mask = _one_of_each_pair(theta.grid) & (tnorm > 0) & (tnorm < L)
+    return float(shift_scan(theta.values, mask, _sup_abs).max(initial=0.0))
+
+
+def _fields(grid):
+    n = grid.n
+    return {
+        "random_band": initial_data("random-band", n, grid).theta,
+        "noise": PhysicalField(grid, np.random.default_rng(n).standard_normal((n, n))),
+        "constant": constant_field(grid, 0.7),
+    }
+
+
+class TestOssDilation:
+    # L = side_length / 2 scans a quarter of all shifts, so at n = 256 it stops at L = 1
+    @pytest.mark.parametrize("n", (16, 32, 64, 128, 256))
+    def test_matches_the_scan_bitwise(self, n):
+        grid = GridSpec(n)
+        radii = [0.5 * grid.spacing, grid.spacing, 1.5 * grid.spacing, 0.2, 1.0]
+        if n <= 128:
+            radii.append(grid.side_length / 2.0)
+        for name, theta in _fields(grid).items():
+            for L in radii:
+                got = oss_check(theta, 1.0, L).delta_measured
+                assert repr(got) == repr(scan_oss(theta, L)), (name, L)
+                assert got == 0.0 if name == "constant" or L <= grid.spacing else got > 0.0
+
+    def test_one_roll_a_call(self, monkeypatch):
+        theta = random_band(64)
+        calls = []
+        roll = np.roll
+        monkeypatch.setattr(np, "roll", lambda *a, **k: calls.append(1) or roll(*a, **k))
+        for L, rolls in ((0.5 * theta.grid.spacing, 0), (0.2, 1), (1.0, 2), (math.pi, 3)):
+            oss_check(theta, 1.0, L)
+            assert len(calls) == rolls, L
+
+    @pytest.mark.parametrize("n, side_length", [(8, 1.0), (10, 3.7), (48, 2 * math.pi), (64, 20.0)])
+    def test_every_disk_is_rows_of_column_intervals(self, n, side_length):
+        # the dilation's premise: row i of the disk |h| < L is the cyclic interval of
+        # m_i signed offsets [-(m_i - 1) // 2, m_i // 2], and so is its column 0
+        grid = GridSpec(n, side_length=side_length)
+        tnorm = shift_norms(grid)
+        for L in [*np.unique(tnorm), np.nextafter(grid.side_length / 2.0, 0.0)]:
+            disk = tnorm < L
+            for line in (*disk, disk[:, 0]):
+                m = np.count_nonzero(line)
+                want = np.zeros(n, dtype=bool)
+                want[np.arange(-((m - 1) // 2), m // 2 + 1) % n] = True
+                assert np.array_equal(line, want if m else line), (L, line)
+
+    def test_scans_of_a_grid_whose_half_side_rounds_down(self):
+        # spacing * n/2 may round below side_length / 2, putting the shift n/2 inside
+        # the disk L = side_length / 2: its rows are then the whole circle
+        rounded = 0
+        for n, side_length in itertools.product(range(8, 40, 2), (0.1, 0.7, 1.0, 3.7)):
+            grid = GridSpec(n, side_length=side_length)
+            theta = initial_data("random-band", 3, grid).theta
+            L = grid.side_length / 2.0
+            rounded += shift_norms(grid)[n // 2, 0] < L
+            assert repr(oss_check(theta, 1.0, L).delta_measured) == repr(scan_oss(theta, L)), (n, side_length)
+        assert rounded  # (26, 3.7) and (38, 0.1)
 
 
 def _masks(n):

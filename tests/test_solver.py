@@ -189,20 +189,54 @@ class TestLane:
         monkeypatch.setattr(solver, "LANE_MIN_N", sys.maxsize)
 
     @staticmethod
-    def _steps(n_steps):
-        state = initial_data("random-band", 5, GridSpec(256))
-        for state in run(state, PARAMS, StepperConfig(dt_init=0.01), n_steps=n_steps):
+    def _steps(n, n_steps, t_end):
+        state = initial_data("random-band", 5, GridSpec(n))
+        for state in run(state, PARAMS, StepperConfig(dt_init=0.01, t_end=t_end), n_steps=n_steps):
             pass
         return state
 
-    def test_lane_is_bitwise_the_sequential_step(self, monkeypatch):
+    # the last case's third step (dt = 0.4 * 2 pi / 256) ends past t_end and is clipped onto it
+    @pytest.mark.parametrize("n, n_steps, t_end", [(256, 10, 1.0), (512, 3, 1.0), (256, None, 0.025)])
+    def test_lane_is_bitwise_the_sequential_step(self, monkeypatch, n, n_steps, t_end):
         assert LANE_MIN_N <= 256
-        lane = self._steps(10)
+        lane = self._steps(n, n_steps, t_end)
         self._sequential(monkeypatch)
-        seq = self._steps(10)
-        assert lane.t == seq.t
+        seq = self._steps(n, n_steps, t_end)
+        assert lane.t == seq.t and (n_steps is not None or lane.t == t_end)
         for a, b in zip((*lane.hats, lane.theta.values, lane.omega.values), (*seq.hats, seq.theta.values, seq.omega.values)):
             assert a.tobytes() == b.tobytes()
+
+    def _blowup(self, monkeypatch, state, dt):
+        """(type, t, omega_max) of the BlowUpError of one step, the same with the lane and in sequential order."""
+        seen = []
+        for sequential in (False, True):
+            if sequential:
+                self._sequential(monkeypatch)
+            with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
+                step(state, PARAMS, StepperConfig(dt_init=0.01), dt=dt)
+            seen.append((type(err.value), err.value.t, err.value.omega_max))
+        assert seen[0] == seen[1]
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "amplitudes, dt, failing",
+        [((0.0, 1e100), 1e200, (False, True)), ((1e150, 1e100), 1e80, (True, False))],
+        ids=["omega_half", "theta_half"],
+    )
+    def test_nonfinite_predictor_half_matches_the_sequential_one(self, monkeypatch, amplitudes, dt, failing):
+        hats = (amplitudes[k] * initial_data("random-band", 5, self.GRID).hats[k] for k in (0, 1))
+        state = SimState(self.GRID, tuple(hats))
+        n_theta, n_omega, _ = solver.nonstiff_rhs(state)
+        factors = solver._integrating_factors(self.GRID, PARAMS, dt)
+        with np.errstate(all="ignore"):
+            preds = [irfft2(e * (c0 + dt * n1)) for e, c0, n1 in zip(factors, state.hats, (n_theta, n_omega))]
+        assert tuple(not np.isfinite(p).all() for p in preds) == failing
+        assert self._blowup(monkeypatch, state, dt)[1] == dt
+
+    def test_omega_limit_in_the_corrector_half_matches_the_sequential_one(self, monkeypatch):
+        state = initial_data("random-band", 5, self.GRID, amplitude=2e8)
+        _, t, omega_max = self._blowup(monkeypatch, state, 1e-6)
+        assert t == 1e-6 and solver.OMEGA_BLOWUP_LIMIT < omega_max < math.inf
 
     def test_first_failure_is_raised_and_the_lane_stays_clean(self):
         def fail(msg):
@@ -288,7 +322,7 @@ class TestLane:
         assert held == [(True, True)]
 
     def test_one_daemon_lane_thread(self):
-        self._steps(12)
+        self._steps(256, 12, 1.0)
         threads = _lane_threads()
         assert len(threads) == 1
         assert threads[0].daemon

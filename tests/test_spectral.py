@@ -20,6 +20,7 @@ from bq2d.spectral import (
     field_from_function,
     fractional_laplacian,
     grad,
+    grad_sup,
     half_plane_sum,
     image_distance2,
     irfft2,
@@ -288,6 +289,16 @@ class TestDealiasGradNorms:
         f = random_band_field(G32, 1, 8, np.random.default_rng(5))
         got = lp_norm(PhysicalField(G32, scale * f.values), p)
         assert abs(got - scale * lp_norm(f, p)) <= 1e-12 * scale * lp_norm(f, p)
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-170, 1e-200, 1e-300])
+    def test_l2_and_gradient_sup_of_a_field_too_small_to_square(self, scale):
+        # |c|^2 and |grad f|^2 underflow: each is taken again on the field over its peak
+        fh = to_spectral(random_band_field(G32, 1, 8, np.random.default_rng(5)))
+        tiny = SpectralField(G32, scale * fh.coeffs)
+        for norm in (l2_norm_spectral, grad_sup):
+            assert abs(norm(tiny) - scale * norm(fh)) <= 1e-12 * scale * norm(fh), norm
+        zero = SpectralField(G32, np.zeros_like(fh.coeffs))
+        assert l2_norm_spectral(zero) == grad_sup(zero) == 0.0
 
     def test_lp_norm_rejects_small_p(self):
         with pytest.raises(ValueError):
