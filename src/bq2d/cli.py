@@ -310,16 +310,16 @@ def _run_loop(
     diss_u = diss_G = 0.0
     gamma, gamma_p = CONVEX_GAMMAS["square"]
     worst = dict.fromkeys(("margin_maxprinciple_l2", "margin_maxprinciple_linf", "margin_energy_linear"), 0.0)
+    initial = None
 
-    def record(st, fh=None, rec=None):
-        """The snapshot record of ``st`` (``rec`` when the caller holds it) with
-        its margins, written as one CSV row to ``fh`` when given; updates the
-        running worst margins."""
-        if rec is None:
-            rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-        bound_margins(rec, initial)
+    def record(st, fh=None):
+        """The snapshot record of ``st`` with its margins (against the initial
+        record, or itself when it is the initial one), written as one CSV row
+        to ``fh`` when given; updates the running worst margins."""
+        rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
+        bound_margins(rec, rec if initial is None else initial)
         rec.cordoba_min = cordoba_margin(st.theta, params.beta, gamma, gamma_p, st.hats[0])
-        rec.oss_delta_measured = solver.oss_check(st.theta, delta_target, cfg.oss_L).delta_measured
+        rec.oss_delta_measured = solver.oss_check(st.theta, cfg.oss_L)
         for key in worst:
             worst[key] = min(worst[key], getattr(rec, key))
         if fh is not None:
@@ -327,10 +327,15 @@ def _run_loop(
             fh.flush()
         return rec
 
+    def post_mortem(comment, rec):
+        """``post_mortem.csv``: a ``# comment`` line, the CSV header and ``rec``'s row; returns its path."""
+        path = os.path.join(out_dir, "post_mortem.csv")
+        with open(path, "w") as fh:
+            fh.write(f"# {comment}\n{csv_header()}\n{rec.csv_row()}\n")
+        return path
+
     with _initial_monitors():
-        initial = rec = snapshot_record(state, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-        delta_target = solver.delta_star(max(rec.theta_linf, 1e-300), params.beta, cfg.oss_delta_c)
-        record(state, rec=rec)
+        initial = rec = record(state)
         rate_u, rate_G = dissipation_rates(state, params)
     if announce:
         print(
@@ -363,18 +368,11 @@ def _run_loop(
             if step_count % cfg.diag_every != 0:
                 rec = record(cur, csv)
     except solver.BlowUpError as exc:
-        post = os.path.join(out_dir, "post_mortem.csv")
-        with open(post, "w") as fh:
-            fh.write(f"# blow-up at t={exc.t!r} max_omega={exc.omega_max!r}\n")
-            fh.write(csv_header() + "\n")
-            record(cur, fh)  # the last finite state
+        post = post_mortem(f"blow-up at t={exc.t!r} max_omega={exc.omega_max!r}", record(cur))  # the last finite state
         print(f"blow-up abort: {exc} (post-mortem: {post})", file=sys.stderr)
         return EXIT_BLOWUP
     except (ValueError, ArithmeticError) as exc:  # a monitor that fails on a stepped state
-        post = os.path.join(out_dir, "post_mortem.csv")
-        with open(post, "w") as fh:
-            fh.write(f"# monitor error at t={cur.t!r}: {exc!r}\n")
-            fh.write(csv_header() + "\n" + rec.csv_row() + "\n")  # the last good record
+        post = post_mortem(f"monitor error at t={cur.t!r}: {exc!r}", rec)  # the last good record
         print(f"monitor abort at t={cur.t!r}: {exc!r} (post-mortem: {post})", file=sys.stderr)
         return EXIT_BLOWUP
     solver.write_checkpoint(os.path.join(out_dir, "final.chk"), cur, params)
@@ -525,7 +523,7 @@ def cmd_inequality_suite(args) -> int:
 
     if m0 > 0:
         L = min(delta / (4.0 * m0), grid.side_length / 2.0)
-        checks.add("oss_lipschitz_choice", solver.oss_check(final.theta, delta, L).delta_measured, delta)
+        checks.add("oss_lipschitz_choice", solver.oss_check(final.theta, L), delta)
 
     try:
         check_lq_index(params.alpha, index_window(params.alpha).q0 + 0.1)

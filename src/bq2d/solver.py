@@ -51,12 +51,11 @@ the sequential one and the step still makes 16 transforms.  The first pair
 at a grid size also raises glibc's heap trim threshold (``_keep_heap``):
 without that, the two threads' heaps hand their memory back and fault it in
 again every step, which cost more than the overlap saves.  The crossover
-was measured in one process on a 2-vCPU VM, alternating sequential and lane
-steps from the same state (medians of 12 each, three sets): at n = 128 the
-lane took 2.21 -> 2.34, 2.95 -> 2.20 and 3.06 -> 2.20 ms per step (faster in
-4, 9 and 12 of 12; a second run read 3, 4 and 7 of 12), no reliable gain;
-at n = 256 it took 11.1 -> 6.3, 11.2 -> 6.1 and 11.1 -> 7.0 ms (faster in
-12, 12 and 11 of 12).
+was measured on a 2-vCPU VM with each mode in a process of its own (the
+median of 60 steps after 10 warm-up steps, six rounds alternating which mode
+ran first): at n = 128 a sequential step took 2.01-2.08 ms and a lane step
+1.57-2.37 ms, faster in 2 of 6 rounds, so no reliable gain; at n = 256 a
+sequential step took 7.4-8.6 ms and a lane step 4.2-4.7 ms, faster in 6 of 6.
 """
 
 from __future__ import annotations
@@ -96,6 +95,7 @@ from .spectral import (
     random_band_field,
     rfft2,
     riesz_alpha,
+    shift_columns,
     shift_norms,
     shift_scan,
     to_physical,
@@ -160,14 +160,6 @@ class StepperConfig:
             raise ValueError(f"dt_init must be >= {DT_UNDERFLOW:g} and t_end positive")
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError("cfl_number must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class OssReport:
-    delta_measured: float
-    delta_target: float
-    L: float
-    holds: bool
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +528,6 @@ def _one_of_each_pair(grid: GridSpec) -> np.ndarray:
     return positive[:, None] | ((idx == 0)[:, None] & positive[None, :]) | (own[:, None] & own[None, :])
 
 
-def _shift_columns(src: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
-    """out[:, c] = src[:, (c + s) % n], as two column-block copies."""
-    n = src.shape[1]
-    s %= n
-    out[:, : n - s] = src[:, s:]
-    out[:, n - s :] = src[:, :s]
-    return out
-
-
 def _disk_dilation(values: np.ndarray, disk: np.ndarray) -> np.ndarray:
     """max of values(x + h) over the grid shifts h set in ``disk`` (indexed as
     ``shift_norms``), a set whose column 0 and each row of m shifts are the
@@ -567,18 +550,19 @@ def _disk_dilation(values: np.ndarray, disk: np.ndarray) -> np.ndarray:
         m = int(widths[(k - top) % n])
         if m != m_done:
             while 2 * length <= m:
-                np.maximum(power, _shift_columns(power, length, shifted), out=power)
+                np.maximum(power, shift_columns(power, length, shifted), out=power)
                 length *= 2
-            np.maximum(power, _shift_columns(power, m - length, shifted), out=shifted)
-            _shift_columns(shifted, -((m - 1) // 2), window)
+            np.maximum(power, shift_columns(power, m - length, shifted), out=shifted)
+            shift_columns(shifted, -((m - 1) // 2), window)
             m_done = m
         np.maximum(out[: n - k], window[k:], out=out[: n - k])
         np.maximum(out[n - k :], window[:k], out=out[n - k :])
     return out
 
 
-def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
-    """Oscillation over the disk |h| < L: max over grid shifts of
+def oss_check(theta: PhysicalField, L: float) -> float:
+    """Oscillation over the disk |h| < L, the spread that the only-small-shocks
+    threshold is compared with: max over grid shifts of
     sup_x |theta(x+h) - theta(x)|, taken as
     max_x (max_{|h| < L} theta(x+h) - theta(x)).
 
@@ -593,11 +577,10 @@ def oss_check(theta: PhysicalField, delta: float, L: float) -> OssReport:
     if L > grid.side_length / 2.0:
         raise ValueError("L must not exceed half the domain size")
     disk = shift_norms(grid) < L
-    measured = 0.0
-    if np.count_nonzero(disk) > 1:  # a shift besides h = 0
-        spread = _disk_dilation(theta.values, disk)
-        measured = max(0.0, float(np.subtract(spread, theta.values, out=spread).max()))
-    return OssReport(delta_measured=measured, delta_target=delta, L=L, holds=measured <= delta)
+    if np.count_nonzero(disk) < 2:  # no shift besides h = 0
+        return 0.0
+    spread = _disk_dilation(theta.values, disk)
+    return max(0.0, float(np.subtract(spread, theta.values, out=spread).max()))
 
 
 def delta_star(theta0_sup: float, beta: float, C_user: float) -> float:

@@ -223,21 +223,27 @@ def shift_norms(grid: GridSpec) -> np.ndarray:
     return _read_only(np.hypot(t[:, None], t[None, :]))
 
 
+def shift_columns(src: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """out[:, c] = src[:, (c + s) % n], as two column-block copies."""
+    n = src.shape[1]
+    s %= n
+    out[:, : n - s] = src[:, s:]
+    out[:, n - s :] = src[:, :s]
+    return out
+
+
 def shift_scan(values: np.ndarray, mask: np.ndarray, reduce) -> np.ndarray:
     """reduce(values(. + h) - values) for each grid shift h set in ``mask``
     (indexed as ``shift_norms``), in ``np.argwhere`` order.  One roll per row
     shift; each column shift is copied into one reused buffer as two column
     blocks and differenced there in place (a strided operand would halve the
     subtraction's speed): bit for bit the rolled difference, in memory order."""
-    n = values.shape[1]
     diff = np.empty_like(values)
     out = []
     for i in np.flatnonzero(mask.any(axis=1)):
         rolled = np.roll(values, -i, axis=0)
         for j in np.flatnonzero(mask[i]).tolist():
-            diff[:, : n - j] = rolled[:, j:]
-            diff[:, n - j :] = rolled[:, :j]
-            out.append(reduce(np.subtract(diff, values, out=diff)))
+            out.append(reduce(np.subtract(shift_columns(rolled, j, diff), values, out=diff)))
     return np.array(out, dtype=float)
 
 

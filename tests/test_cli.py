@@ -226,12 +226,11 @@ class TestRunCommand:
         "argv, cause",
         [
             (["run", "--side-length", "1e300", "--out-dir"], "finite quadrature weight (side_length / n)^2"),
-            (["run", "--amplitude", "1e-300", "--critical", "false", "--beta", "0.9", "--out-dir"], "shock threshold"),
             (["inequality-suite", "--amplitude", "1e-155", "--critical", "false", "--beta", "1", "--out"], "shock threshold"),
         ],
     )
     def test_overflow_names_its_cause(self, tmp_path, cli_env, argv, cause):
-        # the two run cases once printed only the raw OverflowError tuple
+        # the run case once printed only the raw OverflowError tuple
         # (34, 'Numerical result out of range'), the suite a traceback
         out = tmp_path / "o"
         command, *flags = argv
@@ -240,6 +239,23 @@ class TestRunCommand:
         assert r.returncode == EXIT_CONFIG
         assert r.stderr.startswith("config error:") and cause in r.stderr and r.stderr.count("\n") == 1, r.stderr
         assert r.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "0.1", "--amplitude", "0"],
+            ["--amplitude", "1e-300", "--critical", "false", "--beta", "0.9"],
+        ],
+    )
+    def test_fields_whose_shock_threshold_overflows_run(self, tmp_path, cli_env, flags):
+        # run records the measured spread only; the threshold C ||theta0||_inf^(-2 beta/(2 - beta)),
+        # which overflows here, is inequality-suite's alone, so these runs were once refused
+        out = tmp_path / "o"
+        cmd = [sys.executable, "-m", "bq2d.cli", "run", "--n", "16", *flags, "--n-steps", "1", "--out-dir", str(out)]
+        r = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert r.returncode == EXIT_OK and r.stderr == "", r.stderr
+        rows = list(csv.reader((out / "diagnostics.csv").open()))[1:]
+        assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row), rows
 
     @pytest.mark.parametrize("n_steps, rows", [(5, 4), (4, 3)])
     def test_final_row_written_once(self, tmp_path, n_steps, rows):

@@ -172,7 +172,7 @@ class TestOssDilation:
             radii.append(grid.side_length / 2.0)
         for name, theta in _fields(grid).items():
             for L in radii:
-                got = oss_check(theta, 1.0, L).delta_measured
+                got = oss_check(theta, L)
                 assert repr(got) == repr(scan_oss(theta, L)), (name, L)
                 assert got == 0.0 if name == "constant" or L <= grid.spacing else got > 0.0
 
@@ -182,7 +182,7 @@ class TestOssDilation:
         roll = np.roll
         monkeypatch.setattr(np, "roll", lambda *a, **k: calls.append(1) or roll(*a, **k))
         for L, rolls in ((0.5 * theta.grid.spacing, 0), (0.2, 1), (1.0, 2), (math.pi, 3)):
-            oss_check(theta, 1.0, L)
+            oss_check(theta, L)
             assert len(calls) == rolls, L
 
     @pytest.mark.parametrize("n, side_length", [(8, 1.0), (10, 3.7), (48, 2 * math.pi), (64, 20.0)])
@@ -208,7 +208,7 @@ class TestOssDilation:
             theta = initial_data("random-band", 3, grid).theta
             L = grid.side_length / 2.0
             rounded += shift_norms(grid)[n // 2, 0] < L
-            assert repr(oss_check(theta, 1.0, L).delta_measured) == repr(scan_oss(theta, L)), (n, side_length)
+            assert repr(oss_check(theta, L)) == repr(scan_oss(theta, L)), (n, side_length)
         assert rounded  # (26, 3.7) and (38, 0.1)
 
 
@@ -231,7 +231,7 @@ SCANS = {
         lambda grid, t: _one_of_each_pair(grid) & (t <= grid.side_length / 2.0),
     ),
     "oss_check": (
-        lambda theta: oss_check(theta, 1.0, 1.0),
+        lambda theta: oss_check(theta, 1.0),
         lambda grid, t: _one_of_each_pair(grid) & (t > 0) & (t < 1.0),
     ),
     "besov_norm_fd_p3": (
@@ -258,7 +258,7 @@ class TestShiftScan:
     def test_empty_mask_and_an_oss_check_without_shifts(self):
         theta = random_band(32)
         assert shift_scan(theta.values, _masks(32)["empty"], np.max).shape == (0,)
-        assert oss_check(theta, 1.0, 0.5 * theta.grid.spacing).delta_measured == 0.0
+        assert oss_check(theta, 0.5 * theta.grid.spacing) == 0.0
 
     @pytest.mark.parametrize("name", list(SCANS))
     def test_one_roll_per_row_shift(self, monkeypatch, name):

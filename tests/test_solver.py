@@ -3,7 +3,9 @@ scan, and checkpoint round trips."""
 
 import math
 import pathlib
+import platform
 import struct
+import subprocess
 import sys
 import threading
 import zlib
@@ -327,6 +329,30 @@ class TestLane:
         assert len(threads) == 1
         assert threads[0].daemon
 
+    # 10 warm-up steps, then the minor page faults of 60 more (rusage counts the whole process)
+    _FAULTS = """
+import resource
+from bq2d.solver import StepperConfig, initial_data, step
+from bq2d.spectral import FlowParams, GridSpec
+state = initial_data("random-band", 0, GridSpec(256))
+params, cfg = FlowParams(1.0, 1.0, 0.9, 0.1), StepperConfig(0.01, 0.4, 1e9)
+for k in range(70):
+    if k == 10:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    state = step(state, params, cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 60)
+"""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="_keep_heap works through glibc's heap thresholds")
+    def test_warm_lane_steps_keep_their_heap(self, cli_env):
+        # without _keep_heap both threads' heaps hand their memory back and fault it in
+        # again, 38-380 faults a step against 0-4.3 with it; but about one process in
+        # twenty stays quiet without it, so two children must both stay quiet
+        for _ in range(2):
+            r = subprocess.run([sys.executable, "-c", self._FAULTS], capture_output=True, text=True, env=cli_env)
+            assert r.returncode == 0, r.stderr
+            assert float(r.stdout) <= 20.0
+
     def test_concurrent_callers_get_their_own_results(self):
         # more callers than cores, with frequent thread switches: each result
         # must come back to the call that made it
@@ -530,16 +556,15 @@ class TestInitialData:
 
 class TestOss:
     def test_constant_always_holds(self):
-        rep = oss_check(constant_field(G64, 4.0), delta=1e-12, L=1.0)
-        assert rep.holds and rep.delta_measured == 0.0
+        assert oss_check(constant_field(G64, 4.0), L=1.0) == 0.0
 
     def test_lipschitz_choice_has_margin(self):
         # |sin Lipschitz constant 1; L = delta/4 keeps the oscillation <= delta/4
         theta = field_from_function(G64, lambda x1, x2: np.sin(x1))
         delta = 0.8
-        rep = oss_check(theta, delta=delta, L=delta / 4.0)
-        assert rep.holds
-        assert rep.delta_measured <= delta / 4.0 + 1e-12
+        measured = oss_check(theta, L=delta / 4.0)
+        assert measured <= delta
+        assert measured <= delta / 4.0 + 1e-12
 
     @staticmethod
     def _manual_scan(theta, L):
@@ -561,24 +586,23 @@ class TestOss:
     def test_exhaustive_scan_matches_manual(self):
         g = GridSpec(16)
         theta = field_from_function(g, lambda x1, x2: np.sin(x1))
-        rep = oss_check(theta, delta=10.0, L=1.0)
-        assert abs(rep.delta_measured - self._manual_scan(theta, 1.0)) <= 1e-14
+        assert abs(oss_check(theta, L=1.0) - self._manual_scan(theta, 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("n, L", [(32, 2 * math.pi), (64, 2 * math.pi), (32, 3.7), (64, 20.0)])
     def test_half_scan_is_bitwise_the_full_scan(self, n, L):
         grid = GridSpec(n, side_length=L)
         theta = initial_data("random-band", n, grid).theta
         for radius in (1.5 * grid.spacing, 0.1 * L, 0.37 * L, 0.5 * L):
-            assert oss_check(theta, 1.0, radius).delta_measured == self._manual_scan(theta, radius)
+            assert oss_check(theta, radius) == self._manual_scan(theta, radius)
 
     def test_monotone_in_L(self):
         theta = field_from_function(G64, lambda x1, x2: np.sin(x1) + 0.3 * np.sin(3 * x2))
-        vals = [oss_check(theta, 10.0, L).delta_measured for L in (0.3, 0.6, 1.2)]
+        vals = [oss_check(theta, L) for L in (0.3, 0.6, 1.2)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_L_bounded_by_half_domain(self):
         with pytest.raises(ValueError):
-            oss_check(constant_field(G64, 0.0), 1.0, 4.0)
+            oss_check(constant_field(G64, 0.0), 4.0)
 
 
 class TestDeltaStar:
