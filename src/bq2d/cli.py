@@ -297,16 +297,14 @@ def _check_addressable(n: int, side: int) -> None:
         raise ConfigError(f"n={n} is too large: a {side} x {side} grid exceeds numpy's addressable size")
 
 
-def _run_loop(
-    cfg: RunConfig, state: solver.SimState, params: FlowParams, out_dir: str, announce: bool = False
-) -> int:
-    """Step, monitor and checkpoint from ``state``; with ``announce``, first
-    print the ``initial:`` line from the starting snapshot record.  That
-    record and its margins are taken before any output.  A blow-up is exit 3
-    with the last finite state's record in ``post_mortem.csv``; so is a
-    monitor that fails on a stepped state (a ValueError or ArithmeticError),
-    with the last good record."""
-    stepper = cfg.stepper()
+def _run_loop(cfg: RunConfig, state: solver.SimState, announce: bool = False) -> int:
+    """Step, monitor and checkpoint from ``state`` into ``cfg.out_dir``; with
+    ``announce``, first print the ``initial:`` line from the starting snapshot
+    record.  That record and its margins are taken before any output.  A
+    blow-up is exit 3 with the last finite state's record in
+    ``post_mortem.csv``; so is a monitor that fails on a stepped state (a
+    ValueError or ArithmeticError), with the last good record."""
+    params, stepper, out_dir = cfg.flow_params(), cfg.stepper(), cfg.out_dir
     diss_u = diss_G = 0.0
     gamma, gamma_p = CONVEX_GAMMAS["square"]
     worst = dict.fromkeys(("margin_maxprinciple_l2", "margin_maxprinciple_linf", "margin_energy_linear"), 0.0)
@@ -390,7 +388,7 @@ def cmd_run(args) -> int:
     cfg = build_config(args.config, _collect_overrides(args))
     _check_output(cfg.out_dir, directory=True)
     state = solver.initial_data(cfg.init_kind, cfg.seed, cfg.grid(), cfg.amplitude)
-    return _run_loop(cfg, state, cfg.flow_params(), cfg.out_dir, announce=True)
+    return _run_loop(cfg, state, announce=True)
 
 
 def cmd_resume(args) -> int:
@@ -405,7 +403,7 @@ def cmd_resume(args) -> int:
     if grid != state.grid:  # a flag changed the side length or the dealias fraction
         keep = dealias_mask(grid)
         state = solver.SimState(grid, tuple(np.where(keep, c, 0.0) for c in state.hats), state.t)
-    return _run_loop(cfg, state, cfg.flow_params(), cfg.out_dir)
+    return _run_loop(cfg, state)
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +487,20 @@ def cmd_inequality_suite(args) -> int:
         m0 = rec0.grad_theta_linf
         delta = solver.delta_star(rec0.theta_linf, params.beta, cfg.oss_delta_c) if m0 > 0 else 0.0
 
-    snapshots = [state]
+    # keeps the last state and every stride-th from t = 0, at most 5; to t_end, a first pass counts
+    steps = lambda: solver.run(state, params, cfg.stepper(), n_steps=cfg.n_steps)
+    picks, final = [state], state
     try:
-        for st in solver.run(state, params, cfg.stepper(), n_steps=cfg.n_steps):
-            snapshots.append(st)
+        count = cfg.n_steps or sum(1 for _ in steps())  # a given n_steps is >= 1
+        stride = max(1, (count + 1) // 4)  # of the count + 1 states
+        for i, final in enumerate(steps(), 1):
+            if i % stride == 0 and len(picks) < 5:
+                picks.append(final)
     except solver.BlowUpError as exc:
         print(f"blow-up abort: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    picks = snapshots[:: max(1, len(snapshots) // 4)][:5]
 
     checks = _CheckTable()
-    final = snapshots[-1]
     rec = snapshot_record(final, params, cfg.monitor_q, cfg.monitor_s, 0.0, 0.0)
     bound_margins(rec, rec0)
     band = 1e-6 * (1.0 + final.t)

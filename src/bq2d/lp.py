@@ -3,8 +3,9 @@
 Dyadic blocks come in two variants:
 
 * ``sharp`` (default): block j keeps exactly the modes with
-  2^j <= |k| < 2^{j+1}; the blocks partition the retained modes, so the
-  reconstruction sum equals the field coefficient-by-coefficient.
+  2^j <= |k| < 2^{j+1}, a mask of the cached per-mode band index; the blocks
+  partition the retained modes, so the reconstruction sum equals the field
+  coefficient-by-coefficient.
 * ``smooth``: a fixed C-infinity radial bump supported in the annulus
   2^{j-1} <= |k| <= 2^{j+1}; the weights telescope to 1 on every nonzero
   mode of the grid.
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,7 +77,6 @@ from .spectral import (
     shift_norms,
     shift_scan,
     sobolev_norm,
-    spectral_product,
     to_physical,
     to_spectral,
     wavevectors,
@@ -168,13 +167,6 @@ def lr_combine(values: list[float], r: float) -> float:
         raise ValueError(f"the l^{r!r} sum of the block norms overflows") from exc
 
 
-@lru_cache(maxsize=64)
-def _band_flat_indices(grid: GridSpec) -> tuple[tuple[int, np.ndarray], ...]:
-    """(j, read-only flat half-plane indices of sharp band j), j = -1 .. max_band_index."""
-    flat = _band_indices(grid).ravel()
-    return tuple((j, _read_only(np.flatnonzero(flat == j))) for j in range(-1, max_band_index(grid) + 1))
-
-
 _BOUND_MARGIN = 1.0 + 1e-9  # the rounding allowance of a band bound (module docstring)
 _SQUARES_FLOOR = np.finfo(float).tiny / np.finfo(float).eps  # 2^-970: below it, S2's underflow can pass rounding
 
@@ -198,23 +190,10 @@ def _weighted_norm(j: int, coeffs: np.ndarray, grid: GridSpec, idx: BesovIndex) 
     return value
 
 
-def _sharp_norms(fh: SpectralField, idx: BesovIndex, bands) -> Iterator[tuple[int, float]]:
-    """(j, 2^{js} ||Delta_j f||_p) of the sharp ``bands``, (j, flat indices) pairs, lazily
-    in their order; each is scattered into one zeroed buffer, zeroed again after."""
-    buf = np.zeros_like(fh.coeffs, order="C")
-    flat, buf_flat = fh.coeffs.ravel(), buf.reshape(-1)
-    for j, ind in bands:
-        buf_flat[ind] = flat[ind]
-        yield j, _weighted_norm(j, buf, fh.grid, idx)
-        buf_flat[ind] = 0.0
-
-
 def block_norms(fh: SpectralField, idx: BesovIndex, smooth: bool = False) -> list[tuple[int, float]]:
     """(j, 2^{js} ||Delta_j f||_p) for every block of ``dyadic_blocks``: the
     per-band routine of ``besov_norm`` and ``bq2d besov``."""
-    if smooth:
-        return [(b.j, _weighted_norm(b.j, b.band.coeffs, fh.grid, idx)) for b in dyadic_blocks(fh, smooth=True)]
-    return list(_sharp_norms(fh, idx, _band_flat_indices(fh.grid)))
+    return [(b.j, _weighted_norm(b.j, b.band.coeffs, fh.grid, idx)) for b in dyadic_blocks(fh, smooth)]
 
 
 def _band_bounds(fh: SpectralField, idx: BesovIndex) -> np.ndarray:
@@ -224,7 +203,7 @@ def _band_bounds(fh: SpectralField, idx: BesovIndex) -> np.ndarray:
     mag = np.abs(fh.coeffs)
     mirror = np.full(mag.shape[1], 2.0)
     mirror[[0, -1]] = 1.0
-    bins = _band_indices(grid).ravel() + 1  # band j in bin j + 1, one bin per band of _band_flat_indices
+    bins = _band_indices(grid).ravel() + 1  # band j in bin j + 1
     a = max(0.0, 1.0 - 2.0 * _inv(idx.p))
     with np.errstate(over="ignore", invalid="ignore"):  # a bound past the float range sends besov_norm to j order
         s1 = np.bincount(bins, (mag * mirror).ravel())
@@ -239,12 +218,12 @@ def _sharp_sup(fh: SpectralField, idx: BesovIndex) -> float:
     bounds = _band_bounds(fh, idx)
     if not np.all(np.isfinite(bounds)):
         raise ValueError("a band bound is past the float range")
-    bands = _band_flat_indices(fh.grid)
+    band = _band_indices(fh.grid)
     best = 0.0
-    # the filter reads ``best`` as each band is drawn; bounds fall, so it stops at the first failure
-    order = (bands[i] for i in np.argsort(-bounds, kind="stable") if bounds[i] * _BOUND_MARGIN >= best)
-    for _, value in _sharp_norms(fh, idx, order):
-        best = max(best, value)
+    for i in np.argsort(-bounds, kind="stable").tolist():  # band j = i - 1
+        if bounds[i] * _BOUND_MARGIN < best:  # bounds fall, so no later band can reach ``best``
+            break
+        best = max(best, _weighted_norm(i - 1, np.where(band == i - 1, fh.coeffs, 0.0), fh.grid, idx))
     return best
 
 
@@ -404,7 +383,8 @@ def commutator_multiplier(f: PhysicalField, g: PhysicalField, alpha: float) -> P
     """[R_alpha, f] g = R_alpha(f g) - f R_alpha(g), dealiased products."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch in commutator_multiplier")
-    comm = riesz_commutator(lambda h: spectral_product(f, h).coeffs, dealias(to_spectral(g)), alpha)
+    product = lambda h: dealias(to_spectral(PhysicalField(f.grid, f.values * h.values))).coeffs
+    comm = riesz_commutator(product, dealias(to_spectral(g)), alpha)
     return to_physical(mean_free(SpectralField(f.grid, comm)))
 
 
@@ -481,9 +461,11 @@ def convolution_commutator_ratio(
     lhs = lp_norm(lhs_field, q)
     weight = shift_norms(grid) ** (delta + 2.0 / r1)
     phi_norm = lp_norm(PhysicalField(grid, weight * phi.values), r2)
-    f_norm = besov_norm_fd(f, delta, q1, r1, homogeneous=True) if delta < 1.0 else lp_norm(
-        to_physical(grad(to_spectral(f))[0]), q1
-    )
+    if delta < 1.0:
+        f_norm = besov_norm_fd(f, delta, q1, r1, homogeneous=True)
+    else:  # ||f||_{Bdot^1} as || |grad f| ||_{q1}
+        d1, d2 = (to_physical(d).values for d in grad(to_spectral(f)))
+        f_norm = lp_norm(PhysicalField(grid, np.hypot(d1, d2)), q1)
     rhs = phi_norm * f_norm * lp_norm(g, q2)
     if rhs == 0.0:
         return 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -286,7 +286,6 @@ def frac_kernel_constant(beta: float) -> float:
     )
 
 
-@lru_cache(maxsize=32)
 def _dirichlet_kernel_fft(grid: GridSpec, beta: float):
     """Half-plane transform of the truncated Dirichlet-form weights
     w(z) = |z|^{-2-beta} h^2 (0 < |z| <= L/2) times the point count n^2 (so
@@ -295,9 +294,7 @@ def _dirichlet_kernel_fft(grid: GridSpec, beta: float):
     w = np.zeros_like(tnorm)
     mask = (tnorm > 0) & (tnorm <= grid.side_length / 2.0)
     w[mask] = tnorm[mask] ** (-2.0 - beta) * grid.cell_weight
-    w_hat = rfft2(w) * grid.n**2
-    w_hat.flags.writeable = False
-    return w_hat, float(w.sum())
+    return rfft2(w) * grid.n**2, float(w.sum())
 
 
 def dirichlet_form(g: np.ndarray, grid: GridSpec, beta: float, constant: float) -> np.ndarray:

@@ -301,16 +301,6 @@ def nonstiff_rhs(state: SimState):
     return n_theta, n_omega, float(u_max)
 
 
-def rhs(state: SimState, params: FlowParams):
-    """Full tendencies (d theta^/dt, d omega^/dt) including dissipation."""
-    n_theta, n_omega, _ = nonstiff_rhs(state)
-    grid = state.grid
-    th_hat, w_hat = state.hats
-    d_theta = n_theta - params.kappa * kpow(grid, params.beta) * th_hat
-    d_omega = n_omega - params.nu * kpow(grid, params.alpha) * w_hat
-    return SpectralField(grid, d_theta), SpectralField(grid, d_omega)
-
-
 @lru_cache(maxsize=2)
 def _integrating_factors(grid: GridSpec, params: FlowParams, dt: float):
     """Read-only exp(-c dt |k|^g) of theta and omega; a run's dt mostly repeats."""

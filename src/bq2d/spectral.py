@@ -363,13 +363,6 @@ def mean_free(fh: SpectralField) -> SpectralField:
     return SpectralField(fh.grid, coeffs)
 
 
-def spectral_product(a: PhysicalField, b: PhysicalField) -> SpectralField:
-    """Dealiased transform of the pointwise product a*b."""
-    if a.grid != b.grid:
-        raise ValueError("grid mismatch in spectral_product")
-    return dealias(to_spectral(PhysicalField(a.grid, a.values * b.values)))
-
-
 def advection(u, f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Divergence-form transport of the real array f by the velocity arrays
     u: the dealiased half-plane coefficients of i k . (u f)^.

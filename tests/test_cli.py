@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import typing
+import weakref
 
 import numpy as np
 import pytest
@@ -911,6 +912,24 @@ class TestVerificationCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("blow-up abort:"), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("span", [["--n-steps", "60"], ["--t-end", "0.6"]], ids=["n_steps", "t_end"])
+    def test_inequality_suite_keeps_only_the_states_it_reads(self, tmp_path, monkeypatch, span):
+        # its picks (at most 5), the last state and the one just yielded, not all 60
+        refs, counts = [], []  # SimState is unhashable, so weak references in a list, not a WeakSet
+        run = solver.run
+
+        def counted(*args, **kwargs):
+            for st in run(*args, **kwargs):
+                refs.append(weakref.ref(st))
+                counts.append(sum(r() is not None for r in refs))
+                yield st
+
+        monkeypatch.setattr(solver, "run", counted)
+        argv = ["inequality-suite", "--n", "16", "--dt-init", "0.01", *span, "--out", str(tmp_path / "iq.csv")]
+        assert run_main(argv) == EXIT_OK
+        assert max(counts) <= 7
+        assert len(counts) == (60 if span[0] == "--n-steps" else 120)  # to t_end, a counting pass first
 
     def test_besov_omega_table(self, tmp_path):
         from bq2d.lp import BesovIndex, block_norms

@@ -457,6 +457,25 @@ class TestEstimateRatios:
             == 0.0
         )
 
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_convolution_commutator_is_transpose_invariant(self, delta):
+        # at delta = 1 the Bdot^1 norm takes both gradient components, not d1 f alone
+        rng = np.random.default_rng(14)
+        phi = gaussian_bump(G)
+        f, g = (PhysicalField(G, rng.standard_normal((64, 64))) for _ in range(2))
+        flip = lambda h: PhysicalField(G, h.values.T.copy())
+        a = convolution_commutator_ratio(phi, f, g, delta, 2, 4, 4, 2, 2)
+        b = convolution_commutator_ratio(flip(phi), flip(f), flip(g), delta, 2, 4, 4, 2, 2)
+        assert a > 0.0
+        assert abs(a - b) <= 1e-12 * a
+
+    def test_convolution_commutator_of_a_transverse_mode(self):
+        # f = sin x2 has d1 f = 0, but phi*(f g) - f (phi*g) does not vanish
+        rng = np.random.default_rng(15)
+        f = field_from_function(G, lambda x1, x2: np.sin(x2))
+        g = PhysicalField(G, rng.standard_normal((64, 64)))
+        assert convolution_commutator_ratio(gaussian_bump(G), f, g, 1.0, 2, 4, 4, 2, 2) > 0.0
+
     def test_convolution_commutator_index_checks(self):
         phi = gaussian_bump(G, width=G.side_length / 16)
         f = constant_field(G, 1.0)

@@ -267,6 +267,15 @@ class TestLowerBounds:
         em, c = difference_lower_bound_margin(constant_field(G64, 1.0), (0, 0), 0.5)
         assert em == 0.0 and c == 0.0
 
+    def test_difference_of_a_zero_theta(self):
+        em, c = difference_lower_bound_margin(constant_field(G64, 0.0), (G64.n // 4, 0), 0.5)
+        assert em == 0.0 and c == 0.0
+
+    def test_difference_with_no_usable_point(self):
+        # a constant theta has g = 0 at every shift, so no point stands clear of rounding
+        em, c = difference_lower_bound_margin(constant_field(G64, 1.0), (G64.n // 4, 0), 0.5)
+        assert em == 0.0 and math.isnan(c)
+
     def test_difference_single_mode(self):
         f = field_from_function(G64, lambda x1, x2: np.sin(x1))
         em, c = difference_lower_bound_margin(f, (G64.n // 4, 0), 0.5)

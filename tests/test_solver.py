@@ -1,7 +1,9 @@
 """Time stepping, the combined quantity G, initial data, the oscillation
 scan, and checkpoint round trips."""
 
+import hashlib
 import math
+import multiprocessing
 import pathlib
 import platform
 import struct
@@ -28,7 +30,6 @@ from bq2d.solver import (
     oss_check,
     oss_weighted_profile,
     read_checkpoint,
-    rhs,
     run,
     step,
     write_checkpoint,
@@ -44,7 +45,6 @@ from bq2d.spectral import (
     irfft2,
     lp_norm,
     to_physical,
-    to_spectral,
 )
 from states import state_of
 
@@ -60,28 +60,25 @@ def make_state(grid, theta_fn=None, omega_fn=None):
     return state_of(theta, omega)
 
 
-class TestRhs:
-    def test_pure_vorticity_mode_decays_without_transport(self):
+class TestNonstiffRhs:
+    """Transport and buoyancy alone; ``TestStep::test_linear_decay_is_exact`` covers the dissipation."""
+
+    def test_pure_vorticity_mode_has_no_transport(self):
         # u = (0, -cos x1) is perpendicular to grad omega, so transport drops out
-        st = make_state(G64, omega_fn=lambda x1, x2: np.sin(x1))
-        d_theta, d_omega = rhs(st, PARAMS)
-        expect = to_spectral(field_from_function(G64, lambda x1, x2: -np.sin(x1))).coeffs
-        assert np.abs(d_omega.coeffs - expect).max() <= 1e-13
-        assert np.abs(d_theta.coeffs).max() <= 1e-15
+        n_theta, n_omega, _ = solver.nonstiff_rhs(make_state(G64, omega_fn=lambda x1, x2: np.sin(x1)))
+        assert np.abs(n_theta).max() <= 1e-15
+        assert np.abs(n_omega).max() <= 1e-15
 
     def test_constant_theta_inert(self):
-        st = make_state(G64, theta_fn=lambda x1, x2: 0.0 * x1 + 2.0)
-        d_theta, d_omega = rhs(st, PARAMS)
-        assert np.abs(d_theta.coeffs).max() <= 1e-15
-        assert np.abs(d_omega.coeffs).max() <= 1e-15
+        n_theta, n_omega, _ = solver.nonstiff_rhs(make_state(G64, theta_fn=lambda x1, x2: 0.0 * x1 + 2.0))
+        assert np.abs(n_theta).max() <= 1e-15
+        assert np.abs(n_omega).max() <= 1e-15
 
     def test_transverse_theta_mode(self):
-        # theta = sin(x2): no buoyancy source (d1 theta = 0), pure decay in theta
-        st = make_state(G64, theta_fn=lambda x1, x2: np.sin(x2))
-        d_theta, d_omega = rhs(st, PARAMS)
-        expect = to_spectral(field_from_function(G64, lambda x1, x2: -np.sin(x2))).coeffs
-        assert np.abs(d_theta.coeffs - expect).max() <= 1e-13
-        assert np.abs(d_omega.coeffs).max() <= 1e-14
+        # theta = sin(x2): no buoyancy source (d1 theta = 0), and u = 0 transports nothing
+        n_theta, n_omega, _ = solver.nonstiff_rhs(make_state(G64, theta_fn=lambda x1, x2: np.sin(x2)))
+        assert np.abs(n_theta).max() <= 1e-15
+        assert np.abs(n_omega).max() <= 1e-15
 
 
 class TestStep:
@@ -322,6 +319,29 @@ class TestLane:
             other.join(timeout=10)
         assert not other.is_alive()
         assert held == [(True, True)]
+
+    @staticmethod
+    def _next_digest(state) -> str:
+        state = step(state, PARAMS, StepperConfig(dt_init=0.01, t_end=1.0))
+        return hashlib.sha256(b"".join(h.tobytes() for h in state.hats)).hexdigest()
+
+    def test_a_forked_child_starts_its_own_lane(self):
+        # the parent's lane thread is not copied into a forked child, whose steps need their own
+        state = step(initial_data("random-band", 5, self.GRID), PARAMS, StepperConfig(dt_init=0.01, t_end=1.0))
+        assert _lane_threads()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        report = lambda: send.send((self._next_digest(state), [t.name for t in threading.enumerate()]))
+        child = ctx.Process(target=report)
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child did not step"
+            digest, names = recv.recv()
+        finally:
+            child.join(10)
+            child.kill()
+        assert digest == self._next_digest(state)
+        assert names.count("bq2d-lane") == 1, names
 
     def test_one_daemon_lane_thread(self):
         self._steps(256, 12, 1.0)
@@ -688,7 +708,7 @@ class TestStateInvariant:
         chk = tmp_path / "a.chk"
         write_checkpoint(chk, initial_data("random-band", 3, GridSpec(16)), PARAMS)
         resumed = []
-        monkeypatch.setattr(cli, "_run_loop", lambda cfg, state, *args: resumed.append(state) or 0)
+        monkeypatch.setattr(cli, "_run_loop", lambda cfg, state: resumed.append(state) or 0)
         assert cli.main(["resume", str(chk), "--dealias-fraction", "0.5", "--out-dir", str(tmp_path / "out")]) == 0
         assert resumed[0].grid == GridSpec(16, dealias_fraction=0.5)
         _assert_physical_is_inverse(resumed[0])

@@ -387,8 +387,7 @@ class TestSymbolTables:
 
     def test_cached_tables_are_read_only(self):
         from bq2d.kernels import _pad_displacements
-        from bq2d.lp import _band_flat_indices, _band_indices
-        from bq2d.monitors import _dirichlet_kernel_fft
+        from bq2d.lp import _band_indices
 
         grid = GridSpec(16)
         tables = [
@@ -400,9 +399,7 @@ class TestSymbolTables:
             riesz_symbol(grid, 0.5),
             *biot_savart_symbols(grid),
             _band_indices(grid),
-            *(ind for _, ind in _band_flat_indices(grid) if ind.size),
             *_pad_displacements(grid.n, grid.side_length),
-            _dirichlet_kernel_fft(grid, 0.5)[0],
         ]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):

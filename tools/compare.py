@@ -11,18 +11,18 @@ be compared byte for byte; the two sides of a recipe run at the same time.  The 
 
 * monitor: ``run`` at n = 128 with a record and a checkpoint every step, its
   ``resume`` from step 50, and ``besov`` on theta, omega and G of its
-  ``final.chk``;
+  ``final.chk``, and on theta with p = 3, r = 2 (every band, then an l^2 sum);
 * sim: ``run`` at n = 256, seed 7, 40 steps;
 * split at n = 32 (3 + 3 steps) and 256 (2 + 2): the unsplit run, the first
   part and its ``resume``;
 * blow-ups at n = 32 and 256 (``--amplitude 2e8``);
-* ``inequality-suite --n 128 --n-steps 10`` and ``kernel-verify --beta 0.5
-  --n 256``;
+* ``inequality-suite --n 128`` with ``--n-steps 10`` and with ``--t-end 0.3``
+  (a counting pass, then the picks), and ``kernel-verify --beta 0.5 --n 256``;
 * the five demos.
 
 ``--scale smoke`` runs one command of each kind at n = 16 or 32, a few steps
-each: ``besov`` on theta only, the split and the blow-up at n = 16 only, and
-only the first demo (the demos have fixed sizes).
+each: ``besov`` on theta only (both indices), the split and the blow-up at
+n = 16 only, and only the first demo (the demos have fixed sizes).
 
 Every output is reported as identical or not: each command's exit code,
 stdout and stderr, and every file it wrote.  A text output that differs
@@ -64,6 +64,7 @@ def recipes(scale: str) -> dict[str, list[list[str]]]:
             ["run", "--n", str(mon), "--alpha", "0.95", "--seed", "7", *monitor, "--out-dir", "run"],
             ["resume", f"run/ckpt_{50 if full else 2:08d}.chk", *monitor, "--out-dir", "resumed"],
             *(["besov", "run/final.chk", "--s", "0.5", "--field", f] for f in fields),
+            ["besov", "run/final.chk", "--s", "0.5", "--p", "3", "--r", "2"],
         ],
         "sim": [["run", "--n", str(sim), "--seed", "7", "--n-steps", "40" if full else "4", "--out-dir", "run"]],
     }
@@ -76,7 +77,10 @@ def recipes(scale: str) -> dict[str, list[list[str]]]:
         ]
     for n in sizes:
         out[f"blowup-{n}"] = [["run", "--n", str(n), "--amplitude", "2e8", "--n-steps", "5", "--out-dir", "run"]]
-    out["inequality-suite"] = [["inequality-suite", "--n", str(mon), "--n-steps", "10" if full else "2"]]
+    out["inequality-suite"] = [
+        ["inequality-suite", "--n", str(mon), "--n-steps", "10" if full else "2"],
+        ["inequality-suite", "--n", str(mon), "--t-end", "0.3" if full else "0.05"],
+    ]
     out["kernel-verify"] = [["kernel-verify", "--beta", "0.5", "--n", str(sizes[-1])]]
     demos = ["01_spectral_operators.py", "02_simulation_and_monitors.py", "03_kernel_oracle.py",
              "04_besov_toolbox.py", "05_inequality_gallery.py"]
