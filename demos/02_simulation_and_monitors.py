@@ -7,7 +7,7 @@ The time stepper treats the fractional dissipation exactly through an
 integrating factor, so the linear part of the flow is machine-precision.
 """
 
-from bq2d.monitors import bound_margins, dissipation_rates, index_window, snapshot_record
+from bq2d.monitors import bound_margins, dissipation_rates, index_window, monitor_indices, snapshot_record
 from bq2d.solver import StepperConfig, initial_data, run
 from bq2d.spectral import FlowParams, GridSpec
 
@@ -15,8 +15,7 @@ alpha = 0.95
 grid = GridSpec(n=128)
 params = FlowParams(nu=1.0, kappa=1.0, alpha=alpha, beta=1.0 - alpha, critical=True)
 win = index_window(alpha)
-q = 0.5 * (win.q_low_sqdef + win.q0)
-s = win.s_max
+q, s = monitor_indices(alpha)
 print(f"alpha = {alpha}, beta = {params.beta:.2f} (critical)")
 print(f"monitor indices: q = {q:.4f} in ({win.q_low_sqdef:.4f}, {win.q0:.4f}), s = {s:.2f}")
 

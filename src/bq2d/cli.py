@@ -35,7 +35,6 @@ from .spectral import FlowParams, GridSpec, dealias_mask
 from .monitors import (
     CONVEX_GAMMAS,
     bound_margins,
-    check_besov_index,
     check_lq_index,
     cordoba_margin,
     cordoba_ratios,
@@ -44,6 +43,7 @@ from .monitors import (
     dissipation_rates,
     gradient_lower_bound_margin,
     index_window,
+    monitor_indices,
     snapshot_record,
 )
 
@@ -107,37 +107,21 @@ class RunConfig:
     diag_every: int = 10
     checkpoint_every: int = 0
     out_dir: str = "bq2d_out"
-    monitor_q: float | None = None  # None: pick inside the admissible window
+    monitor_q: float | None = None  # None: monitors.monitor_indices picks it
     monitor_s: float | None = None
     oss_delta_c: float = 1.0
     oss_L: float = 0.2
 
-    def _window(self):
-        try:
-            return index_window(self.alpha)
-        except ValueError:
-            return None  # monitors fall back to plain norms outside (4/5, 1)
-
-    def resolve(self) -> "RunConfig":
+    def validate(self) -> None:
+        """Derive beta, check every value in turn and end with the monitor
+        indices (``monitor_indices`` fills a None one); a ConfigError names
+        the first value that fails."""
         if self.critical and self.beta is None:
             self.beta = 1.0 - self.alpha
             if self.beta <= 0:
                 raise ConfigError(f"critical = true derives beta = 1 - alpha = {self.beta!r} <= 0")
         if self.beta is None:
             raise ConfigError("beta must be given when critical = false")
-        win = self._window()
-        if self.monitor_q is None:
-            if win is None:
-                self.monitor_q = 3.0
-            else:
-                # inside the Besov index window when it is nonempty, else the L^q one
-                lo = win.q_low_sqdef if win.q_low_sqdef < win.q0 else 2.0
-                self.monitor_q = 0.5 * (lo + win.q0)
-        if self.monitor_s is None:
-            self.monitor_s = win.s_max if win is not None else 0.5
-        return self
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -165,22 +149,10 @@ class RunConfig:
             raise ConfigError("oss_L must lie in (0, side_length / 2]")
         if self.oss_delta_c <= 0.0:
             raise ConfigError("oss_delta_c must be positive")
-        win = self._window()
-        if win is not None:
-            try:
-                # startup gate: the L^q window plus the smoothness cap; the
-                # stricter Besov q-window applies only where it is nonempty
-                check_lq_index(self.alpha, self.monitor_q)
-                if not 0.0 < self.monitor_s <= win.s_max:
-                    raise ValueError(
-                        f"monitor_s={self.monitor_s} violates 0 < s <= 3*alpha - 2 = {win.s_max:.6f}"
-                    )
-                if win.q_low_sqdef < win.q0:
-                    check_besov_index(self.alpha, self.monitor_s, self.monitor_q)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        elif self.monitor_q < 1.0 or not 0.0 < self.monitor_s:
-            raise ConfigError("monitor indices must satisfy q >= 1 and s > 0")
+        try:
+            self.monitor_q, self.monitor_s = monitor_indices(self.alpha, self.monitor_q, self.monitor_s)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def grid(self) -> GridSpec:
         return GridSpec(self.n, self.side_length, self.dealias_fraction)
@@ -238,8 +210,12 @@ def build_config(config_path: str | None, overrides: dict, header: dict | None =
     resuming), then the ``overrides``, a None included; BQ2D_OUT_DIR last.
 
     A header value that the file contradicts is an error unless a flag
-    overrides it; n is never overridden.
+    overrides it; n is never overridden.  A critical resume given an alpha
+    flag and no beta flag derives beta from that alpha, as ``run`` does.
     """
+    header = dict(header or {})
+    if "alpha" in overrides and "beta" not in overrides and overrides.get("critical", header.get("critical")):
+        header.pop("beta", None)
     file_vals = {}
     if config_path is not None:
         try:
@@ -249,7 +225,7 @@ def build_config(config_path: str | None, overrides: dict, header: dict | None =
             raise ConfigError(f"cannot read config file: {exc}") from exc
         file_vals = parse_config_text(text)
     layers = dict(file_vals)
-    for key, ckpt_val in (header or {}).items():
+    for key, ckpt_val in header.items():
         if key in overrides:
             continue
         if key in file_vals and file_vals[key] != ckpt_val:
@@ -263,10 +239,8 @@ def build_config(config_path: str | None, overrides: dict, header: dict | None =
     env_out = os.environ.get("BQ2D_OUT_DIR")
     if env_out:
         cfg.out_dir = env_out
-    if header is not None:
-        if cfg.n != header["n"]:
-            raise ConfigError(f"checkpoint has n={header['n']!r}; a resume cannot change n to {cfg.n!r}")
-    cfg.resolve()
+    if header and cfg.n != header["n"]:
+        raise ConfigError(f"checkpoint has n={header['n']!r}; a resume cannot change n to {cfg.n!r}")
     cfg.validate()
     return cfg
 

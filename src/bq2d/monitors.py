@@ -92,6 +92,32 @@ def check_besov_index(alpha: float, s: float, q: float) -> None:
         )
 
 
+def monitor_indices(alpha: float, q: float | None = None, s: float | None = None) -> tuple[float, float]:
+    """The (q, s) of the G monitors at ``alpha``, a None index given its
+    default, checked as a pair.
+
+    Inside (4/5, 1), q defaults to the middle of the Besov q-window where it
+    is nonempty, else of the L^q window (2, q0), and s to 3 alpha - 2; the
+    pair must satisfy ``check_lq_index``, 0 < s <= 3 alpha - 2 and, where the
+    Besov q-window is nonempty, ``check_besov_index``.  Outside it the
+    monitors fall back to plain norms: (3.0, 0.5) by default, q >= 1 and s > 0."""
+    if not 0.8 < alpha < 1.0:
+        q, s = 3.0 if q is None else q, 0.5 if s is None else s
+        if q < 1.0 or not 0.0 < s:
+            raise ValueError("monitor indices must satisfy q >= 1 and s > 0")
+        return q, s
+    win = index_window(alpha)
+    besov = win.q_low_sqdef < win.q0
+    q = 0.5 * ((win.q_low_sqdef if besov else 2.0) + win.q0) if q is None else q
+    s = win.s_max if s is None else s
+    check_lq_index(alpha, q)
+    if not 0.0 < s <= win.s_max:
+        raise ValueError(f"monitor_s={s} violates 0 < s <= 3*alpha - 2 = {win.s_max:.6f}")
+    if besov:
+        check_besov_index(alpha, s, q)
+    return q, s
+
+
 # ---------------------------------------------------------------------------
 # diagnostics records and CSV schema
 
@@ -230,13 +256,10 @@ def _lambda(values: np.ndarray, grid: GridSpec, beta: float, coeffs: np.ndarray 
     return to_physical(fractional_laplacian(SpectralField(grid, coeffs), beta)).values
 
 
-def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime, f_hat=None, lam_f=None):
-    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid; ``lam_f`` is
-    Lambda^b f when the caller holds it."""
+def _cordoba_terms(f: PhysicalField, beta: float, gamma, gamma_prime, lam_f: np.ndarray):
+    """(Gamma'(f) Lambda^b f, Lambda^b Gamma(f)) on the grid, ``lam_f`` being Lambda^b f."""
     if not 0.0 < beta < 2.0:
         raise ValueError("cordoba_margin requires beta in (0, 2)")
-    if lam_f is None:
-        lam_f = _lambda(f.values, f.grid, beta, f_hat)
     return gamma_prime(f.values) * lam_f, _lambda(np.asarray(gamma(f.values), dtype=float), f.grid, beta)
 
 
@@ -252,12 +275,12 @@ def cordoba_margin(f: PhysicalField, beta: float, gamma, gamma_prime, f_hat: np.
     """min over the grid of Gamma'(f) Lambda^b f - Lambda^b Gamma(f) (>= 0
     in the continuum for convex Gamma).  ``f_hat`` are the half-plane
     coefficients of f when the caller holds them (a state's ``hats[0]``)."""
-    return _margin(*_cordoba_terms(f, beta, gamma, gamma_prime, f_hat))
+    return _margin(*_cordoba_terms(f, beta, gamma, gamma_prime, _lambda(f.values, f.grid, beta, f_hat)))
 
 
 def cordoba_scale(f: PhysicalField, beta: float, gamma, gamma_prime) -> float:
     """Magnitude reference for the margin tolerance band."""
-    return _scale(*_cordoba_terms(f, beta, gamma, gamma_prime))
+    return _scale(*_cordoba_terms(f, beta, gamma, gamma_prime, _lambda(f.values, f.grid, beta)))
 
 
 def cordoba_ratios(f: PhysicalField, beta: float) -> dict[str, float]:
@@ -266,7 +289,7 @@ def cordoba_ratios(f: PhysicalField, beta: float) -> dict[str, float]:
     lam_f = _lambda(f.values, f.grid, beta)
     ratios = {}
     for name, (gamma, gamma_prime) in CONVEX_GAMMAS.items():
-        terms = _cordoba_terms(f, beta, gamma, gamma_prime, lam_f=lam_f)
+        terms = _cordoba_terms(f, beta, gamma, gamma_prime, lam_f)
         ratios[name] = _margin(*terms) / _scale(*terms)
     return ratios
 

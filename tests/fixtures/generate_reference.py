@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tests/fixtures/generate_reference.py
+    PYTHONPATH=src python3 tests/fixtures/generate_reference.py
 
 Overwrites tests/fixtures/reference.json.  Only do this deliberately: the
 committed values are the regression baseline at 1e-10 relative tolerance.
@@ -14,7 +14,8 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from reference_runs import monitor_indices, reference_run  # noqa: E402
+from bq2d.monitors import monitor_indices  # noqa: E402
+from reference_runs import reference_run  # noqa: E402
 
 
 def main():

@@ -9,7 +9,7 @@ determinism and stability of the monitors, not the underlying theorems.
 
 import math
 
-from bq2d.monitors import dissipation_rates, index_window, snapshot_record
+from bq2d.monitors import dissipation_rates, monitor_indices, snapshot_record
 from bq2d.solver import SimState, StepperConfig, initial_data, step
 from bq2d.spectral import FlowParams, GridSpec
 
@@ -18,12 +18,6 @@ SEED = 0
 DT = 0.01
 T_END = 1.0
 SNAP_EVERY = 10
-
-
-def monitor_indices(alpha: float) -> tuple[float, float]:
-    win = index_window(alpha)
-    lo = win.q_low_sqdef if win.q_low_sqdef < win.q0 else 2.0
-    return 0.5 * (lo + win.q0), win.s_max
 
 
 def reference_run(alpha: float):

@@ -505,6 +505,21 @@ class TestResume:
         _, params = read_checkpoint(tmp_path / "res" / "final.chk")
         assert params.critical is False
 
+    @pytest.mark.parametrize(
+        "extra, beta, critical",
+        [((), 1.0 - 0.95, b"1"), (("--critical", "false", "--beta", "0.3"), 0.3, b"0")],
+        ids=["critical", "non-critical"],
+    )
+    def test_resume_with_a_new_alpha(self, tmp_path, extra, beta, critical):
+        # a critical header's beta = 1 - 0.9 was derived, so a new alpha derives its own, as run does
+        self._run(tmp_path / "src", 2, extra=extra)
+        resume = ["resume", str(tmp_path / "src" / "final.chk"), "--alpha", "0.95", "--n-steps", "1"]
+        assert run_main([*resume, "--out-dir", str(tmp_path / "res")]) == EXIT_OK
+        final = tmp_path / "res" / "final.chk"
+        assert final.read_bytes().split(b"\n", 1)[0].split()[4] == critical
+        _, params = read_checkpoint(final)
+        assert (params.alpha, params.beta, params.critical) == (0.95, beta, critical == b"1")
+
     def test_last_step_is_clipped_onto_t_end(self, tmp_path, capsys):
         # ten steps of dt = 0.01 sum to 0.09999999999999999: the tenth ends on t_end
         argv = ["run", "--n", "32", "--dealias-fraction", "0.5", "--t-end", "0.1", "--out-dir", str(tmp_path / "a")]

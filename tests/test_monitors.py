@@ -21,6 +21,7 @@ from bq2d.monitors import (
     frac_kernel_constant,
     gradient_lower_bound_margin,
     index_window,
+    monitor_indices,
     snapshot_record,
     smoothed_hinge,
 )
@@ -76,6 +77,31 @@ class TestIndexWindow:
             check_besov_index(0.95, 0.9, 2.3)
         with pytest.raises(ValueError, match="2/\\(2 alpha - 1\\)"):
             check_besov_index(0.95, 0.5, 2.05)
+
+    @pytest.mark.parametrize(
+        "alpha, q, s, expect",
+        [
+            # outside (4/5, 1) the monitors take plain norms
+            (0.5, None, None, (3.0, 0.5)),
+            (1.0, None, None, (3.0, 0.5)),
+            (0.5, 1.0, 2.0, (1.0, 2.0)),
+            (0.95, 2.5, 0.5, (2.5, 0.5)),
+            # the Besov q-window is empty at 0.85: only the L^q window applies
+            (0.85, 2.1, 0.3, (2.1, 0.3)),
+            (0.9, 3.0, None, "q=3.0 outside the L^q window (2, q0) with q0=2.588235 at alpha=0.9"),
+            (0.9, None, -3.0, "monitor_s=-3.0 violates 0 < s <= 3*alpha - 2 = 0.700000"),
+            (0.95, 2.1, None, "q=2.1 violates 2.222222 = 2/(2 alpha - 1) < q < q0 = 3.111111"),
+            (0.5, 0.5, None, "monitor indices must satisfy q >= 1 and s > 0"),
+            (0.5, None, 0.0, "monitor indices must satisfy q >= 1 and s > 0"),
+        ],
+    )
+    def test_monitor_indices(self, alpha, q, s, expect):
+        if isinstance(expect, str):
+            with pytest.raises(ValueError) as info:
+                monitor_indices(alpha, q, s)
+            assert str(info.value) == expect
+        else:
+            assert monitor_indices(alpha, q, s) == expect
 
 
 def short_run(alpha=0.9, seed=0, n=64, t_end=0.3, amplitude=1.0):

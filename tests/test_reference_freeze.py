@@ -8,6 +8,8 @@ import os
 
 import pytest
 
+from bq2d.monitors import monitor_indices
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "reference.json")
 
 KEYS = [
@@ -52,3 +54,4 @@ def test_monitor_indices_frozen(reference_runs, frozen):
         expect = frozen[f"alpha_{alpha}"]
         assert abs(records[-1].q - expect["q"]) <= 1e-12
         assert abs(records[-1].s - expect["s"]) <= 1e-12
+        assert monitor_indices(alpha) == (expect["q"], expect["s"])  # the library's defaults, bit for bit
