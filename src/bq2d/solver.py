@@ -93,7 +93,6 @@ from .spectral import (
     lp_norm,
     mean_free,
     random_band_field,
-    rfft2,
     riesz_alpha,
     shift_columns,
     shift_norms,
@@ -615,18 +614,16 @@ def oss_weighted_profile(theta: PhysicalField, beta: float, psi_coeff: float):
 # ---------------------------------------------------------------------------
 # checkpoint format: one text header line, then the payload
 #
-# HEADER_FIELDS states each format's header tokens after its tag; the writer
-# and the reader both take them from it.  A format without ``dealias_fraction``
-# has GridSpec's default, one without ``critical`` (0 or 1) has alpha + beta
-# == 1.  The BQCHK3 payload is (theta^, omega^), each n x (n/2+1) little-endian
-# complex128, and ``crc32`` its zlib.crc32 in hex; BQCHK2 and BQCHK1 hold the
-# physical arrays, each a little-endian uint64 length and n x n float64 values.
+# HEADER_FIELDS states the header's tokens after its tag; the writer and the
+# reader both take them from it.  ``critical`` is 0 or 1, ``crc32`` the
+# zlib.crc32 of the payload in hex, and the payload (theta^, omega^), each
+# n x (n/2+1) little-endian complex128.  Any other BQCHK<digits> tag is
+# refused by name.
 
 HEADER_FIELDS = {
     "BQCHK3": ("n", "side_length", "dealias_fraction", "critical", "t", "nu", "kappa", "alpha", "beta", "crc32"),
-    "BQCHK2": ("n", "side_length", "dealias_fraction", "t", "nu", "kappa", "alpha", "beta"),
-    "BQCHK1": ("n", "side_length", "t", "nu", "kappa", "alpha", "beta"),
 }
+HEADER_MAX_BYTES = 512  # a BQCHK3 header is under 300 bytes
 _PARSERS = {"n": int, "critical": {"0": False, "1": True}.__getitem__, "crc32": lambda s: int(s, 16)}
 
 
@@ -658,36 +655,33 @@ def write_checkpoint(path, state: SimState, params: FlowParams) -> None:
 
 def read_checkpoint(path):
     """(state, params) of a checkpoint; ValueError for a file that is not a
-    whole, intact one.  A BQCHK3 state has the stored coefficients, a BQCHK2
-    or BQCHK1 one the dealiased ``rfft2`` of the stored physical arrays."""
+    whole, intact one of a format this version reads."""
     with open(path, "rb") as fh:
+        head = fh.readline(HEADER_MAX_BYTES)
+        tag = head.split(b" ", 1)[0]
+        if tag[:5] == b"BQCHK" and tag[5:].isdigit() and tag.decode() not in HEADER_FIELDS:
+            raise ValueError(f"checkpoint format {tag.decode()} of {path} is not read; this version reads BQCHK3")
         try:
-            tag, *tokens = fh.readline().decode("ascii").split()
+            tag, *tokens = head.decode("ascii").split()
             header = {key: _PARSERS.get(key, float)(tok) for key, tok in zip(HEADER_FIELDS[tag], tokens, strict=True)}
-            if not all(math.isfinite(v) for v in header.values() if isinstance(v, float)):
+            # a line cut at HEADER_MAX_BYTES has no newline
+            if not head.endswith(b"\n") or not all(math.isfinite(v) for v in header.values() if isinstance(v, float)):
                 raise ValueError
         except (ValueError, KeyError):
             raise ValueError(f"corrupt checkpoint header in {path}") from None
-        header.setdefault("critical", header["alpha"] + header["beta"] == 1.0)
         grid = _from_header(GridSpec, header)
         n = grid.n
         # one sized read, checked against the file before its buffer is allocated
-        size = 32 * n * (n // 2 + 1) if tag == "BQCHK3" else 16 * (1 + n * n)
+        size = 32 * n * (n // 2 + 1)
         if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError("truncated checkpoint payload")
         payload = fh.read(size)
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
+    if zlib.crc32(payload) != header["crc32"]:
+        raise ValueError(f"checkpoint payload of {path} fails its CRC-32 check")
+    hats = tuple(np.frombuffer(payload, dtype="<c16").reshape(2, n, n // 2 + 1).astype(complex))
     keep = dealias_mask(grid)
-    if tag == "BQCHK3":
-        if zlib.crc32(payload) != header["crc32"]:
-            raise ValueError(f"checkpoint payload of {path} fails its CRC-32 check")
-        hats = tuple(np.frombuffer(payload, dtype="<c16").reshape(2, n, n // 2 + 1).astype(complex))
-    else:
-        arrays = np.frombuffer(payload, dtype=[("length", "<u8"), ("values", "<f8", (n, n))])
-        if (arrays["length"] != n * n).any():
-            raise ValueError("checkpoint array length does not match grid")
-        hats = tuple(np.where(keep, rfft2(values), 0.0) for values in arrays["values"])
     if not all(np.isfinite(c).all() and not c[~keep].any() for c in hats):
         raise ValueError(f"checkpoint coefficients of {path} are not finite and dealiased")
     return SimState(grid, hats, header["t"]), _from_header(FlowParams, header)

@@ -10,7 +10,6 @@ import sys
 import typing
 import weakref
 
-import numpy as np
 import pytest
 
 from bq2d import cli, solver
@@ -32,7 +31,7 @@ from bq2d.solver import read_checkpoint
 from bq2d.spectral import FlowParams, GridSpec
 from states import state_of
 
-# written by the BQCHK2 writer: ``bq2d run --n 8 --n-steps 2 --dealias-fraction 0.5``, final.chk
+# written by the former BQCHK2 writer: ``bq2d run --n 8 --n-steps 2 --dealias-fraction 0.5``, final.chk
 BQCHK2_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "bqchk2_n8.chk"
 
 
@@ -453,33 +452,20 @@ class TestResume:
         assert run_main(resume) == EXIT_OK
         assert (tmp_path / "full" / "final.chk").read_bytes() == (tmp_path / "res" / "final.chk").read_bytes()
 
-    def test_version_1_checkpoint_resumes_with_the_default_fraction(self, tmp_path):
-        # both files hold the payload of the committed BQCHK2 fixture (fraction 0.5)
+    @pytest.mark.parametrize("tag", [b"BQCHK2", b"BQCHK1"])
+    @pytest.mark.parametrize("command", ["resume", "besov"])
+    def test_legacy_checkpoint_is_one_config_error_line(self, tmp_path, capsys, command, tag):
+        # the committed BQCHK2 fixture, and its payload under a BQCHK1 header
         head, payload = BQCHK2_FIXTURE.read_bytes().split(b"\n", 1)
-        tag, n, L, frac, *rest = head.split()
-        assert (tag, float(frac)) == (b"BQCHK2", 0.5)
-        v1, v2 = tmp_path / "v1.chk", tmp_path / "v2.chk"
-        v1.write_bytes(b" ".join([b"BQCHK1", n, L, *rest]) + b"\n" + payload)
-        v2.write_bytes(b" ".join([b"BQCHK2", n, L, repr(2.0 / 3.0).encode(), *rest]) + b"\n" + payload)
-        for chk, out in ((v1, "from_v1"), (v2, "from_v2")):
-            assert run_main(["resume", str(chk), "--n-steps", "2", "--out-dir", str(tmp_path / out)]) == EXIT_OK
-        assert (tmp_path / "from_v1" / "final.chk").read_bytes() == (tmp_path / "from_v2" / "final.chk").read_bytes()
-
-    def test_version_2_fixture_resumes(self, tmp_path, capsys):
-        """The BQCHK2 file of the parent format resumes where its run left off
-        (t = 0.02, dealias fraction 0.5) and agrees with the unsplit run to
-        rounding; the new checkpoints are BQCHK3."""
-        common = ["--n-steps", "2", "--dealias-fraction", "0.5"]
-        assert run_main(["resume", str(BQCHK2_FIXTURE), *common, "--out-dir", str(tmp_path / "res")]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("steps=2 t_final=0.04\n")
-        unsplit = ["run", "--n", "8", "--n-steps", "4", "--dealias-fraction", "0.5", "--out-dir", str(tmp_path / "all")]
-        assert run_main(unsplit) == EXIT_OK
-        res, _ = read_checkpoint(tmp_path / "res" / "final.chk")
-        full, _ = read_checkpoint(tmp_path / "all" / "final.chk")
-        assert (tmp_path / "res" / "final.chk").read_bytes().startswith(b"BQCHK3 8 ")
-        assert res.t == full.t == 0.04
-        for a, b in zip(res.hats, full.hats):
-            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+        chk = tmp_path / "a.chk"
+        chk.write_bytes(b" ".join([tag, *head.split()[1:]]) + b"\n" + payload)
+        out = tmp_path / "x"
+        extra = ["--out-dir", str(out)] if command == "resume" else ["--s", "0.5", "--out", str(out)]
+        capsys.readouterr()
+        assert run_main([command, str(chk), *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and f"checkpoint format {tag.decode()} " in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["resume", "besov"])
     def test_flipped_payload_byte_is_one_config_error_line(self, tmp_path, capsys, command):

@@ -61,3 +61,14 @@ def test_alternating_order_and_rounds_in_one_file(tmp_path, monkeypatch):
     sim = doc["rounds"][1]
     assert [(r["seed"], r["order"]) for r in sim["runs"]][:2] == [(10, 1), (10, 2)]
     assert sim["summary"]["wall_s"]["change_wins"] == 3 and sim["summary"]["wall_s"]["gap_exceeds_parent_iqr"]
+
+
+def test_trees_whose_paths_differ_in_length_are_refused(tmp_path, monkeypatch, capsys):
+    (tmp_path / "change").mkdir()
+    monkeypatch.setattr(pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    argv = ["--parent", str(tmp_path / "parent0"), "--change", str(tmp_path / "change"), "--workload", "sim"]
+    with pytest.raises(SystemExit) as exc:
+        pairs.main([*argv, "--seeds", "1"])
+    assert exc.value.code == 2
+    n = len(str(tmp_path / "change"))
+    assert f"differ in length ({n + 1} and {n} characters)" in capsys.readouterr().err

@@ -4,7 +4,8 @@ Usage:
     python3 tools/pairs.py --parent DIR --change DIR --workload W --seeds A-B
         [--seconds S] [--scale full|smoke] [--label LABEL]
 
-DIR is a source tree each (for example a ``git archive`` of a commit).  For
+DIR is a source tree each (for example a ``git archive`` of a commit), and
+both absolute paths have the same length, or the tool refuses them.  For
 every seed from A to B it runs ``perfbench/run.py --trace 0`` once in each
 tree, alternating which side goes first (the parent in the first pair), so
 that a drift of the host falls on both sides alike.  It changes nothing in
@@ -104,6 +105,12 @@ def main(argv=None) -> int:
     ap.add_argument("--label", default="pairs", help="writes BENCH_<label>.json at the repository root")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    # verify's peak_rss_mb steps by 4-7 MB with the length of the tree's path
+    if len(trees["parent"]) != len(trees["change"]):
+        ap.error(
+            f"the trees' absolute paths differ in length ({len(trees['parent'])} and {len(trees['change'])} "
+            "characters); run both from directories whose names have the same length"
+        )
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         declared = json.load(fh)["end_to_end"]
 
