@@ -34,13 +34,12 @@ from .lp import BesovIndex, block_norms, lr_combine
 from .spectral import FlowParams, GridSpec, dealias_mask
 from .monitors import (
     CONVEX_GAMMAS,
+    RunMonitor,
     bound_margins,
     check_lq_index,
-    cordoba_margin,
     cordoba_ratios,
     csv_header,
     difference_lower_bound_margin,
-    dissipation_rates,
     gradient_lower_bound_margin,
     index_window,
     monitor_indices,
@@ -279,25 +278,6 @@ def _run_loop(cfg: RunConfig, state: solver.SimState, announce: bool = False) ->
     ``post_mortem.csv``; so is a monitor that fails on a stepped state (a
     ValueError or ArithmeticError), with the last good record."""
     params, stepper, out_dir = cfg.flow_params(), cfg.stepper(), cfg.out_dir
-    diss_u = diss_G = 0.0
-    gamma, gamma_p = CONVEX_GAMMAS["square"]
-    worst = dict.fromkeys(("margin_maxprinciple_l2", "margin_maxprinciple_linf", "margin_energy_linear"), 0.0)
-    initial = None
-
-    def record(st, fh=None):
-        """The snapshot record of ``st`` with its margins (against the initial
-        record, or itself when it is the initial one), written as one CSV row
-        to ``fh`` when given; updates the running worst margins."""
-        rec = snapshot_record(st, params, cfg.monitor_q, cfg.monitor_s, diss_u, diss_G)
-        bound_margins(rec, rec if initial is None else initial)
-        rec.cordoba_min = cordoba_margin(st.theta, params.beta, gamma, gamma_p, st.hats[0])
-        rec.oss_delta_measured = solver.oss_check(st.theta, cfg.oss_L)
-        for key in worst:
-            worst[key] = min(worst[key], getattr(rec, key))
-        if fh is not None:
-            fh.write(rec.csv_row() + "\n")
-            fh.flush()
-        return rec
 
     def post_mortem(comment, rec):
         """``post_mortem.csv``: a ``# comment`` line, the CSV header and ``rec``'s row; returns its path."""
@@ -307,8 +287,8 @@ def _run_loop(cfg: RunConfig, state: solver.SimState, announce: bool = False) ->
         return path
 
     with _initial_monitors():
-        initial = rec = record(state)
-        rate_u, rate_G = dissipation_rates(state, params)
+        monitor = RunMonitor(state, params, cfg.monitor_q, cfg.monitor_s, cfg.oss_L)
+    rec = monitor.initial
     if announce:
         print(
             "initial: theta_l2={!r} theta_linf={!r} grad_theta_linf={!r} u_l2={!r}".format(
@@ -317,30 +297,22 @@ def _run_loop(cfg: RunConfig, state: solver.SimState, announce: bool = False) ->
         )
     os.makedirs(out_dir, exist_ok=True)
 
-    step_count = 0
     cur = state
-    prev_t = state.t
     try:
         with open(os.path.join(out_dir, "diagnostics.csv"), "w") as csv:
             csv.write(csv_header() + "\n" + rec.csv_row() + "\n")
             for cur in solver.run(state, params, stepper, n_steps=cfg.n_steps):
-                step_count += 1
-                new_u, new_G = dissipation_rates(cur, params)
-                dt = cur.t - prev_t
-                diss_u += 0.5 * dt * (rate_u + new_u)
-                diss_G += 0.5 * dt * (rate_G + new_G)
-                rate_u, rate_G = new_u, new_G
-                prev_t = cur.t
-                if cfg.checkpoint_every and step_count % cfg.checkpoint_every == 0:
-                    solver.write_checkpoint(
-                        os.path.join(out_dir, f"ckpt_{step_count:08d}.chk"), cur, params
-                    )
-                if step_count % cfg.diag_every == 0:
-                    rec = record(cur, csv)
-            if step_count % cfg.diag_every != 0:
-                rec = record(cur, csv)
+                monitor.advance(cur)
+                if cfg.checkpoint_every and monitor.steps % cfg.checkpoint_every == 0:
+                    solver.write_checkpoint(os.path.join(out_dir, f"ckpt_{monitor.steps:08d}.chk"), cur, params)
+                if monitor.steps % cfg.diag_every == 0:
+                    rec = monitor.record(cur)
+                    print(rec.csv_row(), file=csv, flush=True)
+            if monitor.steps % cfg.diag_every != 0:
+                rec = monitor.record(cur)
+                print(rec.csv_row(), file=csv, flush=True)
     except solver.BlowUpError as exc:
-        post = post_mortem(f"blow-up at t={exc.t!r} max_omega={exc.omega_max!r}", record(cur))  # the last finite state
+        post = post_mortem(f"blow-up at t={exc.t!r} max_omega={exc.omega_max!r}", monitor.record(cur))  # the last finite state
         print(f"blow-up abort: {exc} (post-mortem: {post})", file=sys.stderr)
         return EXIT_BLOWUP
     except (ValueError, ArithmeticError) as exc:  # a monitor that fails on a stepped state
@@ -348,13 +320,13 @@ def _run_loop(cfg: RunConfig, state: solver.SimState, announce: bool = False) ->
         print(f"monitor abort at t={cur.t!r}: {exc!r} (post-mortem: {post})", file=sys.stderr)
         return EXIT_BLOWUP
     solver.write_checkpoint(os.path.join(out_dir, "final.chk"), cur, params)
-    print(f"steps={step_count} t_final={_float_fmt(cur.t)}")
+    print(f"steps={monitor.steps} t_final={_float_fmt(cur.t)}")
     print(
         "final: theta_l2={} theta_linf={} omega_linf={}".format(
             _float_fmt(rec.theta_l2), _float_fmt(rec.theta_linf), _float_fmt(rec.omega_linf)
         )
     )
-    print("worst margins:", *(f"{k.removeprefix('margin_')}={_float_fmt(v)}" for k, v in worst.items()))
+    print("worst margins:", *(f"{k.removeprefix('margin_')}={_float_fmt(v)}" for k, v in monitor.worst.items()))
     return EXIT_OK
 
 

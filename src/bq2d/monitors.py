@@ -6,7 +6,9 @@ Unspecified constants are measured, recorded and regression-guarded, never
 asserted against theoretical values: the analysis guarantees their
 existence, not their magnitude.  The nonlocal Dirichlet forms D and D_h are
 approximated by truncated torus quadrature (singular cell excluded) and
-appear only inside measured quantities.
+appear only inside measured quantities.  ``RunMonitor`` is the one
+statement of a run's monitor state: its dissipation integrals, margins and
+worst margins.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .lp import BesovIndex, besov_norm
-from .solver import G_hat, SimState, _velocity_l2
+from .solver import G_hat, SimState, _velocity_l2, oss_check
 from .spectral import (
     FlowParams,
     GridSpec,
@@ -125,8 +127,8 @@ def monitor_indices(alpha: float, q: float | None = None, s: float | None = None
 @dataclass(slots=True)
 class DiagnosticsRecord:
     """One row of ``diagnostics.csv``: the fields, in order, are its columns.
-    The margins are left at 0.0 by ``snapshot_record``; ``bound_margins`` and the
-    run loop set them."""
+    The margins are left at 0.0 by ``snapshot_record``; ``bound_margins`` and
+    ``RunMonitor.record`` set them."""
 
     t: float
     theta_l2: float
@@ -390,3 +392,45 @@ def difference_lower_bound_margin(theta: PhysicalField, h: tuple[int, int], beta
         return exact_min, float("nan")
     num = headroom[usable] * theta_sup**beta * (grid.spacing * math.hypot(i, j)) ** beta
     return exact_min, float((num / gmag[usable] ** (2.0 + beta)).min())
+
+
+# ---------------------------------------------------------------------------
+# a run's monitor state
+
+
+class RunMonitor:
+    """The monitors of a run from its starting ``state``: the starting record
+    ``initial`` that the margins are measured against, the trapezoid
+    integrals ``diss_u`` and ``diss_G`` of the dissipation rates, the last
+    ``rates`` and their ``t``, the step count ``steps`` and the running
+    minima ``worst`` of the bound margins (from 0.0).  Records take the G
+    indices (q, s) and the spread over |h| < ``oss_L``."""
+
+    def __init__(self, state: SimState, params: FlowParams, q: float, s: float, oss_L: float):
+        self.params, self.q, self.s, self.oss_L = params, q, s, oss_L
+        self.diss_u = self.diss_G = 0.0
+        self.steps = 0
+        self.worst = dict.fromkeys((c for c in CSV_COLUMNS if c.startswith("margin_")), 0.0)
+        self.initial = None
+        self.initial = self.record(state)
+        self.rates, self.t = dissipation_rates(state, params), state.t
+
+    def advance(self, state: SimState) -> None:
+        """Add the step to ``state`` to each integral by the trapezoid rule and count it."""
+        new = dissipation_rates(state, self.params)
+        dt = state.t - self.t
+        self.diss_u += 0.5 * dt * (self.rates[0] + new[0])
+        self.diss_G += 0.5 * dt * (self.rates[1] + new[1])
+        self.rates, self.t = new, state.t
+        self.steps += 1
+
+    def record(self, state: SimState) -> DiagnosticsRecord:
+        """The snapshot record of ``state`` with its margins against ``initial``
+        (itself, for the starting state), the square Gamma's Cordoba margin
+        and the spread over |h| < oss_L; lowers ``worst`` to its margins."""
+        rec = snapshot_record(state, self.params, self.q, self.s, self.diss_u, self.diss_G)
+        bound_margins(rec, rec if self.initial is None else self.initial)
+        rec.cordoba_min = cordoba_margin(state.theta, self.params.beta, *CONVEX_GAMMAS["square"], state.hats[0])
+        rec.oss_delta_measured = oss_check(state.theta, self.oss_L)
+        self.worst = {key: min(w, getattr(rec, key)) for key, w in self.worst.items()}
+        return rec

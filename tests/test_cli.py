@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from bq2d import cli, solver
+from bq2d import cli, monitors, solver
 from bq2d.cli import (
     EXIT_ASSERTION,
     EXIT_BLOWUP,
@@ -296,28 +296,36 @@ class TestMonitorError:
     the error, and the last good record in ``post_mortem.csv``."""
 
     @pytest.mark.parametrize("command", ["run", "resume"])
-    def test_exit_3_with_the_last_good_record(self, tmp_path, monkeypatch, capsys, command):
+    @pytest.mark.parametrize(
+        "monitor, error",
+        [
+            ("cordoba_margin", OverflowError("cordoba margin overflows")),  # in a record
+            ("dissipation_rates", ValueError("non-finite dissipation rate")),  # in a step's trapezoid
+        ],
+        ids=["cordoba_margin", "dissipation_rates"],
+    )
+    def test_exit_3_with_the_last_good_record(self, tmp_path, monkeypatch, capsys, command, monitor, error):
         args = ["--n", "16", "--n-steps", "6", "--dt-init", "0.01", "--diag-every", "1"]
         argv = ["run"]
         if command == "resume":
             assert run_main(["run", *args, "--out-dir", str(tmp_path / "first")]) == EXIT_OK
             argv = ["resume", str(tmp_path / "first" / "final.chk")]
         calls = []
-        cordoba_margin = cli.cordoba_margin
+        original = getattr(monitors, monitor)
 
-        def fails_on_the_fourth_record(*a, **k):  # the initial record and steps 1 and 2 pass
+        def fails_on_the_fourth_call(*a, **k):  # the initial state and steps 1 and 2 pass
             calls.append(1)
             if len(calls) == 4:
-                raise OverflowError("cordoba margin overflows")
-            return cordoba_margin(*a, **k)
+                raise error
+            return original(*a, **k)
 
-        monkeypatch.setattr(cli, "cordoba_margin", fails_on_the_fourth_record)
+        monkeypatch.setattr(monitors, monitor, fails_on_the_fourth_call)
         capsys.readouterr()
         out = tmp_path / "out"
         assert run_main([*argv, *args, "--out-dir", str(out)]) == EXIT_BLOWUP
         err = capsys.readouterr().err
         assert err.startswith("monitor abort at t=") and err.count("\n") == 1
-        assert "OverflowError('cordoba margin overflows')" in err and str(out / "post_mortem.csv") in err
+        assert repr(error) in err and str(out / "post_mortem.csv") in err
         rows = (out / "diagnostics.csv").read_text().splitlines()
         post = (out / "post_mortem.csv").read_text().splitlines()
         assert len(rows) == 4 and post[1:] == [rows[0], rows[-1]]

@@ -9,6 +9,7 @@ import pytest
 from bq2d.monitors import (
     ALPHA_STAR,
     CONVEX_GAMMAS,
+    RunMonitor,
     bound_margins,
     check_besov_index,
     check_lq_index,
@@ -25,7 +26,7 @@ from bq2d.monitors import (
     snapshot_record,
     smoothed_hinge,
 )
-from bq2d.solver import SimState, StepperConfig, initial_data, run, step
+from bq2d.solver import SimState, StepperConfig, initial_data, oss_check, run, step
 from bq2d.spectral import (
     FlowParams,
     GridSpec,
@@ -188,16 +189,11 @@ class TestGMonitors:
         params = PARAMS
         st = initial_data("random-band", 4, grid)
         st = state_of(constant_field(grid, 0.0), st.omega)
-        recs = []
-        diss = 0.0
-        prev_rate = dissipation_rates(st, params)[1]
-        prev_t = 0.0
-        recs.append(snapshot_record(st, params, 2.3, 0.5, 0.0, 0.0))
+        monitor = RunMonitor(st, params, 2.3, 0.5, 0.2)
+        recs = [monitor.initial]
         for s in run(st, params, StepperConfig(dt_init=0.02, t_end=0.3)):
-            rate = dissipation_rates(s, params)[1]
-            diss += 0.5 * (s.t - prev_t) * (prev_rate + rate)
-            prev_rate, prev_t = rate, s.t
-            recs.append(snapshot_record(s, params, 2.3, 0.5, 0.0, diss))
+            monitor.advance(s)
+            recs.append(monitor.record(s))
         series = [r.G_l2**2 + r.diss_G_accum for r in recs]
         # ||G||_2^2 + int ||Lambda^{a/2} G||_2^2 is nonincreasing for pure dissipative vorticity
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(series, series[1:]))
@@ -211,6 +207,56 @@ class TestGMonitors:
         st = SimState(grid, tuple(hats))
         with pytest.raises(ValueError, match="non-finite dissipation rate"):
             dissipation_rates(st, PARAMS)
+
+
+class TestRunMonitor:
+    # at amplitude 5 the monitor starts from a smaller field than the run's, so the margins go negative and worst moves
+    @pytest.mark.parametrize("start_amplitude", [10.0, 5.0])
+    def test_matches_the_written_out_loop_bitwise(self, start_amplitude):
+        # the oracle: a run's monitor state written out step by step, in plain locals
+        states = list(run(initial_data("random-band", 5, GridSpec(32), amplitude=10.0), PARAMS,
+                          StepperConfig(dt_init=0.05, cfl_number=0.4, t_end=0.3)))
+        st = initial_data("random-band", 5, GridSpec(32), amplitude=start_amplitude)
+        assert len({b.t - a.t for a, b in zip([st, *states], states)}) > 2  # the CFL varies dt
+        q, s, L = 2.3, 0.5, 0.2
+
+        def written_out(state, diss_u, diss_G, initial):
+            rec = snapshot_record(state, PARAMS, q, s, diss_u, diss_G)
+            bound_margins(rec, rec if initial is None else initial)
+            rec.cordoba_min = cordoba_margin(state.theta, PARAMS.beta, *CONVEX_GAMMAS["square"], state.hats[0])
+            rec.oss_delta_measured = oss_check(state.theta, L)
+            for key in worst:
+                worst[key] = min(worst[key], getattr(rec, key))
+            return rec
+
+        worst = dict.fromkeys(("margin_maxprinciple_l2", "margin_maxprinciple_linf", "margin_energy_linear"), 0.0)
+        diss_u = diss_G = 0.0
+        initial = written_out(st, diss_u, diss_G, None)
+        rate_u, rate_G = dissipation_rates(st, PARAMS)
+        prev_t, step_count, expect = st.t, 0, [initial]
+        for cur in states:
+            step_count += 1
+            new_u, new_G = dissipation_rates(cur, PARAMS)
+            dt = cur.t - prev_t
+            diss_u += 0.5 * dt * (rate_u + new_u)
+            diss_G += 0.5 * dt * (rate_G + new_G)
+            rate_u, rate_G = new_u, new_G
+            prev_t = cur.t
+            if step_count % 2 == 0 or cur is states[-1]:  # some steps are only advanced
+                expect.append(written_out(cur, diss_u, diss_G, initial))
+
+        monitor = RunMonitor(st, PARAMS, q, s, L)
+        got = [monitor.initial]
+        for cur in states:
+            monitor.advance(cur)
+            if monitor.steps % 2 == 0 or cur is states[-1]:
+                got.append(monitor.record(cur))
+        assert [r.csv_row() for r in got] == [r.csv_row() for r in expect]  # every field, in round-trip form
+        assert (monitor.diss_u.hex(), monitor.diss_G.hex(), monitor.steps) == (diss_u.hex(), diss_G.hex(), step_count)
+        assert {k: v.hex() for k, v in monitor.worst.items()} == {k: v.hex() for k, v in worst.items()}
+        assert monitor.rates == (rate_u, rate_G) and monitor.t == prev_t
+        assert 0.0 not in (got[-1].margin_maxprinciple_l2, got[-1].cordoba_min, got[-1].oss_delta_measured)  # all set
+        assert (min(worst.values()) < 0.0) == (start_amplitude == 5.0)
 
 
 class TestCordoba:

@@ -1,10 +1,11 @@
 """``tools/pairs.py``: seed ranges, the alternating order, the summary of a
-round and the rounds kept in one BENCH file; ``perfbench/run.py`` is
-replaced by a stub that reports fixed metrics."""
+round, the rounds kept in one BENCH file and the one path both sides run
+from; ``perfbench/run.py`` is replaced by a stub that reports fixed metrics."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_alternating_order_and_rounds_in_one_file(tmp_path, monkeypatch):
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
     seen = []
 
-    def stub(tree, workload, seed, seconds, scale):
+    def stub(tree, workload, seed, seconds, scale, where):
         side = pathlib.Path(tree).name
         seen.append((seed, side))
         return {"correct": True, "failed": 0, "metrics": {"wall_s": 1.0 if side == "parent" else 0.8, "steps_per_s": 2.0}, "host": "host: stub"}
@@ -63,12 +64,34 @@ def test_alternating_order_and_rounds_in_one_file(tmp_path, monkeypatch):
     assert sim["summary"]["wall_s"]["change_wins"] == 3 and sim["summary"]["wall_s"]["gap_exceeds_parent_iqr"]
 
 
-def test_trees_whose_paths_differ_in_length_are_refused(tmp_path, monkeypatch, capsys):
-    (tmp_path / "change").mkdir()
-    monkeypatch.setattr(pairs, "run_once", lambda *args: pytest.fail("a run started"))
-    argv = ["--parent", str(tmp_path / "parent0"), "--change", str(tmp_path / "change"), "--workload", "sim"]
-    with pytest.raises(SystemExit) as exc:
-        pairs.main([*argv, "--seeds", "1"])
-    assert exc.value.code == 2
-    n = len(str(tmp_path / "change"))
-    assert f"differ in length ({n + 1} and {n} characters)" in capsys.readouterr().err
+def _files(tree: pathlib.Path) -> dict:
+    return {str(p.relative_to(tree)): p.read_bytes() for p in sorted(tree.rglob("*")) if p.is_file()}
+
+
+def test_both_sides_run_from_one_path_and_the_trees_stay_as_they_were(tmp_path, monkeypatch):
+    for side, name in (("parent", "p.d"), ("change", "change_with_a_longer_name.d")):
+        tree = tmp_path / name
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(f"SIDE = {side!r}\n")
+        (tree / ".git").mkdir()
+        (tree / ".git" / "HEAD").write_text("ref\n")
+    (tmp_path / "change_with_a_longer_name.d" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
+    before = {name: _files(tmp_path / name) for name in ("p.d", "change_with_a_longer_name.d")}
+    seen = {}
+
+    def fake_run(cmd, cwd, **kwargs):
+        script = pathlib.Path(cmd[1])
+        side = script.read_text().split("'")[1]  # the copy holds the side's own run.py
+        assert not (pathlib.Path(cwd) / ".git").exists()
+        (pathlib.Path(cwd) / "perfbench" / "out.txt").write_text("a run's output\n")
+        seen.setdefault(side, set()).add((cmd[1], cwd))
+        report = {"correct": True, "failed": 0, "metrics": {m["name"]: {"value": 1.0} for m in DECLARED}}
+        return subprocess.CompletedProcess(cmd, 0, "host: stub\n" + json.dumps(report) + "\n", "")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(pairs, "ROOT", str(tmp_path))
+    argv = ["--parent", str(tmp_path / "p.d"), "--change", str(tmp_path / "change_with_a_longer_name.d")]
+    assert pairs.main([*argv, "--workload", "verify", "--seeds", "1-2", "--label", "t"]) == 0
+    assert len(seen["parent"]) == 1 and seen["parent"] == seen["change"]  # one script path and cwd for all four runs
+    assert {name: _files(tmp_path / name) for name in before} == before
+    assert not pathlib.Path(next(iter(seen["parent"]))[1]).exists()  # the copy went with its temporary directory

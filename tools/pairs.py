@@ -4,12 +4,15 @@ Usage:
     python3 tools/pairs.py --parent DIR --change DIR --workload W --seeds A-B
         [--seconds S] [--scale full|smoke] [--label LABEL]
 
-DIR is a source tree each (for example a ``git archive`` of a commit), and
-both absolute paths have the same length, or the tool refuses them.  For
-every seed from A to B it runs ``perfbench/run.py --trace 0`` once in each
+DIR is a source tree each (for example a ``git archive`` of a commit).  For
+every seed from A to B it runs ``perfbench/run.py --trace 0`` once for each
 tree, alternating which side goes first (the parent in the first pair), so
-that a drift of the host falls on both sides alike.  It changes nothing in
-``perfbench/``.
+that a drift of the host falls on both sides alike.  Each run starts from a
+fresh copy of its tree (without ``.git`` and ``__pycache__``) at one path in
+a temporary directory, the same for both sides, so that the path they run
+from is no difference between them (verify's ``peak_rss_mb`` has stepped by
+4-7 MB with the tree's path, and steps as well with the size of the
+environment, which both sides share).  It changes nothing in the trees.
 
 The round goes into ``BENCH_<LABEL>.json`` at the root of this repository,
 next to the rounds of other workloads under the same label (a new round of
@@ -25,9 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -42,13 +47,16 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float, scale: str) -> dict:
-    """One untraced ``perfbench/run.py`` run in ``tree``: its correctness, metrics and host line."""
+def run_once(tree: str, workload: str, seed: int, seconds: float, scale: str, where: str) -> dict:
+    """One untraced ``perfbench/run.py`` run of ``tree``, copied to ``where``
+    and run from there: its correctness, metrics and host line."""
+    shutil.rmtree(where, ignore_errors=True)
+    shutil.copytree(tree, where, ignore=shutil.ignore_patterns(".git", "__pycache__"))
     cmd = [
-        sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload, "--seed", str(seed),
+        sys.executable, os.path.join(where, "perfbench", "run.py"), "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0", "--scale", scale,
     ]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=where, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         report = json.loads(lines[-1])
@@ -105,22 +113,17 @@ def main(argv=None) -> int:
     ap.add_argument("--label", default="pairs", help="writes BENCH_<label>.json at the repository root")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    # verify's peak_rss_mb steps by 4-7 MB with the length of the tree's path
-    if len(trees["parent"]) != len(trees["change"]):
-        ap.error(
-            f"the trees' absolute paths differ in length ({len(trees['parent'])} and {len(trees['change'])} "
-            "characters); run both from directories whose names have the same length"
-        )
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         declared = json.load(fh)["end_to_end"]
 
     runs = []
-    for k, seed in enumerate(args.seeds):
-        for order, side in enumerate(SIDES if k % 2 == 0 else SIDES[::-1], start=1):
-            result = run_once(trees[side], args.workload, seed, args.seconds, args.scale)
-            runs.append({"seed": seed, "side": side, "order": order, **result})
-            shown = " ".join(f"{name}={value:.4g}" for name, value in result["metrics"].items())
-            print(f"seed {seed} {side:6} correct={result['correct']} {shown}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bq2d-pairs-") as tmp:
+        for k, seed in enumerate(args.seeds):
+            for order, side in enumerate(SIDES if k % 2 == 0 else SIDES[::-1], start=1):
+                result = run_once(trees[side], args.workload, seed, args.seconds, args.scale, os.path.join(tmp, "tree"))
+                runs.append({"seed": seed, "side": side, "order": order, **result})
+                shown = " ".join(f"{name}={value:.4g}" for name, value in result["metrics"].items())
+                print(f"seed {seed} {side:6} correct={result['correct']} {shown}", flush=True)
 
     summary = summarize(runs, declared)
     for name, s in summary.items():
