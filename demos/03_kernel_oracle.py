@@ -52,7 +52,7 @@ for beta in (0.1, 0.5, 0.9):
 print("\nrefinement n = 256 -> 512 (discretization-dominated, so errors drop >= 2x):")
 for beta in (0.5,):
     a = quadrature_errors(beta, 256)["v_residual"]
-    b = quadrature_errors(beta, 512)["v_residual"]
+    _, b = calibrate_C_beta(beta, 512, residual_tol=math.inf)
     print(f"   beta={beta}: {a:.2e} -> {b:.2e}  (factor {a / b:.1f})")
 
 print("\nwhy not a plain Gaussian? the torus-vs-plane gap its mass creates:")

@@ -127,10 +127,7 @@ def _pad_displacements(n: int, side_length: float):
 def _radial(grid: GridSpec, power: float, rmin: float, rmax: float) -> np.ndarray:
     """|z|^{-power} on the padded displacements with rmin < |z| <= rmax, 0 elsewhere."""
     _, _, zn = _pad_displacements(grid.n, grid.side_length)
-    mask = (zn > rmin) & (zn <= rmax)
-    out = np.zeros_like(zn)
-    out[mask] = zn[mask] ** -power
-    return out
+    return np.power(zn, -power, out=np.zeros_like(zn), where=(zn > rmin) & (zn <= rmax))
 
 
 def _apply_kernels(f: np.ndarray, grid: GridSpec, kernels) -> list[np.ndarray]:

@@ -609,6 +609,7 @@ class TestCommandLineContract:
             (solver, "run"),
             (solver, "write_checkpoint"),
             (kernels, "quadrature_errors"),
+            (kernels, "calibrate_C_beta"),
         ):
             monkeypatch.setattr(module, name, computed)
         return tmp_path
@@ -913,6 +914,64 @@ class TestVerificationCommands:
         assert run_main(["kernel-verify", "--beta", "0.5", "--n", "16", "--out", str(out)]) == EXIT_ASSERTION
         assert capsys.readouterr().err.splitlines() == ["assertion failure: no C_beta"]
         assert not out.exists()
+
+    def test_2n_calibration_failure_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the n pass runs for real; only the 2n pass, the fit alone, fails
+        from bq2d import kernels
+
+        def uncalibrated(*args, **kwargs):
+            raise kernels.CalibrationError("no C_beta at 2n")
+
+        monkeypatch.setattr(kernels, "calibrate_C_beta", uncalibrated)
+        out = tmp_path / "kv.csv"
+        assert run_main(["kernel-verify", "--beta", "0.5", "--n", "32", "--out", str(out)]) == EXIT_ASSERTION
+        assert capsys.readouterr().err.splitlines() == ["assertion failure: no C_beta at 2n"]
+        assert not out.exists()
+
+    def test_kernel_verify_transform_census(self, monkeypatch, tmp_path):
+        # the 2n pass runs the calibration fit alone: 5 transforms on its
+        # 4n-row padded grid and 53 real transforms in all.  Two full
+        # quadrature_errors passes made 10 and 64; the 2n symmetric gradient
+        # took the other 5 padded ones, and d1 theta (2) and its four
+        # gradient inverses on the 2n grid.
+        import numpy as np
+
+        rows = []
+        for name in ("rfft2", "irfft2"):
+            transform = getattr(np.fft, name)
+
+            def counted(a, *args, _transform=transform, **kwargs):
+                rows.append(a.shape[0])
+                return _transform(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        run_main(["kernel-verify", "--beta", "0.5", "--n", "32", "--out", str(tmp_path / "kv.csv")])
+        assert rows.count(128) == 5
+        assert len(rows) == 53
+
+    def test_kernel_verify_table_equals_the_two_quadrature_errors_table(self, tmp_path):
+        # oracle: the table as two full quadrature_errors passes, n and 2n, build it
+        from bq2d import kernels
+
+        out = tmp_path / "kv.csv"
+        run_main(["kernel-verify", "--beta", "0.5", "--n", "32", "--out", str(out)])
+        got = list(csv.reader(out.read_text().splitlines()))
+        res, res2 = (kernels.quadrature_errors(0.5, n) for n in (32, 64))
+        want = _CheckTable()
+        want.add("v_residual_n", res["v_residual"], 1e-3)
+        want.add("symgrad_error_n", res["symgrad_error"], 1e-2)
+        want.add("v_residual_2n", res2["v_residual"], 1e-3)
+        want.add("v_refinement_ratio", res["v_residual"] / max(res2["v_residual"], 1e-300), 2.0, floor=True)
+        want.add("C_star_drift", abs(res2["C_star"] / res["C_star"] - 1.0), 0.01)
+        want.rows.append(["C_star", repr(float(res["C_star"])), "", ""])
+        assert [row[0] for row in got] == [
+            "check",
+            "sigma_circle_mean",
+            *(row[0] for row in want.rows[1:-1]),
+            "split_partition_identity",
+            "C_star",
+        ]
+        assert got[2:7] + got[-1:] == [[str(cell) for cell in row] for row in want.rows[1:]]
 
     def test_inequality_suite_blowup_is_exit_3(self, tmp_path, capsys):
         out = tmp_path / "iq.csv"

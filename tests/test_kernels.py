@@ -10,6 +10,9 @@ import pytest
 from bq2d.kernels import (
     CalibrationError,
     KernelConfig,
+    _pad_displacements,
+    _radial,
+    _reach,
     calibrate_C_beta,
     circle_mean_sigma,
     grad_v_quadrature,
@@ -263,6 +266,33 @@ class TestSplitIntegral:
         th = oracle_bump(GridSpec(32))
         with pytest.raises(ValueError, match="beta strictly inside"):
             split_symgrad_bound(th, rho=0.05, L_split=1.0, beta=beta)
+
+
+class TestRadial:
+    """``_radial`` is one masked power pass; the gather form it replaced,
+    written out here, is the oracle, bit for bit."""
+
+    @staticmethod
+    def gathered(grid, power, rmin, rmax):
+        _, _, zn = _pad_displacements(grid.n, grid.side_length)
+        mask = (zn > rmin) & (zn <= rmax)
+        out = np.zeros_like(zn)
+        out[mask] = zn[mask] ** -power
+        return out
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("power", [1.0, 1.5, 2.7, 3.5, 3.9])
+    @pytest.mark.parametrize(
+        "rmin, rmax",
+        [(0.0, None), (0.05, 1.0), (0.5, 3.0), (1.0, 1.0), (2.0, 1.0), (0.0, 1e-9)],
+        ids=["reach", "near-annulus", "mid-annulus", "empty-equal", "empty-reversed", "empty-inner"],
+    )
+    def test_matches_the_gather_form_bitwise(self, n, power, rmin, rmax):
+        g = GridSpec(n)
+        rmax = _reach(g) if rmax is None else rmax
+        got = _radial(g, power, rmin, rmax)
+        want = self.gathered(g, power, rmin, rmax)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def padded_transform_count(monkeypatch, call, n):
